@@ -37,66 +37,71 @@ class Workspace:
         self.functors = {}   # name -> (functor, source_name, target_name)
         self.quivers = {}    # name -> (quiver, relations, field)
         self.algebras = {}   # name -> (field, basis, mult, idempotents)
+        self.names = {}      # path -> document name, for every file parsed
+        self.skipped = []    # unnamed files that did not parse (lenient loads)
 
-    def load_file(self, path: Path) -> str:
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DocumentError(f"cannot parse: {exc}", str(path))
-        fmt = doc.get("format")
-        if fmt == docs.FORMAT_LINCAT:
-            name, cat = docs.category_from_json(doc, str(path))
-            self.categories[name] = cat
-        elif fmt == docs.FORMAT_QUIVER:
-            name, quiver, relations, field = docs.quiver_from_json(doc, str(path))
-            self.quivers[name] = (quiver, relations, field)
-        elif fmt == docs.FORMAT_ALGEBRA:
-            name, field, basis, mult, idems = docs.algebra_from_json(doc, str(path))
-            self.algebras[name] = (field, basis, mult, idems)
-        elif fmt == docs.FORMAT_LINFUN:
-            name = doc.get("name", path.stem)
-            return name  # functors resolve in a second pass
-        else:
-            raise DocumentError(f"unknown document format {fmt!r}", str(path))
-        return doc["name"]
+    def load_all(self, paths, named=None):
+        """Read and parse each file once, then resolve functors against the
+        loaded categories.
 
-    INPUT_FORMATS = (docs.FORMAT_LINCAT, docs.FORMAT_LINFUN,
-                     docs.FORMAT_QUIVER, docs.FORMAT_ALGEBRA)
-
-    def load_all(self, paths, strict=True):
-        """Load documents; with strict=False, files in non-input formats
-        (reports, certificates) are skipped instead of rejected."""
+        With ``named=None`` every file must parse and be an input document.
+        Otherwise loading is lenient: files in other formats (reports,
+        certificates) are skipped, and a file that does not parse is skipped
+        and listed in ``skipped`` unless it is one of ``named``.
+        """
         funct_docs = []
-        for path in paths:
-            path = Path(path)
+        for path in map(Path, paths):
             try:
-                doc = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise DocumentError(f"cannot parse: {exc}", str(path))
-            fmt = doc.get("format")
-            if not strict and fmt not in self.INPUT_FORMATS:
+                doc = _read_document(path)
+            except DocumentError:
+                if named is None or path in named:
+                    raise
+                self.skipped.append(str(path))
                 continue
+            self.names[path] = doc.get("name", path.stem)
+            fmt, where = doc.get("format"), str(path)
             if fmt == docs.FORMAT_LINFUN:
-                funct_docs.append((path, doc))
-            else:
-                self.load_file(path)
-        for path, doc in funct_docs:
-            name, fun = docs.functor_from_json(doc, self.categories, str(path))
+                funct_docs.append((where, doc))
+            elif fmt == docs.FORMAT_LINCAT:
+                name, cat = docs.category_from_json(doc, where)
+                self.categories[name] = cat
+            elif fmt == docs.FORMAT_QUIVER:
+                name, quiver, relations, field = docs.quiver_from_json(doc, where)
+                self.quivers[name] = (quiver, relations, field)
+            elif fmt == docs.FORMAT_ALGEBRA:
+                name, field, basis, mult, idems = docs.algebra_from_json(doc, where)
+                self.algebras[name] = (field, basis, mult, idems)
+            elif named is None:
+                raise DocumentError(f"unknown document format {fmt!r}", where)
+        for where, doc in funct_docs:
+            name, fun = docs.functor_from_json(doc, self.categories, where)
             self.functors[name] = (fun, doc["source"], doc["target"])
+
+    def name_of(self, ref: str) -> str:
+        """The document name of a loaded file ``ref``; else ``ref`` itself."""
+        return self.names.get(Path(ref), ref)
+
+
+def _read_document(path: Path) -> dict:
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise DocumentError(f"cannot parse: {exc}", str(path))
+    if not isinstance(doc, dict):
+        raise DocumentError("top-level value is not a JSON object", str(path))
+    return doc
 
 
 def _workspace_for(ref: str, directory) -> tuple[Workspace, str]:
     """Load every *.json next to ``ref`` (a path or a bare document name)."""
     path = Path(ref)
     if path.suffix == ".json" and path.exists():
-        base = path.parent
-        name = json.loads(path.read_text()).get("name", path.stem)
+        base, named = path.parent, {path}
     else:
-        base = Path(directory) if directory else Path(".")
-        name = ref
+        base, named = Path(directory) if directory else Path("."), set()
     ws = Workspace()
-    ws.load_all(sorted(base.glob("*.json")), strict=False)
-    return ws, name
+    ws.load_all(sorted(base.glob("*.json")), named)
+    return ws, ws.name_of(ref)
 
 
 def _emit(report: dict, json_out) -> None:
@@ -170,40 +175,41 @@ def cmd_check(args) -> int:
     except DocumentError as exc:
         _emit({"command": "check", "error": str(exc)}, args.json)
         return EXIT_INPUT
+    report, code = _check(args, ws, name)
+    if ws.skipped:
+        report["skipped"] = ws.skipped
+    _emit(report, args.json)
+    return code
+
+
+def _check(args, ws: Workspace, name: str) -> tuple[dict, int]:
+    def error(message: str) -> tuple[dict, int]:
+        return {"command": "check", "error": message}, EXIT_INPUT
+
     if name not in ws.functors:
-        _emit({"command": "check", "error": f"unknown functor {name!r}"}, args.json)
-        return EXIT_INPUT
+        return error(f"unknown functor {name!r}")
     fun, _, _ = ws.functors[name]
     for cat, which in ((fun.source, "source"), (fun.target, "target")):
         if not validate_category(cat).ok:
-            _emit({"command": "check",
-                   "error": f"{which} category of {name} is invalid"}, args.json)
-            return EXIT_INPUT
+            return error(f"{which} category of {name} is invalid")
     if not validate_functor(fun).ok:
-        _emit({"command": "check", "error": f"functor {name} is invalid"},
-              args.json)
-        return EXIT_INPUT
+        return error(f"functor {name} is invalid")
 
     try:
         if args.kind == "covering":
             result = check_covering(fun)
             if isinstance(result, CoveringFailure):
-                report = _verdict_report(args, name, "NotCovering",
-                                         {"witness": docs.covering_failure_to_json(result)})
-                _emit(report, args.json)
-                return EXIT_NEGATIVE
-            report = _verdict_report(args, name, "Covering",
-                                     {"certificate": docs.certificate_to_json(result, name)})
-            _emit(report, args.json)
-            return EXIT_OK
+                return _verdict_report(args, name, "NotCovering", {
+                    "witness": docs.covering_failure_to_json(result)}), EXIT_NEGATIVE
+            return _verdict_report(args, name, "Covering", {
+                "certificate": docs.certificate_to_json(result, name)}), EXIT_OK
 
         if args.kind == "trivial":
             result = is_trivial_covering(fun)
             status = "Trivial" if result.trivial else "NonTrivial"
             report = _verdict_report(args, name, status,
                                      {"triviality": docs.triviality_to_json(result)})
-            _emit(report, args.json)
-            return EXIT_OK if result.trivial else EXIT_NEGATIVE
+            return report, EXIT_OK if result.trivial else EXIT_NEGATIVE
 
         if args.kind == "galois":
             if args.method == "direct":
@@ -214,21 +220,16 @@ def cmd_check(args) -> int:
                 verdict = is_galois_both(fun)
             report = _verdict_report(args, name, verdict.status.value,
                                      docs.galois_verdict_to_json(verdict)["evidence"])
-            _emit(report, args.json)
-            return _GALOIS_EXITS[verdict.status]
+            return report, _GALOIS_EXITS[verdict.status]
 
         if args.kind == "universal":
             if not args.family:
-                _emit({"command": "check",
-                       "error": "universal check requires --family"}, args.json)
-                return EXIT_INPUT
+                return error("universal check requires --family")
             members = []
             for fname in args.family.split(","):
                 fname = fname.strip()
                 if fname not in ws.functors:
-                    _emit({"command": "check",
-                           "error": f"unknown family member {fname!r}"}, args.json)
-                    return EXIT_INPUT
+                    return error(f"unknown family member {fname!r}")
                 members.append((fname, ws.functors[fname][0]))
             result = check_universal_against(fun, [m for _, m in members])
             checks = []
@@ -244,19 +245,16 @@ def cmd_check(args) -> int:
             status = ("UniversalRelativeToFamily"
                       if result.universal_relative_to_family else "NotUniversal")
             report = _verdict_report(args, name, status, {"family": checks})
-            _emit(report, args.json)
-            return EXIT_OK if result.universal_relative_to_family else EXIT_NEGATIVE
+            return report, (EXIT_OK if result.universal_relative_to_family
+                            else EXIT_NEGATIVE)
     except NotConnectedError as exc:
-        _emit(_verdict_report(args, name, "NotConnected", {"error": str(exc)}),
-              args.json)
-        return EXIT_NOT_CONNECTED
+        return _verdict_report(args, name, "NotConnected",
+                               {"error": str(exc)}), EXIT_NOT_CONNECTED
     except NotCoveringError as exc:
-        _emit(_verdict_report(args, name, "NotCovering", {"error": str(exc)}),
-              args.json)
-        return EXIT_NOT_COVERING
+        return _verdict_report(args, name, "NotCovering",
+                               {"error": str(exc)}), EXIT_NOT_COVERING
     except (ConstructionError, CovcatError) as exc:
-        _emit({"command": "check", "error": str(exc)}, args.json)
-        return EXIT_INPUT
+        return error(str(exc))
     raise AssertionError(f"unhandled check kind {args.kind}")
 
 
@@ -275,100 +273,95 @@ def _write_docs(out_dir, payloads) -> dict:
 
 
 def cmd_build(args) -> int:
+    load_dir = Path(args.dir) if args.dir else Path(".")
+    candidates = sorted(load_dir.glob("*.json"))
+    extra = [Path(a) for a in args.args if a.endswith(".json") and Path(a).exists()]
     ws = Workspace()
     try:
-        load_dir = Path(args.dir) if args.dir else Path(".")
-        candidates = sorted(load_dir.glob("*.json"))
-        extra = [Path(a) for a in args.args if a.endswith(".json") and Path(a).exists()]
         ws.load_all(candidates + [p for p in extra if p not in candidates],
-                    strict=False)
+                    set(extra))
     except DocumentError as exc:
         _emit({"command": "build", "error": str(exc)}, None)
         return EXIT_INPUT
-
-    def name_of(ref: str) -> str:
-        path = Path(ref)
-        if path.suffix == ".json" and path.exists():
-            return json.loads(path.read_text()).get("name", path.stem)
-        return ref
-
     try:
-        if args.kind == "path-category":
-            qname = name_of(args.args[0])
-            if qname not in ws.quivers:
-                raise DocumentError(f"unknown quiver {qname!r}")
-            quiver, relations, field = ws.quivers[qname]
-            cat = path_category(quiver, relations, field)
-            report = _write_docs(args.out, [docs.category_to_json(cat, f"{qname}-cat")])
-        elif args.kind == "from-algebra":
-            aname = name_of(args.args[0])
-            if aname not in ws.algebras:
-                raise DocumentError(f"unknown algebra {aname!r}")
-            field, basis, mult, idems = ws.algebras[aname]
-            cat = category_from_algebra(field, basis, mult, idems)
-            report = _write_docs(args.out, [docs.category_to_json(cat, f"{aname}-cat")])
-        elif args.kind == "product-set":
-            cname = name_of(args.args[0])
-            if cname not in ws.categories:
-                raise DocumentError(f"unknown category {cname!r}")
-            rest = args.args[1:]
-            if len(rest) == 1 and rest[0].isdigit():
-                labels = [str(i) for i in range(int(rest[0]))]
-            else:
-                labels = list(rest)
-            product, projection = product_with_set(ws.categories[cname], labels)
-            stem = f"{cname}-x{len(labels)}"
-            report = _write_docs(args.out, [
-                docs.category_to_json(product, stem),
-                docs.functor_to_json(projection, f"{stem}-pr", stem, cname),
-            ])
-        elif args.kind == "fibre-product":
-            fname, gname = name_of(args.args[0]), name_of(args.args[1])
-            for ref in (fname, gname):
-                if ref not in ws.functors:
-                    raise DocumentError(f"unknown functor {ref!r}")
-            f, f_src, _ = ws.functors[fname]
-            g, g_src, _ = ws.functors[gname]
-            fp = fibre_product(f, g)
-            stem = f"fp-{fname}-{gname}"
-            report = _write_docs(args.out, [
-                docs.category_to_json(fp.category, stem),
-                docs.functor_to_json(fp.pr1, f"{stem}-pr1", stem, f_src),
-                docs.functor_to_json(fp.pr2, f"{stem}-pr2", stem, g_src),
-            ])
-        elif args.kind == "quotient":
-            cname = name_of(args.args[0])
-            if cname not in ws.categories:
-                raise DocumentError(f"unknown category {cname!r}")
-            if not args.by_deck_of:
-                raise DocumentError("quotient requires --by-deck-of")
-            fname = name_of(args.by_deck_of)
-            if fname not in ws.functors:
-                raise DocumentError(f"unknown functor {fname!r}")
-            fun, f_src, _ = ws.functors[fname]
-            if fun.source != ws.categories[cname]:
-                raise DocumentError(
-                    f"{fname} is not a functor out of {cname}")
-            group = deck_group(fun)
-            quotient, projection = quotient_by_group(ws.categories[cname], group)
-            stem = f"{cname}-mod-{fname}"
-            report = _write_docs(args.out, [
-                docs.category_to_json(quotient, stem),
-                docs.functor_to_json(projection, f"{stem}-proj", cname, stem),
-            ])
-        else:
-            raise DocumentError(f"unknown build kind {args.kind!r}")
+        report, code = _build(args, ws), EXIT_OK
     except NotConnectedError as exc:
-        _emit({"command": "build", "error": str(exc)}, None)
-        return EXIT_NOT_CONNECTED
+        report, code = {"command": "build", "error": str(exc)}, EXIT_NOT_CONNECTED
     except NotCoveringError as exc:
-        _emit({"command": "build", "error": str(exc)}, None)
-        return EXIT_NOT_COVERING
+        report, code = {"command": "build", "error": str(exc)}, EXIT_NOT_COVERING
     except (DocumentError, ConstructionError, CovcatError, IndexError) as exc:
-        _emit({"command": "build", "error": str(exc)}, None)
-        return EXIT_INPUT
+        report, code = {"command": "build", "error": str(exc)}, EXIT_INPUT
+    if ws.skipped:
+        report["skipped"] = ws.skipped
     _emit(report, None)
-    return EXIT_OK
+    return code
+
+
+def _build(args, ws: Workspace) -> dict:
+    if args.kind == "path-category":
+        qname = ws.name_of(args.args[0])
+        if qname not in ws.quivers:
+            raise DocumentError(f"unknown quiver {qname!r}")
+        quiver, relations, field = ws.quivers[qname]
+        cat = path_category(quiver, relations, field)
+        return _write_docs(args.out, [docs.category_to_json(cat, f"{qname}-cat")])
+    if args.kind == "from-algebra":
+        aname = ws.name_of(args.args[0])
+        if aname not in ws.algebras:
+            raise DocumentError(f"unknown algebra {aname!r}")
+        field, basis, mult, idems = ws.algebras[aname]
+        cat = category_from_algebra(field, basis, mult, idems)
+        return _write_docs(args.out, [docs.category_to_json(cat, f"{aname}-cat")])
+    if args.kind == "product-set":
+        cname = ws.name_of(args.args[0])
+        if cname not in ws.categories:
+            raise DocumentError(f"unknown category {cname!r}")
+        rest = args.args[1:]
+        if len(rest) == 1 and rest[0].isdigit():
+            labels = [str(i) for i in range(int(rest[0]))]
+        else:
+            labels = list(rest)
+        product, projection = product_with_set(ws.categories[cname], labels)
+        stem = f"{cname}-x{len(labels)}"
+        return _write_docs(args.out, [
+            docs.category_to_json(product, stem),
+            docs.functor_to_json(projection, f"{stem}-pr", stem, cname),
+        ])
+    if args.kind == "fibre-product":
+        fname, gname = ws.name_of(args.args[0]), ws.name_of(args.args[1])
+        for ref in (fname, gname):
+            if ref not in ws.functors:
+                raise DocumentError(f"unknown functor {ref!r}")
+        f, f_src, _ = ws.functors[fname]
+        g, g_src, _ = ws.functors[gname]
+        fp = fibre_product(f, g)
+        stem = f"fp-{fname}-{gname}"
+        return _write_docs(args.out, [
+            docs.category_to_json(fp.category, stem),
+            docs.functor_to_json(fp.pr1, f"{stem}-pr1", stem, f_src),
+            docs.functor_to_json(fp.pr2, f"{stem}-pr2", stem, g_src),
+        ])
+    if args.kind == "quotient":
+        cname = ws.name_of(args.args[0])
+        if cname not in ws.categories:
+            raise DocumentError(f"unknown category {cname!r}")
+        if not args.by_deck_of:
+            raise DocumentError("quotient requires --by-deck-of")
+        fname = ws.name_of(args.by_deck_of)
+        if fname not in ws.functors:
+            raise DocumentError(f"unknown functor {fname!r}")
+        fun, f_src, _ = ws.functors[fname]
+        if fun.source != ws.categories[cname]:
+            raise DocumentError(
+                f"{fname} is not a functor out of {cname}")
+        group = deck_group(fun)
+        quotient, projection = quotient_by_group(ws.categories[cname], group)
+        stem = f"{cname}-mod-{fname}"
+        return _write_docs(args.out, [
+            docs.category_to_json(quotient, stem),
+            docs.functor_to_json(projection, f"{stem}-proj", cname, stem),
+        ])
+    raise DocumentError(f"unknown build kind {args.kind!r}")
 
 
 # entry point --------------------------------------------------------------------

@@ -103,28 +103,18 @@ class CoveringFailure:
         return f"{where} is singular"
 
 
-def _source_block(fun: LinearFunctor, b: str, c: str, x: str):
-    """Columns of F on ⊕_{y over c} hom(x, y), laid out in fibre order."""
+def _fibre_block(fun: LinearFunctor, direction: str, lift: str,
+                 fibre: tuple[str, ...]):
+    """Columns of F on ⊕_{y in fibre} hom(lift, y) ("source") or
+    ⊕_{y in fibre} hom(y, lift) ("target"), laid out in fibre order."""
     layout = []
     cols = []
-    for y in fun.fibre(c):
-        m = fun.hom_matrices.get((x, y))
+    for y in fibre:
+        key = (lift, y) if direction == "source" else (y, lift)
+        m = fun.hom_matrices.get(key)
         if m is None:
             continue
-        for j, name in enumerate(fun.source.hom(x, y)):
-            layout.append((y, name))
-            cols.append(m.column(j))
-    return layout, cols
-
-
-def _target_block(fun: LinearFunctor, b: str, c: str, z: str):
-    layout = []
-    cols = []
-    for y in fun.fibre(b):
-        m = fun.hom_matrices.get((y, z))
-        if m is None:
-            continue
-        for j, name in enumerate(fun.source.hom(y, z)):
+        for j, name in enumerate(fun.source.hom(*key)):
             layout.append((y, name))
             cols.append(m.column(j))
     return layout, cols
@@ -142,13 +132,10 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
     for b in base.objects:
         for c in base.objects:
             dim = base.dim(b, c)
-            checks = [("source", x) for x in fun.fibre(b)] + \
-                     [("target", z) for z in fun.fibre(c)]
-            for direction, lift in checks:
-                if direction == "source":
-                    layout, cols = _source_block(fun, b, c, lift)
-                else:
-                    layout, cols = _target_block(fun, b, c, lift)
+            checks = [("source", x, fun.fibre(c)) for x in fun.fibre(b)] + \
+                     [("target", z, fun.fibre(b)) for z in fun.fibre(c)]
+            for direction, lift, fibre in checks:
+                layout, cols = _fibre_block(fun, direction, lift, fibre)
                 if len(cols) != dim:
                     return CoveringFailure("block-dimension", b, c, lift,
                                            direction, dim, len(cols))

@@ -22,16 +22,37 @@ __all__ = [
 ]
 
 
+# The first 13 primes as Miller–Rabin bases decide primality of every
+# n < 3317044064679887385961981, the least strong pseudoprime to all of them
+# (Sorenson and Webster, 2015).  Larger moduli are refused, not guessed at.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller–Rabin; ValueError for n >= PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"modulus {n} is not below the primality bound "
+                         f"{PRIME_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -328,13 +349,14 @@ def rank_and_inverse(m: Matrix) -> tuple[int, Optional[Matrix]]:
     return n, Matrix(m.field, n, n, inv_rows)
 
 
-def express_in_echelon(basis_rows: list[tuple], pivots: tuple[int, ...],
-                       vector: tuple, field: FieldSpec) -> tuple:
-    """Coordinates of ``vector`` in an echelon basis (rows of an rref).
+def echelon_residue(basis_rows: list[tuple], pivots: tuple[int, ...],
+                    vector, field: FieldSpec) -> tuple[tuple, list]:
+    """Coefficients ``vector[pivots[i]]`` on a reduced echelon basis, and the
+    residue left after subtracting that combination from ``vector``.
 
-    With a reduced echelon basis the coefficient of basis vector i is just
-    ``vector[pivots[i]]``; the expansion is verified exactly and a vector
-    outside the span raises ValueError.
+    The rows must be reduced (each vanishes at the other rows' pivots), so
+    the coefficients read straight off the vector and the residue is zero
+    at every pivot.
     """
     coeffs = tuple(vector[p] for p in pivots)
     residue = list(vector)
@@ -343,6 +365,17 @@ def express_in_echelon(basis_rows: list[tuple], pivots: tuple[int, ...],
             continue
         for j, a in enumerate(row):
             residue[j] = field.sub(residue[j], field.mul(c, a))
+    return coeffs, residue
+
+
+def express_in_echelon(basis_rows: list[tuple], pivots: tuple[int, ...],
+                       vector: tuple, field: FieldSpec) -> tuple:
+    """Coordinates of ``vector`` in an echelon basis (rows of an rref).
+
+    The expansion is verified exactly and a vector outside the span raises
+    ValueError.
+    """
+    coeffs, residue = echelon_residue(basis_rows, pivots, vector, field)
     if any(x != field.zero for x in residue):
         raise ValueError("vector is not in the span of the echelon basis")
     return coeffs

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import ConstructionError, NotCoveringError, CovcatError
 from .exactalg import Matrix, echelon_pivots, express_in_echelon, kernel_basis, \
     rank_and_inverse
-from .lincat import LinearCategory
+from .lincat import LinearCategory, by_source
 from .linfun import LinearFunctor, validate_functor
 from .covering import CoveringFailure, check_covering
 
@@ -57,7 +57,8 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
         raise ConstructionError("fibre product has no objects")
 
     # per ordered pair of pair-objects: kernel rows over (C-basis ++ D-basis)
-    kernels: dict[tuple[tuple[str, str], tuple[str, str]], list] = {}
+    # and their pivots
+    kernels: dict[tuple[tuple[str, str], tuple[str, str]], tuple] = {}
     hom_basis: dict[tuple[str, str], tuple[str, ...]] = {}
     for (x, y) in pairs:
         for (x2, y2) in pairs:
@@ -73,26 +74,23 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
             kernel = kernel_basis(diff)
             if not kernel:
                 continue
-            kernels[((x, y), (x2, y2))] = kernel
+            kernels[((x, y), (x2, y2))] = (kernel, echelon_pivots(kernel, field))
             src, dst = _pair_name(x, y), _pair_name(x2, y2)
             hom_basis[(src, dst)] = tuple(
                 f"{src}>{dst}#{i}" for i in range(len(kernel)))
 
     identity = {}
     for (x, y) in pairs:
-        key = ((x, y), (x, y))
-        rows = kernels[key]
-        pivots = echelon_pivots(rows, field)
+        rows, pivots = kernels[((x, y), (x, y))]
         concat = tuple(cat_c.identity[x]) + tuple(cat_d.identity[y])
         identity[_pair_name(x, y)] = express_in_echelon(rows, pivots, concat, field)
 
     composition = {}
-    for (p, p2), rows1 in kernels.items():
-        for (q, q2), rows2 in kernels.items():
-            if q != p2:
-                continue
-            target_rows = kernels.get((p, q2))
-            target_pivots = echelon_pivots(target_rows, field) if target_rows else ()
+    out_of = by_source(kernels)
+    for (p, p2), (rows1, _) in kernels.items():
+        for (_, q2) in out_of.get(p2, ()):
+            rows2 = kernels[(p2, q2)][0]
+            target_rows, target_pivots = kernels.get((p, q2), (None, ()))
             (x, y), (x2, y2), (x3, y3) = p, p2, q2
             dc1, dc2 = cat_c.dim(x, x2), cat_c.dim(x2, x3)
             names1 = hom_basis[(_pair_name(x, y), _pair_name(x2, y2))]
@@ -118,7 +116,7 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
     om1 = {_pair_name(x, y): x for x, y in pairs}
     om2 = {_pair_name(x, y): y for x, y in pairs}
     hm1, hm2 = {}, {}
-    for (p, p2), rows in kernels.items():
+    for (p, p2), (rows, _) in kernels.items():
         (x, y), (x2, y2) = p, p2
         dim_c = cat_c.dim(x, x2)
         key = (_pair_name(x, y), _pair_name(x2, y2))

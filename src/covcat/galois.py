@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 from .errors import ConstructionError, CovcatError, NotConnectedError, \
     NotCoveringError
 from .exactalg import Matrix
-from .lincat import LinearCategory, connected_components, full_subcategory, \
-    product_with_set
+from .lincat import LinearCategory, _adjacency, by_source, \
+    connected_components, full_subcategory, product_with_set
 from .linfun import LinearFunctor, compose, functor_equal, identity_functor, \
     is_isomorphism, validate_functor
 from .covering import CoveringCertificate, CoveringFailure, check_covering
@@ -82,12 +82,7 @@ def lift_endofunctor(fun: LinearFunctor, x: str, x_prime: str,
 
     src = fun.source
     assign = {x: x_prime}
-    adjacency: dict[str, set[str]] = {o: set() for o in src.objects}
-    for (a, b) in src.hom_basis:
-        if a != b:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-
+    adjacency = _adjacency(src)
     queue = deque([x])
     while queue:
         u = queue.popleft()
@@ -453,10 +448,9 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
         identity[r] = tuple(place(r, r, r, cat.identity[r]))
 
     composition = {}
-    for (r, r2), names1 in hom_basis.items():
-        for (r2b, r3), names2 in hom_basis.items():
-            if r2b != r2:
-                continue
+    out_of = by_source(hom_basis)
+    for (r, r2) in hom_basis:
+        for (_, r3) in out_of.get(r2, ()):
             for y in orbit_of[r2]:
                 h = aligner(r2, y)
                 for z in orbit_of[r3]:

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConstructionError
-from .exactalg import FieldSpec, Matrix, echelon_pivots, express_in_echelon
+from .exactalg import FieldSpec, Matrix, echelon_residue, express_in_echelon
 
 __all__ = [
     "LinearCategory",
@@ -201,6 +201,19 @@ class SignedWalk:
                     f"walk breaks between {a.end()} and {b.start()}")
 
 
+def by_source(keys: Iterable[tuple]) -> dict:
+    """Index (src, dst, ...) keys by src, keeping their order within each src.
+
+    Walking ``for key in keys: for nxt in index.get(key[1], ())`` visits the
+    composable pairs in the order of a quadratic scan of ``keys`` that skips
+    pairs with ``nxt[0] != key[1]``.
+    """
+    index: dict = {}
+    for key in keys:
+        index.setdefault(key[0], []).append(key)
+    return index
+
+
 # validation ---------------------------------------------------------------
 
 
@@ -251,12 +264,10 @@ def validate_category(cat: LinearCategory) -> ValidationReport:
                                           f"1_{x} does not commute with {e}"))
 
     pairs = cat.hom_pairs()
-    by_src: dict[str, list[tuple[str, str]]] = {}
+    out_of = by_source(pairs)
     for (x, y) in pairs:
-        by_src.setdefault(x, []).append((x, y))
-    for (x, y) in pairs:
-        for (_, z) in by_src.get(y, ()):
-            for (_, w) in by_src.get(z, ()):
+        for (_, z) in out_of.get(y, ()):
+            for (_, w) in out_of.get(z, ()):
                 for f in cat.hom(x, y):
                     fvec = cat.basis_vector(f)
                     for g in cat.hom(y, z):
@@ -425,15 +436,13 @@ def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
         return v
 
     # close the relations under pre/post composition by all paths
+    paths_from = by_source(paths)
+    paths_into = by_source((y, x) for (x, y) in paths)
     for (x, y), terms in parsed_relations:
-        for (u, x2), pres in paths.items():
-            if x2 != x:
-                continue
-            for pre in pres:
-                for (y2, v), posts in paths.items():
-                    if y2 != y:
-                        continue
-                    for post in posts:
+        for (_, u) in paths_into[x]:
+            for pre in paths[(u, x)]:
+                for (_, v) in paths_from[y]:
+                    for post in paths[(y, v)]:
                         shifted = [(c, post + arrows + pre) for c, arrows in terms]
                         rel_vectors.setdefault((u, v), []).append(
                             vector_of((u, v), shifted))
@@ -458,7 +467,7 @@ def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
         if not keep:
             continue
         survivors[(x, y)] = keep
-        reducers[(x, y)] = (rows, pivots, plist,
+        reducers[(x, y)] = (rows, pivots,
                             [i for i in range(len(plist)) if i not in pivot_set])
         hom_basis[(x, y)] = tuple(_path_name(p, x) for p in keep)
 
@@ -467,15 +476,9 @@ def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
             if any(c != field.zero for c in vec):
                 raise ConstructionError("non-zero vector in a collapsed hom space")
             return ()
-        rows, pivots, _, free = reducers[(x, y)]
-        v = list(vec)
-        for row, p in zip(rows, pivots):
-            c = v[p]
-            if c == field.zero:
-                continue
-            for j, a in enumerate(row):
-                v[j] = field.sub(v[j], field.mul(c, a))
-        return tuple(v[i] for i in free)
+        rows, pivots, free = reducers[(x, y)]
+        _, residue = echelon_residue(rows, pivots, vec, field)
+        return tuple(residue[i] for i in free)
 
     for x in q.vertices:
         plist = paths[(x, x)]
@@ -486,10 +489,10 @@ def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
             raise ConstructionError(f"relations annihilate the identity at {x}")
         identity[x] = coords
 
+    out_of = by_source(survivors)
     for (x, y), fpaths in survivors.items():
-        for (y2, z), gpaths in survivors.items():
-            if y2 != y:
-                continue
+        for (_, z) in out_of.get(y, ()):
+            gpaths = survivors[(y, z)]
             for fp in fpaths:
                 for gp in gpaths:
                     concat = gp + fp
@@ -589,11 +592,10 @@ def category_from_algebra(field: FieldSpec, basis: Sequence[str],
             for i in range(n):
                 bvec = tuple(field.one if j == i else field.zero for j in range(n))
                 spanning.append(mul_vec(f, mul_vec(bvec, e)))
-            red, _ = Matrix.from_rows(field, spanning).rref()
+            red, pivots = Matrix.from_rows(field, spanning).rref()
             rows = [r for r in red.entries if any(c != field.zero for c in r)]
             if not rows:
                 continue
-            pivots = echelon_pivots(rows, field)
             spaces[(ne, nf)] = (rows, pivots)
             hom_basis[(ne, nf)] = tuple(f"{ne}>{nf}:{i}" for i in range(len(rows)))
 
@@ -601,10 +603,10 @@ def category_from_algebra(field: FieldSpec, basis: Sequence[str],
         rows, pivots = spaces[(ne, ne)]
         identity[ne] = express_in_echelon(rows, pivots, e, field)
 
+    out_of = by_source(spaces)
     for (ne, nf), (frows, _) in spaces.items():
-        for (nf2, ng), (grows, _) in spaces.items():
-            if nf2 != nf:
-                continue
+        for (_, ng) in out_of.get(nf, ()):
+            grows = spaces[(nf, ng)][0]
             target = spaces.get((ne, ng))
             for i, fv in enumerate(frows):
                 for j, gv in enumerate(grows):

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import ConstructionError
 from .exactalg import Matrix, rank_and_inverse
-from .lincat import LinearCategory, ValidationReport, Violation
+from .lincat import LinearCategory, ValidationReport, Violation, by_source
 
 __all__ = [
     "LinearFunctor",
@@ -90,11 +90,9 @@ def validate_functor(fun: LinearFunctor) -> ValidationReport:
                                       f"image of 1_{x} is not 1_{fx}"))
 
     pairs = src.hom_pairs()
-    by_src: dict[str, list[tuple[str, str]]] = {}
+    out_of = by_source(pairs)
     for (x, y) in pairs:
-        by_src.setdefault(x, []).append((x, y))
-    for (x, y) in pairs:
-        for (_, z) in by_src.get(y, ()):
+        for (_, z) in out_of.get(y, ()):
             fx, fy, fz = fun.object_map[x], fun.object_map[y], fun.object_map[z]
             for f in src.hom(x, y):
                 ff = fun.apply(x, y, src.basis_vector(f))

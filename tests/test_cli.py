@@ -1,10 +1,15 @@
 """CLI: exit codes, JSON reports, builders, round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from covcat import documents as docs
+import covcat
+from covcat import cli, documents as docs
 from covcat.cli import main
 from covcat.lincat import full_subcategory, product_with_set
 from covcat.fibprod import fibre_product
@@ -90,6 +95,70 @@ def test_validate_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", ["{not json", "[1,2]"])
+@pytest.mark.parametrize("argv", [["validate", "bad.json"],
+                                  ["check", "covering", "bad.json"],
+                                  ["build", "product-set", "bad.json", "3"]])
+def test_unparseable_named_file_is_an_input_error(tmp_path, argv, content):
+    (tmp_path / "bad.json").write_text(content)
+    env = {**os.environ, "PYTHONPATH": str(Path(covcat.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "covcat.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert report["command"] == argv[0]
+    assert "bad.json" in report["error"]
+
+
+def test_unnamed_unparseable_file_is_skipped_and_listed(workspace, capsys, tmp_path):
+    notes = workspace / "notes.json"
+    notes.write_text("{not json")
+    code, report = run(capsys, "check", "covering", str(workspace / "F1.json"))
+    assert code == 0
+    assert report["status"] == "Covering"
+    assert report["skipped"] == [str(notes)]
+    code, report = run(capsys, "build", "product-set", "B", "2",
+                       "--dir", str(workspace), "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert report["skipped"] == [str(notes)]
+    code, report = run(capsys, "check", "covering", str(notes))
+    assert code == 2
+    assert "skipped" not in report
+
+
+@pytest.mark.parametrize("argv", [["check", "covering", "{ws}/F1.json"],
+                                  ["build", "product-set", "B", "3",
+                                   "--dir", "{ws}", "--out", "{out}"]])
+def test_each_document_is_parsed_at_most_once(workspace, capsys, tmp_path,
+                                              monkeypatch, argv):
+    parsed = []
+
+    class CountingJson:
+        def loads(self, text, *args, **kwargs):
+            parsed.append(text)
+            return json.loads(text, *args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(json, name)
+
+    monkeypatch.setattr(cli, "json", CountingJson())
+    argv = [a.format(ws=workspace, out=tmp_path / "out") for a in argv]
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(parsed) == len(set(parsed)) == len(list(workspace.glob("*.json")))
+
+
+def test_modulus_beyond_primality_bound_is_an_input_error(workspace, capsys):
+    doc = json.loads((workspace / "B.json").read_text())
+    doc["field"] = {"kind": "Fp", "p": 2**127 - 1}
+    (workspace / "B.json").write_text(docs.dumps(doc))
+    code, report = run(capsys, "validate", str(workspace / "B.json"))
+    assert code == 2
+    assert "primality bound" in report["error"]
+
+
 def test_check_galois_double_cover(workspace, capsys):
     argv = ["check", "galois", str(workspace / "F1.json")]
     code, report = run(capsys, *argv)
@@ -119,6 +188,7 @@ def test_check_covering_and_witness(workspace, capsys):
     assert code == 0
     assert report["status"] == "Covering"
     assert report["evidence"]["certificate"]["fibres"]["t"] == ["t0", "t1"]
+    assert "skipped" not in report
 
     code, report = run(capsys, "check", "covering", "incl",
                        "--dir", str(workspace))

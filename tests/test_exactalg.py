@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covcat.exactalg import (
+    PRIME_BOUND,
     FieldSpec,
     GF,
     Matrix,
     QQ,
+    _is_prime,
     echelon_pivots,
     express_in_echelon,
     kernel_basis,
@@ -28,6 +30,36 @@ def test_field_spec_rejects_bad_input():
         FieldSpec("R")
     with pytest.raises(ValueError):
         FieldSpec("Q", 5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 41, 43, 2**31 - 1, 2**61 - 1])
+def test_field_spec_accepts_primes(p):
+    assert GF(p).p == p
+
+
+# 561 is a Carmichael number; the others are the least strong pseudoprimes
+# to the first 4, 9 and 12 prime bases, so fewer Miller–Rabin bases than
+# the 13 used would accept them.
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051,
+                               318665857834031151167461])
+def test_field_spec_rejects_strong_pseudoprimes(n):
+    with pytest.raises(ValueError, match="must be a prime"):
+        GF(n)
+
+
+def test_field_spec_rejects_moduli_beyond_the_primality_bound():
+    with pytest.raises(ValueError, match="primality bound"):
+        GF(2**127 - 1)
+    with pytest.raises(ValueError, match="primality bound"):
+        GF(PRIME_BOUND)
+
+
+def test_is_prime_matches_trial_division_below_5000():
+    def by_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(5000) if _is_prime(n)] == \
+        [n for n in range(5000) if by_division(n)]
 
 
 def test_scalar_parse_and_format_round_trip():

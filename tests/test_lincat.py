@@ -9,6 +9,7 @@ from covcat.exactalg import GF, QQ
 from covcat.lincat import (
     LinearCategory,
     Quiver,
+    by_source,
     category_from_algebra,
     connected_components,
     full_subcategory,
@@ -33,6 +34,15 @@ def test_quiver_rejects_cycles_and_bad_endpoints():
         Quiver(("a",), (("f", "a", "zz"),))
     with pytest.raises(ConstructionError):
         Quiver(("a", "a"), ())
+
+
+def test_by_source_walks_composable_pairs_in_quadratic_scan_order():
+    keys = list(triangle_cover(3).source.hom_basis)
+    index = by_source(keys)
+    walked = [(k, n) for k in keys for n in index.get(k[1], ())]
+    scanned = [(k, n) for k in keys for n in keys if n[0] == k[1]]
+    assert walked == scanned
+    assert walked
 
 
 # path categories ----------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ConstructionError, CovcatError, DocumentError, \
@@ -38,44 +39,59 @@ class Workspace:
         self.quivers = {}    # name -> (quiver, relations, field)
         self.algebras = {}   # name -> (field, basis, mult, idempotents)
         self.names = {}      # path -> document name, for every file parsed
-        self.skipped = []    # unnamed files that did not parse (lenient loads)
+        self.skipped = []    # unnamed files that did not load (lenient loads)
 
     def load_all(self, paths, named=None):
         """Read and parse each file once, then resolve functors against the
         loaded categories.
 
-        With ``named=None`` every file must parse and be an input document.
-        Otherwise loading is lenient: files in other formats (reports,
-        certificates) are skipped, and a file that does not parse is skipped
-        and listed in ``skipped`` unless it is one of ``named``.
+        With ``named=None`` every file must parse, build and be an input
+        document.  Otherwise loading is lenient: files in other formats
+        (reports, certificates) are skipped, and a file that does not parse
+        or build is skipped and listed in ``skipped`` unless it is one of
+        ``named``.
         """
         funct_docs = []
         for path in map(Path, paths):
-            try:
+            with self._loading(path, named):
                 doc = _read_document(path)
-            except DocumentError:
-                if named is None or path in named:
-                    raise
+                fmt, where = doc.get("format"), str(path)
+                name = doc.get("name", path.stem)
+                if not isinstance(name, str):
+                    raise DocumentError("document name is not a string", where)
+                self.names[path] = name
+                if fmt == docs.FORMAT_LINFUN:
+                    funct_docs.append((path, doc))
+                elif fmt == docs.FORMAT_LINCAT:
+                    name, cat = docs.category_from_json(doc, where)
+                    self.categories[name] = cat
+                elif fmt == docs.FORMAT_QUIVER:
+                    name, quiver, relations, field = docs.quiver_from_json(doc, where)
+                    self.quivers[name] = (quiver, relations, field)
+                elif fmt == docs.FORMAT_ALGEBRA:
+                    name, field, basis, mult, idems = docs.algebra_from_json(doc, where)
+                    self.algebras[name] = (field, basis, mult, idems)
+                elif named is None:
+                    raise DocumentError(f"unknown document format {fmt!r}", where)
+        for path, doc in funct_docs:
+            with self._loading(path, named):
+                name, fun = docs.functor_from_json(doc, self.categories, str(path))
+                self.functors[name] = (fun, doc["source"], doc["target"])
+
+    @contextmanager
+    def _loading(self, path: Path, named):
+        """Report a file that fails to parse or build as a DocumentError
+        naming it; in a lenient load, skip and list it unless it is named."""
+        try:
+            yield
+        except (DocumentError, TypeError, AttributeError, KeyError,
+                IndexError, ValueError) as exc:
+            if named is not None and path not in named:
                 self.skipped.append(str(path))
-                continue
-            self.names[path] = doc.get("name", path.stem)
-            fmt, where = doc.get("format"), str(path)
-            if fmt == docs.FORMAT_LINFUN:
-                funct_docs.append((where, doc))
-            elif fmt == docs.FORMAT_LINCAT:
-                name, cat = docs.category_from_json(doc, where)
-                self.categories[name] = cat
-            elif fmt == docs.FORMAT_QUIVER:
-                name, quiver, relations, field = docs.quiver_from_json(doc, where)
-                self.quivers[name] = (quiver, relations, field)
-            elif fmt == docs.FORMAT_ALGEBRA:
-                name, field, basis, mult, idems = docs.algebra_from_json(doc, where)
-                self.algebras[name] = (field, basis, mult, idems)
-            elif named is None:
-                raise DocumentError(f"unknown document format {fmt!r}", where)
-        for where, doc in funct_docs:
-            name, fun = docs.functor_from_json(doc, self.categories, where)
-            self.functors[name] = (fun, doc["source"], doc["target"])
+                return
+            if isinstance(exc, DocumentError):
+                raise
+            raise DocumentError(f"malformed document: {exc!r}", str(path))
 
     def name_of(self, ref: str) -> str:
         """The document name of a loaded file ``ref``; else ``ref`` itself."""
@@ -212,12 +228,8 @@ def _check(args, ws: Workspace, name: str) -> tuple[dict, int]:
             return report, EXIT_OK if result.trivial else EXIT_NEGATIVE
 
         if args.kind == "galois":
-            if args.method == "direct":
-                verdict = is_galois(fun, "direct")
-            elif args.method == "fibre":
-                verdict = is_galois(fun, "fibre")
-            else:
-                verdict = is_galois_both(fun)
+            verdict = (is_galois(fun, args.method) if args.method
+                       else is_galois_both(fun))
             report = _verdict_report(args, name, verdict.status.value,
                                      docs.galois_verdict_to_json(verdict)["evidence"])
             return report, _GALOIS_EXITS[verdict.status]

@@ -191,13 +191,6 @@ class Matrix:
         rows = tuple(l + r for l, r in zip(left.entries, right.entries))
         return Matrix(left.field, left.nrows, left.ncols + right.ncols, rows)
 
-    @staticmethod
-    def vstack(top: Matrix, bottom: Matrix) -> Matrix:
-        if top.ncols != bottom.ncols or top.field != bottom.field:
-            raise ValueError("vstack shape/field mismatch")
-        return Matrix(top.field, top.nrows + bottom.nrows, top.ncols,
-                      top.entries + bottom.entries)
-
     # basic ops ----------------------------------------------------------
 
     def __add__(self, other: Matrix) -> Matrix:
@@ -206,14 +199,6 @@ class Matrix:
         k = self.field
         return Matrix(k, self.nrows, self.ncols,
                       tuple(tuple(k.add(a, b) for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        if (self.nrows, self.ncols, self.field) != (other.nrows, other.ncols, other.field):
-            raise ValueError("shape/field mismatch")
-        k = self.field
-        return Matrix(k, self.nrows, self.ncols,
-                      tuple(tuple(k.sub(a, b) for a, b in zip(r1, r2))
                             for r1, r2 in zip(self.entries, other.entries)))
 
     def __matmul__(self, other: Matrix) -> Matrix:
@@ -234,23 +219,10 @@ class Matrix:
             rows.append(tuple(row))
         return Matrix(k, self.nrows, other.ncols, tuple(rows))
 
-    def scale(self, s) -> Matrix:
-        k = self.field
-        s = k.scalar(s)
-        return Matrix(k, self.nrows, self.ncols,
-                      tuple(tuple(k.mul(s, a) for a in r) for r in self.entries))
-
     def neg(self) -> Matrix:
         k = self.field
         return Matrix(k, self.nrows, self.ncols,
                       tuple(tuple(k.neg(a) for a in r) for r in self.entries))
-
-    def transpose(self) -> Matrix:
-        if self.nrows == 0:
-            return Matrix(self.field, self.ncols, 0,
-                          tuple(() for _ in range(self.ncols)))
-        return Matrix(self.field, self.ncols, self.nrows,
-                      tuple(zip(*self.entries)))
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
@@ -267,10 +239,6 @@ class Matrix:
                 acc = k.add(acc, k.mul(a, x))
             out.append(acc)
         return tuple(out)
-
-    def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for row in self.entries for a in row)
 
     # echelon forms ------------------------------------------------------
 

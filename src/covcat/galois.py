@@ -12,15 +12,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError, CovcatError, NotConnectedError, \
     NotCoveringError
 from .exactalg import Matrix
 from .lincat import LinearCategory, _adjacency, by_source, \
     connected_components, full_subcategory, product_with_set
-from .linfun import LinearFunctor, compose, functor_equal, identity_functor, \
-    is_isomorphism, validate_functor
+from .linfun import LinearFunctor, compose, functor_equal, is_isomorphism, \
+    validate_functor
 from .covering import CoveringCertificate, CoveringFailure, check_covering
 from .fibprod import fibre_product
 
@@ -162,19 +162,18 @@ def _transport_matrix(fun: LinearFunctor, cert: CoveringCertificate,
 
 @dataclass(frozen=True)
 class DeckGroup:
-    """The group of invertible endofunctors H of the source with FH = F,
-    together with its action on objects."""
+    """The group of invertible endofunctors H of the source with FH = F;
+    each element's object map is its action on objects."""
 
     covering: LinearFunctor
     elements: tuple[LinearFunctor, ...]
-    action: dict[tuple[int, str], str]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def act(self, i: int, x: str) -> str:
-        return self.action[(i, x)]
+        return self.elements[i].object_map[x]
 
     def element_index(self, h: LinearFunctor) -> Optional[int]:
         for i, e in enumerate(self.elements):
@@ -183,7 +182,16 @@ class DeckGroup:
         return None
 
     def orbit(self, x: str) -> tuple[str, ...]:
-        return tuple(sorted({self.action[(i, x)] for i in range(self.order)}))
+        return tuple(sorted({h.object_map[x] for h in self.elements}))
+
+
+def _check_free(objects: Sequence[str],
+                elements: Sequence[LinearFunctor]) -> None:
+    """Raise unless each element fixes either every object or none."""
+    for h in elements:
+        moved = [x for x in objects if h.object_map[x] != x]
+        if moved and len(moved) != len(objects):
+            raise ConstructionError("group action is not free on objects")
 
 
 def deck_group(fun: LinearFunctor,
@@ -204,30 +212,29 @@ def deck_group(fun: LinearFunctor,
             elements.append(h)
     elements = tuple(elements)
 
-    group = DeckGroup(fun, elements,
-                      {(i, x): h.object_map[x]
-                       for i, h in enumerate(elements)
-                       for x in fun.source.objects})
-
-    # the anchored lifts must form a group: verify rather than trust
-    if group.element_index(identity_functor(fun.source)) is None:
+    # The group laws are checked on object maps.  lift_endofunctor has
+    # proved each element an invertible functor with FH = F.  Over a
+    # connected source such a functor is fixed by the image of one object
+    # (uniqueness of lifts, acceptance criterion 07), so the lifts are
+    # indexed by where they send the anchor.  h∘g is again an invertible
+    # functor with F(hg) = F, so it is the element sending the anchor to
+    # h(g(anchor)), and that element must agree with h∘g on every object.
+    # A finite set of invertible maps that is closed under composition
+    # contains the inverse of each member, so with the identity it is a
+    # group.
+    objects = fun.source.objects
+    by_anchor = {h.object_map[anchor]: h for h in elements}
+    unit = by_anchor.get(anchor)
+    if unit is None or any(unit.object_map[x] != x for x in objects):
         raise CovcatError("deck group lost its identity element")
-    for i, h in enumerate(elements):
-        for j, g in enumerate(elements):
-            if group.element_index(compose(h, g)) is None:
+    for h in elements:
+        for g in elements:
+            hg = by_anchor.get(h.object_map[g.object_map[anchor]])
+            if hg is None or any(hg.object_map[x] != h.object_map[g.object_map[x]]
+                                 for x in objects):
                 raise CovcatError("deck lifts are not closed under composition")
-        inv = is_isomorphism(h)
-        if inv is None or group.element_index(inv) is None:
-            raise CovcatError("deck lift has no inverse in the group")
-        if not functor_equal(compose(fun, h), fun):
-            raise CovcatError("deck element does not commute with the covering")
-    for i, h in enumerate(elements):
-        if all(h.object_map[x] == x for x in fun.source.objects):
-            continue
-        for x in fun.source.objects:
-            if h.object_map[x] == x:
-                raise CovcatError("deck action is not free on objects")
-    return group
+    _check_free(objects, elements)
+    return DeckGroup(fun, elements)
 
 
 # sections and trivial coverings ---------------------------------------------
@@ -241,6 +248,17 @@ class Section:
     functor: LinearFunctor
 
 
+def _section_on(fun: LinearFunctor,
+                component: Sequence[str]) -> Optional[LinearFunctor]:
+    """The section of ``fun`` with image ``component``, when that component
+    maps isomorphically onto the base; None otherwise."""
+    _, incl = full_subcategory(fun.source, component)
+    inv = is_isomorphism(compose(fun, incl))
+    if inv is None:
+        return None
+    return compose(incl, inv)
+
+
 def sections_through(fun: LinearFunctor, x: str,
                      cert: Optional[CoveringCertificate] = None,
                      ) -> Optional[Section]:
@@ -250,12 +268,9 @@ def sections_through(fun: LinearFunctor, x: str,
     _ensure_connected(fun.target, "target")
     parts, _ = connected_components(fun.source)
     component = next(p for p in parts if x in p)
-    sub, incl = full_subcategory(fun.source, component)
-    restricted = compose(fun, incl)
-    inv = is_isomorphism(restricted)
-    if inv is None:
+    section = _section_on(fun, component)
+    if section is None:
         return None
-    section = compose(incl, inv)
     if section.object_map[fun.object_map[x]] != x:
         raise CovcatError("section misses its anchor object")
     return Section(fun, section)
@@ -291,11 +306,10 @@ def is_trivial_covering(fun: LinearFunctor,
 
     sections = []
     for component in parts:
-        sub, incl = full_subcategory(fun.source, component)
-        inv = is_isomorphism(compose(fun, incl))
-        if inv is None:
+        section = _section_on(fun, component)
+        if section is None:
             return TrivialityResult(False, failing_component=component)
-        sections.append(compose(incl, inv))
+        sections.append(section)
 
     labels = tuple(p[0] for p in parts)
     product, projection = product_with_set(base, labels)
@@ -343,6 +357,19 @@ class GaloisVerdict:
         return self.status is GaloisStatus.GALOIS
 
 
+def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
+                         ) -> Union[TrivialityResult, CoveringFailure]:
+    """Whether the first projection u ×_B g → source(u) is a trivial
+    covering; the covering failure when it is not a covering at all.  This
+    is the fibre-product criterion of both the Galois fibre method and
+    universality."""
+    pr1 = fibre_product(u, g).pr1
+    cert = check_covering(pr1)
+    if isinstance(cert, CoveringFailure):
+        return cert
+    return is_trivial_covering(pr1, cert)
+
+
 def is_galois(fun: LinearFunctor, method: str = "direct") -> GaloisVerdict:
     """Decide the Galois property.
 
@@ -372,12 +399,10 @@ def is_galois(fun: LinearFunctor, method: str = "direct") -> GaloisVerdict:
         return GaloisVerdict(status, method, certificate=cert, deck=deck,
                              fibre=fibre, unreachable=unreachable)
 
-    fp = fibre_product(fun, fun)
-    cert2 = check_covering(fp.pr1)
-    if isinstance(cert2, CoveringFailure):
+    triviality = _pullback_triviality(fun, fun)
+    if isinstance(triviality, CoveringFailure):
         return GaloisVerdict(GaloisStatus.NON_GALOIS, method, certificate=cert,
-                             covering_failure=cert2)
-    triviality = is_trivial_covering(fp.pr1, cert2)
+                             covering_failure=triviality)
     status = GaloisStatus.GALOIS if triviality.trivial else GaloisStatus.NON_GALOIS
     return GaloisVerdict(status, method, certificate=cert, triviality=triviality)
 
@@ -405,22 +430,16 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
     member of the other orbit, and composition is transported through the
     unique aligning group element.
     """
-    for i, h in enumerate(group.elements):
-        moved = [x for x in cat.objects if h.object_map[x] != x]
-        if moved and len(moved) != len(cat.objects):
-            raise ConstructionError("group action is not free on objects")
+    _check_free(cat.objects, group.elements)
 
-    orbit_of: dict[str, tuple[str, ...]] = {}
-    for x in cat.objects:
-        orbit_of[x] = tuple(sorted({group.act(i, x) for i in range(group.order)}))
+    orbit_of = {x: group.orbit(x) for x in cat.objects}
     reps = sorted({orbit[0] for orbit in orbit_of.values()})
 
-    def aligner(x: str, target: str) -> LinearFunctor:
-        # unique by freeness
-        for i, h in enumerate(group.elements):
-            if h.object_map[x] == target:
-                return h
-        raise ConstructionError(f"no group element carries {x} to {target}")
+    # the group element carrying x to h(x), unique by freeness
+    aligner: dict[tuple[str, str], LinearFunctor] = {}
+    for h in group.elements:
+        for x in cat.objects:
+            aligner.setdefault((x, h.object_map[x]), h)
 
     # quotient hom bases reuse the names of morphisms out of representatives
     hom_basis: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -452,7 +471,7 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
     for (r, r2) in hom_basis:
         for (_, r3) in out_of.get(r2, ()):
             for y in orbit_of[r2]:
-                h = aligner(r2, y)
+                h = aligner[(r2, y)]
                 for z in orbit_of[r3]:
                     hz = h.object_map[z]
                     for phi_name in cat.hom(r, y):
@@ -472,7 +491,7 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
     hom_matrices = {}
     for (x, y) in cat.hom_basis:
         r, r2 = object_map[x], object_map[y]
-        g = aligner(x, r)
+        g = aligner[(x, r)]
         gy = g.object_map[y]
         cols = []
         for name in cat.hom(x, y):
@@ -544,14 +563,13 @@ def check_universal_against(u: LinearFunctor,
             raise ConstructionError(
                 f"family member {idx} is not a Galois covering "
                 f"({verdict.status.value})")
-        fp = fibre_product(u, member)
-        cert = check_covering(fp.pr1)
-        if isinstance(cert, CoveringFailure):
+        triviality = _pullback_triviality(u, member)
+        if isinstance(triviality, CoveringFailure):
             checks.append(UniversalityCheck(
-                idx, False, f"projection is not a covering: {cert.message()}",
-                covering_failure=cert))
+                idx, False,
+                f"projection is not a covering: {triviality.message()}",
+                covering_failure=triviality))
             continue
-        triviality = is_trivial_covering(fp.pr1, cert)
         if not triviality.trivial:
             checks.append(UniversalityCheck(
                 idx, False, "projection covering is not trivial",

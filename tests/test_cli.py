@@ -52,6 +52,22 @@ def workspace(tmp_path):
     return tmp_path
 
 
+def _malformed_category(**fields) -> str:
+    """The base category's document with ``fields`` replaced."""
+    return docs.dumps({**docs.category_to_json(triangle_base(), "B"), **fields})
+
+
+# documents that parse but are malformed
+MALFORMED = [
+    pytest.param(_malformed_category(name=["B"]), id="name-list"),
+    pytest.param(_malformed_category(identity=[["1"]]), id="identity-list"),
+    pytest.param(_malformed_category(homs=[1]), id="homs-int"),
+    pytest.param(_malformed_category(objects=3), id="objects-int"),
+    pytest.param(docs.dumps({"format": docs.FORMAT_VERDICT, "name": ["bad"]}),
+                 id="report-name-list"),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -95,7 +111,7 @@ def test_validate_parse_error(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("content", ["{not json", "[1,2]"])
+@pytest.mark.parametrize("content", ["{not json", "[1,2]", *MALFORMED])
 @pytest.mark.parametrize("argv", [["validate", "bad.json"],
                                   ["check", "covering", "bad.json"],
                                   ["build", "product-set", "bad.json", "3"]])
@@ -112,9 +128,15 @@ def test_unparseable_named_file_is_an_input_error(tmp_path, argv, content):
     assert "bad.json" in report["error"]
 
 
-def test_unnamed_unparseable_file_is_skipped_and_listed(workspace, capsys, tmp_path):
+@pytest.mark.parametrize("content", [
+    "{not json",
+    pytest.param(_malformed_category(field={"kind": "Fp", "p": 10**30}),
+                 id="modulus-too-large"),
+    pytest.param(_malformed_category(identity=[["1"]]), id="identity-list")])
+def test_unnamed_unparseable_file_is_skipped_and_listed(workspace, capsys,
+                                                        tmp_path, content):
     notes = workspace / "notes.json"
-    notes.write_text("{not json")
+    notes.write_text(content)
     code, report = run(capsys, "check", "covering", str(workspace / "F1.json"))
     assert code == 0
     assert report["status"] == "Covering"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from covcat.errors import ConstructionError, NotConnectedError
+from covcat import galois
+from covcat.errors import ConstructionError, CovcatError, NotConnectedError
 from covcat.exactalg import QQ, Matrix
 from covcat.lincat import Quiver, connected_components, full_subcategory, \
     path_category, product_with_set, validate_category
@@ -23,7 +24,7 @@ from covcat.galois import (
     sections_through,
     structure_iso,
 )
-from covcat.examples import triangle_base
+from covcat.examples import triangle_base, triangle_cover
 
 from oracles import exhaustive_lifts
 
@@ -100,18 +101,38 @@ def test_deck_group_orders(f1, f2, kron_twisted):
     assert deck_group(ident).order == 1
 
 
-def test_deck_group_is_a_group_acting_freely(f1):
-    deck = deck_group(f1)
-    idx = deck.element_index(identity_functor(f1.source))
-    assert idx is not None
-    for i, h in enumerate(deck.elements):
-        inv = is_isomorphism(h)
-        assert deck.element_index(inv) is not None
-        for j, g in enumerate(deck.elements):
-            assert deck.element_index(compose(h, g)) is not None
-        if i != idx:
-            for x in f1.source.objects:
-                assert deck.act(i, x) != x
+def test_deck_group_is_a_group_acting_freely(galois_corpus):
+    # the functor-level group laws that deck_group checks on object maps
+    for name, fun in galois_corpus:
+        deck = deck_group(fun)
+        idx = deck.element_index(identity_functor(fun.source))
+        assert idx is not None, name
+        for i, h in enumerate(deck.elements):
+            inv = is_isomorphism(h)
+            assert inv is not None and deck.element_index(inv) is not None, name
+            assert functor_equal(compose(fun, h), fun), name
+            for g in deck.elements:
+                assert deck.element_index(compose(h, g)) is not None, name
+            if i != idx:
+                for x in fun.source.objects:
+                    assert deck.act(i, x) != x, name
+
+
+def test_deck_group_rejects_lifts_that_are_not_closed(monkeypatch):
+    cover = triangle_cover(3)
+    # without the lift to one sheet of the anchor's fibre, the other lifts
+    # of the Z/3 cover are not closed under composition
+    missing = check_covering(cover).fibres[cover.target.objects[0]][1]
+    real_lift = galois.lift_endofunctor
+
+    def lift_missing_one_sheet(fun, x, x_prime, cert=None):
+        if x_prime == missing:
+            return None
+        return real_lift(fun, x, x_prime, cert)
+
+    monkeypatch.setattr(galois, "lift_endofunctor", lift_missing_one_sheet)
+    with pytest.raises(CovcatError):
+        deck_group(cover)
 
 
 def test_galois_stability(f1, f2):
@@ -254,8 +275,7 @@ def test_quotient_of_double_cover(f1):
 
 def test_quotient_by_trivial_group(f1):
     ident = identity_functor(f1.source)
-    group = DeckGroup(f1, (ident,),
-                      {(0, x): x for x in f1.source.objects})
+    group = DeckGroup(f1, (ident,))
     quotient, projection = quotient_by_group(f1.source, group)
     assert is_isomorphism(projection) is not None
     assert quotient.total_dim() == f1.source.total_dim()
@@ -273,9 +293,7 @@ def test_quotient_of_product_by_sheet_swap():
         matrices[(p, q)] = Matrix.identity(QQ, len(basis))
     swap = LinearFunctor(product, product, swap_obj, matrices)
     assert validate_functor(swap).ok
-    group = DeckGroup(projection, (identity_functor(product), swap),
-                      {(i, x): (x if i == 0 else swap_obj[x])
-                       for i in (0, 1) for x in product.objects})
+    group = DeckGroup(projection, (identity_functor(product), swap))
     quotient, proj = quotient_by_group(product, group)
     assert len(quotient.objects) == 3
     assert quotient.total_dim() == base.total_dim()
@@ -296,9 +314,7 @@ def test_quotient_rejects_non_free_action():
                          {pair: Matrix.identity(QQ, 1)
                           for pair in points.hom_basis})
     group = DeckGroup(identity_functor(points),
-                      (identity_functor(points), flip),
-                      {(0, x): x for x in points.objects} |
-                      {(1, x): flip.object_map[x] for x in points.objects})
+                      (identity_functor(points), flip))
     with pytest.raises(ConstructionError):
         quotient_by_group(points, group)
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, NotCoveringError, CovcatError
-from .exactalg import Matrix, echelon_pivots, express_in_echelon, kernel_basis, \
-    rank_and_inverse
-from .lincat import LinearCategory, by_source
-from .linfun import LinearFunctor, validate_functor
+from .exactalg import Matrix, echelon_pivots, kernel_basis
+from .lincat import LinearCategory, category_from_model, echelon_coords
+from .linfun import LinearFunctor, hom_inverses, validate_functor
 from .covering import CoveringFailure, check_covering
 
 __all__ = [
@@ -58,10 +57,10 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
 
     # per ordered pair of pair-objects: kernel rows over (C-basis ++ D-basis)
     # and their pivots
-    kernels: dict[tuple[tuple[str, str], tuple[str, str]], tuple] = {}
-    hom_basis: dict[tuple[str, str], tuple[str, ...]] = {}
-    for (x, y) in pairs:
-        for (x2, y2) in pairs:
+    pair_of = {_pair_name(x, y): (x, y) for x, y in pairs}
+    kernels: dict[tuple[str, str], tuple] = {}
+    for p, (x, y) in pair_of.items():
+        for p2, (x2, y2) in pair_of.items():
             dim_c = cat_c.dim(x, x2)
             dim_d = cat_d.dim(y, y2)
             if dim_c + dim_d == 0:
@@ -72,57 +71,35 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
             md = g.hom_matrices.get((y, y2), Matrix.zeros(field, rows, dim_d))
             diff = Matrix.hstack(mc, md.neg())
             kernel = kernel_basis(diff)
-            if not kernel:
-                continue
-            kernels[((x, y), (x2, y2))] = (kernel, echelon_pivots(kernel, field))
-            src, dst = _pair_name(x, y), _pair_name(x2, y2)
-            hom_basis[(src, dst)] = tuple(
-                f"{src}>{dst}#{i}" for i in range(len(kernel)))
+            if kernel:
+                kernels[(p, p2)] = (kernel, echelon_pivots(kernel, field))
 
-    identity = {}
-    for (x, y) in pairs:
-        rows, pivots = kernels[((x, y), (x, y))]
-        concat = tuple(cat_c.identity[x]) + tuple(cat_d.identity[y])
-        identity[_pair_name(x, y)] = express_in_echelon(rows, pivots, concat, field)
+    def product(p, p2, p3, v1, v2) -> tuple:
+        # componentwise: the C part in front, the D part behind
+        (x, y), (x2, y2), (x3, y3) = pair_of[p], pair_of[p2], pair_of[p3]
+        dc1, dc2 = cat_c.dim(x, x2), cat_c.dim(x2, x3)
+        return (cat_c.compose_vectors(x, x2, x3, v1[:dc1], v2[:dc2])
+                + cat_d.compose_vectors(y, y2, y3, v1[dc1:], v2[dc2:]))
 
-    composition = {}
-    out_of = by_source(kernels)
-    for (p, p2), (rows1, _) in kernels.items():
-        for (_, q2) in out_of.get(p2, ()):
-            rows2 = kernels[(p2, q2)][0]
-            target_rows, target_pivots = kernels.get((p, q2), (None, ()))
-            (x, y), (x2, y2), (x3, y3) = p, p2, q2
-            dc1, dc2 = cat_c.dim(x, x2), cat_c.dim(x2, x3)
-            names1 = hom_basis[(_pair_name(x, y), _pair_name(x2, y2))]
-            names2 = hom_basis[(_pair_name(x2, y2), _pair_name(x3, y3))]
-            for i, v1 in enumerate(rows1):
-                phi1, psi1 = v1[:dc1], v1[dc1:]
-                for j, v2 in enumerate(rows2):
-                    phi2, psi2 = v2[:dc2], v2[dc2:]
-                    phi = cat_c.compose_vectors(x, x2, x3, phi1, phi2)
-                    psi = cat_d.compose_vectors(y, y2, y3, psi1, psi2)
-                    concat = tuple(phi) + tuple(psi)
-                    if all(c == field.zero for c in concat):
-                        continue
-                    if target_rows is None:
-                        raise CovcatError("componentwise composite escaped its hom space")
-                    coords = express_in_echelon(target_rows, target_pivots,
-                                                concat, field)
-                    composition[(names1[i], names2[j])] = coords
+    coords = echelon_coords(field, kernels, CovcatError(
+        "componentwise composite escaped its hom space"))
+    spaces = {(p, p2): tuple((f"{p}>{p2}#{i}", v) for i, v in enumerate(rows))
+              for (p, p2), (rows, _) in kernels.items()}
+    identity = {p: coords(p, p, tuple(cat_c.identity[x]) + tuple(cat_d.identity[y]))
+                for p, (x, y) in pair_of.items()}
+    # every pair, so that two pairs sharing a name are rejected
+    objects = [_pair_name(x, y) for x, y in pairs]
+    category = category_from_model(field, objects, spaces, identity, product,
+                                   coords)
 
-    category = LinearCategory(field, tuple(_pair_name(x, y) for x, y in pairs),
-                              hom_basis, identity, composition)
-
-    om1 = {_pair_name(x, y): x for x, y in pairs}
-    om2 = {_pair_name(x, y): y for x, y in pairs}
+    om1 = {p: x for p, (x, _) in pair_of.items()}
+    om2 = {p: y for p, (_, y) in pair_of.items()}
     hm1, hm2 = {}, {}
     for (p, p2), (rows, _) in kernels.items():
-        (x, y), (x2, y2) = p, p2
-        dim_c = cat_c.dim(x, x2)
-        key = (_pair_name(x, y), _pair_name(x2, y2))
-        hm1[key] = Matrix.from_columns(field, [v[:dim_c] for v in rows], dim_c)
-        hm2[key] = Matrix.from_columns(field, [v[dim_c:] for v in rows],
-                                       len(rows[0]) - dim_c)
+        dim_c = cat_c.dim(pair_of[p][0], pair_of[p2][0])
+        hm1[(p, p2)] = Matrix.from_columns(field, [v[:dim_c] for v in rows], dim_c)
+        hm2[(p, p2)] = Matrix.from_columns(field, [v[dim_c:] for v in rows],
+                                           len(rows[0]) - dim_c)
     pr1 = LinearFunctor(category, cat_c, om1, hm1)
     pr2 = LinearFunctor(category, cat_d, om2, hm2)
     for name, pr in (("pr1", pr1), ("pr2", pr2)):
@@ -134,19 +111,7 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
 
 def is_fully_faithful(g: LinearFunctor) -> bool:
     """True iff g is bijective on every hom space (zero onto zero allowed)."""
-    src, dst = g.source, g.target
-    for x in src.objects:
-        for y in src.objects:
-            d1 = src.dim(x, y)
-            d2 = dst.dim(g.object_map[x], g.object_map[y])
-            if d1 != d2:
-                return False
-            if d1 == 0:
-                continue
-            _, inverse = rank_and_inverse(g.hom_matrices[(x, y)])
-            if inverse is None:
-                return False
-    return True
+    return hom_inverses(g) is not None
 
 
 def fullyfaithful_pullback(f: LinearFunctor, g: LinearFunctor):

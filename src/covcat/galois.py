@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 from .errors import ConstructionError, CovcatError, NotConnectedError, \
     NotCoveringError
 from .exactalg import Matrix
-from .lincat import LinearCategory, _adjacency, by_source, \
+from .lincat import LinearCategory, _adjacency, category_from_model, \
     connected_components, full_subcategory, product_with_set
 from .linfun import LinearFunctor, compose, functor_equal, is_isomorphism, \
     validate_functor
@@ -441,51 +441,39 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
         for x in cat.objects:
             aligner.setdefault((x, h.object_map[x]), h)
 
-    # quotient hom bases reuse the names of morphisms out of representatives
-    hom_basis: dict[tuple[str, str], tuple[str, ...]] = {}
-    offsets: dict[tuple[str, str], dict[str, int]] = {}
+    # quotient hom bases reuse the names of morphisms out of representatives;
+    # a morphism is modelled by (orbit member it ends at, its coordinates)
+    spaces: dict[tuple[str, str], tuple] = {}
+    offsets: dict[tuple[str, str, str], int] = {}
     for r in reps:
         for r2 in reps:
-            names: list[str] = []
-            offset: dict[str, int] = {}
+            basis = []
             for y in orbit_of[r2]:
-                offset[y] = len(names)
-                names.extend(cat.hom(r, y))
-            if names:
-                hom_basis[(r, r2)] = tuple(names)
-                offsets[(r, r2)] = offset
+                offsets[(r, r2, y)] = len(basis)
+                basis.extend((name, (y, cat.basis_vector(name)))
+                             for name in cat.hom(r, y))
+            if basis:
+                spaces[(r, r2)] = tuple(basis)
 
-    def place(r: str, r2: str, y: str, coords) -> list:
-        out = [cat.field.zero] * len(hom_basis[(r, r2)])
-        base = offsets[(r, r2)][y]
-        for t, c in enumerate(coords):
-            out[base + t] = c
-        return out
+    def product(r, r2, r3, u, v) -> tuple:
+        (y, phi), (z, psi) = u, v
+        h = aligner[(r2, y)]
+        hz = h.object_map[z]
+        return hz, cat.compose_vectors(r, y, hz, phi, h.apply(r2, z, psi))
 
-    identity = {}
-    for r in reps:
-        identity[r] = tuple(place(r, r, r, cat.identity[r]))
+    def coords(r, r3, member) -> tuple:
+        # an empty vector is the zero of hom(r, y), which may be absent
+        y, vec = member
+        if not vec:
+            return ()
+        out = [cat.field.zero] * len(spaces[(r, r3)])
+        start = offsets[(r, r3, y)]
+        out[start:start + len(vec)] = vec
+        return tuple(out)
 
-    composition = {}
-    out_of = by_source(hom_basis)
-    for (r, r2) in hom_basis:
-        for (_, r3) in out_of.get(r2, ()):
-            for y in orbit_of[r2]:
-                h = aligner[(r2, y)]
-                for z in orbit_of[r3]:
-                    hz = h.object_map[z]
-                    for phi_name in cat.hom(r, y):
-                        phi = cat.basis_vector(phi_name)
-                        for psi_name in cat.hom(r2, z):
-                            psi_moved = h.apply(r2, z, cat.basis_vector(psi_name))
-                            comp = cat.compose_vectors(r, y, hz, phi, psi_moved)
-                            if all(c == cat.field.zero for c in comp):
-                                continue
-                            composition[(phi_name, psi_name)] = tuple(
-                                place(r, r3, hz, comp))
-
-    quotient = LinearCategory(cat.field, tuple(reps), hom_basis,
-                              identity, composition)
+    identity = {r: coords(r, r, (r, cat.identity[r])) for r in reps}
+    quotient = category_from_model(cat.field, reps, spaces, identity,
+                                   product, coords)
 
     object_map = {x: orbit_of[x][0] for x in cat.objects}
     hom_matrices = {}
@@ -493,12 +481,10 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
         r, r2 = object_map[x], object_map[y]
         g = aligner[(x, r)]
         gy = g.object_map[y]
-        cols = []
-        for name in cat.hom(x, y):
-            moved = g.apply(x, y, cat.basis_vector(name))
-            cols.append(place(r, r2, gy, moved))
+        cols = [coords(r, r2, (gy, g.apply(x, y, cat.basis_vector(name))))
+                for name in cat.hom(x, y)]
         hom_matrices[(x, y)] = Matrix.from_columns(
-            cat.field, cols, len(hom_basis[(r, r2)]))
+            cat.field, cols, len(spaces[(r, r2)]))
     projection = LinearFunctor(cat, quotient, object_map, hom_matrices)
     return quotient, projection
 

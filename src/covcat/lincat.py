@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ConstructionError
 from .exactalg import FieldSpec, Matrix, echelon_residue, express_in_echelon
@@ -214,6 +214,49 @@ def by_source(keys: Iterable[tuple]) -> dict:
     return index
 
 
+def category_from_model(field: FieldSpec, objects: Iterable[str],
+                        spaces: Mapping[tuple[str, str], tuple],
+                        identity: dict[str, tuple],
+                        product: Callable, coords: Callable) -> LinearCategory:
+    """The category whose hom spaces are spanned by elements of a model.
+
+    ``spaces[(x, y)]`` lists (basis name, model element) for each non-zero
+    hom space, in basis order, and ``identity[x]`` holds the coordinates of
+    1_x.  ``product(x, y, z, u, v)`` is the model element of v∘u for u in
+    hom(x, y) and v in hom(y, z); ``coords(x, z, w)`` gives the coordinates
+    of a model element w in hom(x, z), ``()`` when that hom space is absent
+    and w is zero, and raises when it is absent and w is not.  The
+    composition table keeps the non-zero composites of basis pairs.
+    """
+    composition = {}
+    out_of = by_source(spaces)
+    for (x, y), fbasis in spaces.items():
+        for (_, z) in out_of.get(y, ()):
+            for fname, u in fbasis:
+                for gname, v in spaces[(y, z)]:
+                    got = coords(x, z, product(x, y, z, u, v))
+                    if any(c != field.zero for c in got):
+                        composition[(fname, gname)] = got
+    hom_basis = {pair: tuple(name for name, _ in basis)
+                 for pair, basis in spaces.items()}
+    return LinearCategory(field, tuple(objects), hom_basis, identity, composition)
+
+
+def echelon_coords(field: FieldSpec, echelons: Mapping[tuple[str, str], tuple],
+                   escaped: Exception) -> Callable:
+    """A ``coords`` map for ``category_from_model`` over hom spaces given as
+    (reduced echelon rows, pivots); ``escaped`` is raised for a non-zero
+    element of an absent hom space."""
+    def coords(x: str, z: str, w) -> tuple:
+        target = echelons.get((x, z))
+        if target is not None:
+            return express_in_echelon(target[0], target[1], w, field)
+        if any(c != field.zero for c in w):
+            raise escaped
+        return ()
+    return coords
+
+
 # validation ---------------------------------------------------------------
 
 
@@ -331,29 +374,39 @@ class Quiver:
         return {name: (src, dst) for name, src, dst in self.arrows}
 
 
+# Most paths a quiver may have: path categories are built from dense path
+# coordinates, and a chain or a row of diamonds would otherwise make the
+# enumeration run out of memory or time.
+PATH_BUDGET = 5_000
+
+
 def _path_name(arrows: tuple[str, ...], vertex: str) -> str:
     return f"1_{vertex}" if not arrows else "*".join(arrows)
 
 
 def _enumerate_paths(q: Quiver) -> dict[tuple[str, str], list[tuple[str, ...]]]:
     """All directed paths, keyed by (src, dst), as arrow tuples in composition
-    order (last arrow first); the empty tuple is the trivial path."""
+    order (last arrow first); the empty tuple is the trivial path.  More
+    than PATH_BUDGET paths in all is a ConstructionError."""
     ends = q.arrow_map()
     out_arrows: dict[str, list[str]] = {v: [] for v in q.vertices}
     for name, src, _ in q.arrows:
         out_arrows[src].append(name)
     for v in out_arrows:
-        out_arrows[v].sort()
+        out_arrows[v].sort(reverse=True)  # popped from a stack in name order
 
     paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-
-    def extend(start: str, current: str, arrows_so_far: tuple[str, ...]):
-        paths.setdefault((start, current), []).append(arrows_so_far)
-        for a in out_arrows[current]:
-            extend(start, ends[a][1], (a,) + arrows_so_far)
-
+    total = 0
     for v in q.vertices:
-        extend(v, v, ())
+        stack = [(v, ())]
+        while stack:
+            current, arrows = stack.pop()
+            total += 1
+            if total > PATH_BUDGET:
+                raise ConstructionError(
+                    f"quiver has more than {PATH_BUDGET} paths")
+            paths.setdefault((v, current), []).append(arrows)
+            stack.extend((ends[a][1], (a,) + arrows) for a in out_arrows[current])
     for key in paths:
         x, _ = key
         paths[key].sort(key=lambda p: (len(p), _path_name(p, x)))
@@ -374,20 +427,13 @@ def path_category(q: Quiver, relations: Sequence[Sequence[tuple]],
 
 @dataclass(frozen=True)
 class PathCategoryData:
-    """A path category plus the reduction data the builders need: all paths,
-    the surviving (basis) paths per hom pair, and the map from path vectors
-    to quotient coordinates."""
+    """A path category plus what covers of it are built from: the surviving
+    (basis) paths per hom pair, and ``class_of_path(x, y, arrows)``, the
+    quotient coordinates of a path from x to y."""
 
     category: LinearCategory
-    paths: dict
     survivors: dict
-    reduce_path_vector: object  # callable (x, y, coefficient list) -> tuple
-
-    def class_of_path(self, x: str, y: str, arrows: tuple[str, ...]) -> tuple:
-        plist = self.paths[(x, y)]
-        vec = [self.category.field.zero] * len(plist)
-        vec[plist.index(arrows)] = self.category.field.one
-        return self.reduce_path_vector(x, y, vec)
+    class_of_path: Callable
 
 
 def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
@@ -447,9 +493,6 @@ def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
                         rel_vectors.setdefault((u, v), []).append(
                             vector_of((u, v), shifted))
 
-    hom_basis: dict[tuple[str, str], tuple[str, ...]] = {}
-    identity: dict[str, tuple] = {}
-    composition: dict[tuple[str, str], tuple] = {}
     # per hom pair: surviving paths, ideal echelon rows + pivots for reduction
     survivors: dict[tuple[str, str], list[tuple[str, ...]]] = {}
     reducers: dict[tuple[str, str], tuple] = {}
@@ -469,43 +512,30 @@ def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
         survivors[(x, y)] = keep
         reducers[(x, y)] = (rows, pivots,
                             [i for i in range(len(plist)) if i not in pivot_set])
-        hom_basis[(x, y)] = tuple(_path_name(p, x) for p in keep)
 
-    def reduce_path_vector(x: str, y: str, vec: list) -> tuple:
+    def class_of_path(x: str, y: str, arrows: tuple[str, ...]) -> tuple:
         if (x, y) not in reducers:
-            if any(c != field.zero for c in vec):
-                raise ConstructionError("non-zero vector in a collapsed hom space")
-            return ()
+            raise ConstructionError("non-zero vector in a collapsed hom space")
+        plist = paths[(x, y)]
+        vec = [field.zero] * len(plist)
+        vec[plist.index(arrows)] = field.one
         rows, pivots, free = reducers[(x, y)]
         _, residue = echelon_residue(rows, pivots, vec, field)
         return tuple(residue[i] for i in free)
 
+    identity: dict[str, tuple] = {}
     for x in q.vertices:
-        plist = paths[(x, x)]
-        vec = [field.zero] * len(plist)
-        vec[plist.index(())] = field.one
-        coords = reduce_path_vector(x, x, vec)
-        if not coords or all(c == field.zero for c in coords):
+        coords = class_of_path(x, x, ())
+        if all(c == field.zero for c in coords):
             raise ConstructionError(f"relations annihilate the identity at {x}")
         identity[x] = coords
 
-    out_of = by_source(survivors)
-    for (x, y), fpaths in survivors.items():
-        for (_, z) in out_of.get(y, ()):
-            gpaths = survivors[(y, z)]
-            for fp in fpaths:
-                for gp in gpaths:
-                    concat = gp + fp
-                    plist = paths[(x, z)]
-                    vec = [field.zero] * len(plist)
-                    vec[plist.index(concat)] = field.one
-                    coords = reduce_path_vector(x, z, vec)
-                    if coords and any(c != field.zero for c in coords):
-                        composition[(_path_name(fp, x), _path_name(gp, y))] = coords
-
-    category = LinearCategory(field, tuple(q.vertices), hom_basis,
-                              identity, composition)
-    return PathCategoryData(category, paths, survivors, reduce_path_vector)
+    spaces = {(x, y): tuple((_path_name(p, x), p) for p in keep)
+              for (x, y), keep in survivors.items()}
+    category = category_from_model(field, q.vertices, spaces, identity,
+                                   lambda x, y, z, fp, gp: gp + fp,
+                                   class_of_path)
+    return PathCategoryData(category, survivors, class_of_path)
 
 
 # categories from algebras ---------------------------------------------------
@@ -580,12 +610,8 @@ def category_from_algebra(field: FieldSpec, basis: Sequence[str],
         if mul_vec(unit, bvec) != bvec or mul_vec(bvec, unit) != bvec:
             raise ConstructionError("idempotents do not sum to the unit of A")
 
-    hom_basis: dict[tuple[str, str], tuple[str, ...]] = {}
-    identity: dict[str, tuple] = {}
-    composition: dict[tuple[str, str], tuple] = {}
     # per hom pair: echelon rows (vectors in A coordinates) and their pivots
-    spaces: dict[tuple[str, str], tuple] = {}
-
+    echelons: dict[tuple[str, str], tuple] = {}
     for ne, e in idems:
         for nf, f in idems:
             spanning = []
@@ -594,33 +620,18 @@ def category_from_algebra(field: FieldSpec, basis: Sequence[str],
                 spanning.append(mul_vec(f, mul_vec(bvec, e)))
             red, pivots = Matrix.from_rows(field, spanning).rref()
             rows = [r for r in red.entries if any(c != field.zero for c in r)]
-            if not rows:
-                continue
-            spaces[(ne, nf)] = (rows, pivots)
-            hom_basis[(ne, nf)] = tuple(f"{ne}>{nf}:{i}" for i in range(len(rows)))
+            if rows:
+                echelons[(ne, nf)] = (rows, pivots)
 
-    for ne, e in idems:
-        rows, pivots = spaces[(ne, ne)]
-        identity[ne] = express_in_echelon(rows, pivots, e, field)
-
-    out_of = by_source(spaces)
-    for (ne, nf), (frows, _) in spaces.items():
-        for (_, ng) in out_of.get(nf, ()):
-            grows = spaces[(nf, ng)][0]
-            target = spaces.get((ne, ng))
-            for i, fv in enumerate(frows):
-                for j, gv in enumerate(grows):
-                    prod = mul_vec(gv, fv)  # composition is g after f
-                    if all(c == field.zero for c in prod):
-                        continue
-                    if target is None:
-                        raise ConstructionError(
-                            "algebra product escapes its computed hom space")
-                    coords = express_in_echelon(target[0], target[1], prod, field)
-                    composition[(f"{ne}>{nf}:{i}", f"{nf}>{ng}:{j}")] = coords
-
-    return LinearCategory(field, tuple(name for name, _ in idems),
-                          hom_basis, identity, composition)
+    coords = echelon_coords(field, echelons, ConstructionError(
+        "algebra product escapes its computed hom space"))
+    spaces = {(ne, nf): tuple((f"{ne}>{nf}:{i}", row) for i, row in enumerate(rows))
+              for (ne, nf), (rows, _) in echelons.items()}
+    identity = {ne: coords(ne, ne, e) for ne, e in idems}
+    # v∘u is the algebra product v·u
+    return category_from_model(field, (name for name, _ in idems), spaces,
+                               identity, lambda x, y, z, u, v: mul_vec(v, u),
+                               coords)
 
 
 # connectedness --------------------------------------------------------------

@@ -131,26 +131,38 @@ def functor_equal(f: LinearFunctor, g: LinearFunctor) -> bool:
             and f.hom_matrices == g.hom_matrices)
 
 
+def hom_inverses(fun: LinearFunctor) -> Optional[dict]:
+    """The inverse of each hom matrix, keyed by source pair, when ``fun`` is
+    bijective on every hom space (an absent hom must map to an absent hom);
+    None otherwise."""
+    src, dst = fun.source, fun.target
+    for x in src.objects:
+        for y in src.objects:
+            if src.dim(x, y) != dst.dim(fun.object_map[x], fun.object_map[y]):
+                return None
+    inverses = {}
+    for pair, m in fun.hom_matrices.items():
+        _, inv = rank_and_inverse(m)
+        if inv is None:
+            return None
+        inverses[pair] = inv
+    return inverses
+
+
 def is_isomorphism(fun: LinearFunctor) -> Optional[LinearFunctor]:
     """The inverse functor when ``fun`` is an isomorphism of categories, else None.
 
-    Requires a bijective object map and, for every ordered pair of source
-    objects, matching hom dimensions with an invertible matrix (an absent
-    hom must pair with an absent hom).
+    Requires a bijective object map and a functor bijective on every hom
+    space.
     """
     src, dst = fun.source, fun.target
     images = set(fun.object_map.values())
     if len(images) != len(src.objects) or images != set(dst.objects):
         return None
-    for x in src.objects:
-        for y in src.objects:
-            if src.dim(x, y) != dst.dim(fun.object_map[x], fun.object_map[y]):
-                return None
+    inverses = hom_inverses(fun)
+    if inverses is None:
+        return None
     inverse_objects = {fx: x for x, fx in fun.object_map.items()}
-    inverse_matrices = {}
-    for (x, y), m in fun.hom_matrices.items():
-        rank, inv = rank_and_inverse(m)
-        if inv is None:
-            return None
-        inverse_matrices[(fun.object_map[x], fun.object_map[y])] = inv
+    inverse_matrices = {(fun.object_map[x], fun.object_map[y]): inv
+                        for (x, y), inv in inverses.items()}
     return LinearFunctor(dst, src, inverse_objects, inverse_matrices)

@@ -11,7 +11,8 @@ import pytest
 import covcat
 from covcat import cli, documents as docs
 from covcat.cli import main
-from covcat.lincat import full_subcategory, product_with_set
+from covcat.lincat import PATH_BUDGET, Quiver, full_subcategory, \
+    product_with_set
 from covcat.fibprod import fibre_product
 from covcat.galois import deck_group, quotient_by_group
 from covcat.examples import (
@@ -93,6 +94,24 @@ def test_validate_flags_broken_unit(workspace, capsys, tmp_path):
     [result] = report["results"]
     assert not result["ok"]
     assert any(v["kind"] == "left-unit" for v in result["violations"])
+
+
+def test_validate_quiver_document(workspace, capsys):
+    code, report = run(capsys, "validate", str(workspace / "sq.json"))
+    assert code == 0
+    assert report["results"] == [{"name": "sq", "kind": "quiver", "ok": True,
+                                  "violations": []}]
+
+
+def test_check_rejects_a_functor_that_breaks_a_unit(workspace, capsys):
+    doc = json.loads((workspace / "F1.json").read_text())
+    for entry in doc["hom_matrices"]:
+        if (entry["src"], entry["dst"]) == ("t0", "t0"):
+            entry["matrix"] = ["2"]
+    (workspace / "F1.json").write_text(docs.dumps(doc))
+    code, report = run(capsys, "check", "covering", str(workspace / "F1.json"))
+    assert code == 2
+    assert report["error"] == "functor F1 is invalid"
 
 
 def test_validate_unresolved_reference(workspace, capsys, tmp_path):
@@ -237,6 +256,11 @@ def test_check_precondition_exit_codes(workspace, capsys):
     code, report = run(capsys, "check", "trivial", "incl", "--dir", str(workspace))
     assert code == 4
     assert report["status"] == "NotCovering"
+    # universality needs a connected covering
+    code, report = run(capsys, "check", "universal", "proj",
+                       "--dir", str(workspace), "--family", "F1")
+    assert code == 3
+    assert report["status"] == "NotConnected"
 
 
 def test_check_universal(workspace, capsys):
@@ -318,22 +342,57 @@ def test_build_path_category(workspace, capsys, tmp_path):
     assert cat.dim("p", "s") == 2  # m plus the identified square composite
 
 
+def _chain(length: int) -> Quiver:
+    return Quiver(tuple(f"v{i}" for i in range(length)),
+                  tuple((f"a{i}", f"v{i}", f"v{i + 1}") for i in range(length - 1)))
+
+
+def _diamonds(count: int) -> Quiver:
+    """``count`` diamonds in series: 2**count paths from end to end."""
+    vertices = [f"m{i}" for i in range(count + 1)]
+    arrows = []
+    for i in range(count):
+        vertices += [f"u{i}", f"d{i}"]
+        arrows += [(f"p{i}", f"m{i}", f"u{i}"), (f"q{i}", f"m{i}", f"d{i}"),
+                   (f"r{i}", f"u{i}", f"m{i + 1}"), (f"s{i}", f"d{i}", f"m{i + 1}")]
+    return Quiver(tuple(vertices), tuple(arrows))
+
+
+@pytest.mark.parametrize("quiver", [pytest.param(_chain(1200), id="chain-1200"),
+                                    pytest.param(_diamonds(40), id="diamonds-40")])
+def test_build_path_category_over_the_path_budget_is_an_input_error(tmp_path,
+                                                                    quiver):
+    (tmp_path / "q.json").write_text(
+        docs.dumps(docs.quiver_to_json(quiver, "q", triangle_base().field, [])))
+    env = {**os.environ, "PYTHONPATH": str(Path(covcat.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "covcat.cli", "build",
+                           "path-category", "q.json", "--out", "out"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert report["error"] == f"quiver has more than {PATH_BUDGET} paths"
+
+
+DIAGONAL_ALGEBRA = {
+    "format": "algebra/v1",
+    "name": "diag",
+    "field": {"kind": "Q"},
+    "basis": ["e1", "e2"],
+    "table": [
+        {"a": "e1", "b": "e1", "result": [{"basis": "e1", "coeff": "1"}]},
+        {"a": "e2", "b": "e2", "result": [{"basis": "e2", "coeff": "1"}]},
+    ],
+    "idempotents": [
+        {"name": "p1", "coords": ["1", "0"]},
+        {"name": "p2", "coords": ["0", "1"]},
+    ],
+}
+
+
 def test_build_from_algebra(capsys, tmp_path):
-    algebra = {
-        "format": "algebra/v1",
-        "name": "diag",
-        "field": {"kind": "Q"},
-        "basis": ["e1", "e2"],
-        "table": [
-            {"a": "e1", "b": "e1", "result": [{"basis": "e1", "coeff": "1"}]},
-            {"a": "e2", "b": "e2", "result": [{"basis": "e2", "coeff": "1"}]},
-        ],
-        "idempotents": [
-            {"name": "p1", "coords": ["1", "0"]},
-            {"name": "p2", "coords": ["0", "1"]},
-        ],
-    }
-    (tmp_path / "diag.json").write_text(docs.dumps(algebra))
+    (tmp_path / "diag.json").write_text(docs.dumps(DIAGONAL_ALGEBRA))
     out = tmp_path / "out"
     code, report = run(capsys, "build", "from-algebra", "diag",
                        "--dir", str(tmp_path), "--out", str(out))
@@ -342,6 +401,18 @@ def test_build_from_algebra(capsys, tmp_path):
         json.loads((out / "diag-cat.json").read_text()))
     assert cat.objects == ("p1", "p2")
     assert cat.dim("p1", "p2") == 0
+
+
+def test_build_from_algebra_with_a_zero_idempotent_is_an_input_error(capsys,
+                                                                    tmp_path):
+    # p3 = 0 is idempotent and orthogonal to the others, but p3·A·p3 = 0
+    algebra = {**DIAGONAL_ALGEBRA, "idempotents": [
+        *DIAGONAL_ALGEBRA["idempotents"], {"name": "p3", "coords": ["0", "0"]}]}
+    (tmp_path / "diag.json").write_text(docs.dumps(algebra))
+    code, report = run(capsys, "build", "from-algebra", "diag",
+                       "--dir", str(tmp_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert report["error"] == "object p3 has no endomorphism space"
 
 
 def test_build_quotient_of_disconnected_source_exits_3(workspace, capsys, tmp_path):

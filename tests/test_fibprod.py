@@ -3,11 +3,13 @@
 import pytest
 
 from covcat.errors import ConstructionError, NotCoveringError
-from covcat.exactalg import Matrix, echelon_pivots, express_in_echelon
-from covcat.lincat import full_subcategory, validate_category
+from covcat.exactalg import Matrix, QQ, echelon_pivots, express_in_echelon
+from covcat.lincat import Quiver, full_subcategory, path_category, \
+    validate_category
 from covcat.linfun import LinearFunctor, compose, functor_equal, \
     identity_functor, is_isomorphism, validate_functor
-from covcat.covering import CoveringCertificate, check_covering
+from covcat.covering import CoveringCertificate, CoveringFailure, \
+    check_covering
 from covcat.fibprod import fibre_product, fullyfaithful_pullback, \
     is_fully_faithful
 from covcat.examples import triangle_base, triangle_cover
@@ -63,6 +65,22 @@ def test_is_fully_faithful():
     assert is_fully_faithful(identity_functor(base))
     f1 = triangle_cover(2)
     assert not is_fully_faithful(f1)  # dim hom(t0, s1) = 1 < dim hom(t, s) = 2
+
+
+def test_functor_killing_an_arrow_is_not_bijective_on_homs():
+    """Identity on the objects of x -a-> y with a sent to 0: every hom
+    dimension matches, but the matrix on hom(x, y) is singular."""
+    cat = path_category(Quiver(("x", "y"), (("a", "x", "y"),)), [], QQ)
+    one = Matrix.identity(QQ, 1)
+    kill = LinearFunctor(cat, cat, {"x": "x", "y": "y"},
+                         {("x", "x"): one, ("y", "y"): one,
+                          ("x", "y"): Matrix.zeros(QQ, 1, 1)})
+    assert validate_functor(kill).ok
+    assert not is_fully_faithful(kill)
+    assert is_isomorphism(kill) is None
+    witness = check_covering(kill)
+    assert isinstance(witness, CoveringFailure)
+    assert witness.kind == "block-singular"
 
 
 def test_pullback_along_subcategory_inclusion(f1):

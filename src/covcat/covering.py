@@ -129,9 +129,18 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
             return CoveringFailure("not-surjective", missing_object=b)
 
     blocks: dict[tuple[str, str, str, str], FibreBlock] = {}
+    lies_over = None  # base pairs under a non-zero source hom, built lazily
     for b in base.objects:
         for c in base.objects:
             dim = base.dim(b, c)
+            if dim == 0:
+                # every block over (b, c) is empty, and passes, unless a
+                # source hom lies over it
+                if lies_over is None:
+                    om = fun.object_map
+                    lies_over = {(om[x], om[y]) for x, y in fun.source.hom_basis}
+                if (b, c) not in lies_over:
+                    continue
             checks = [("source", x, fun.fibre(c)) for x in fun.fibre(b)] + \
                      [("target", z, fun.fibre(b)) for z in fun.fibre(c)]
             for direction, lift, fibre in checks:

@@ -4,6 +4,12 @@ Objects are the pairs agreeing in the base; the hom space between two pairs
 is the canonical kernel basis of (φ, ψ) ↦ Fφ − Gψ on the direct sum of the
 two hom spaces, so every basis morphism satisfies Fφ = Gψ exactly and
 composition is componentwise.
+
+The hom spaces are found by a join: the non-zero homs of C and of D are
+grouped by the base hom pair they lie over.  Where both sides have a hom
+the kernel of [F | −G] is solved; where one side has a zero hom the kernel
+is that of the other side's matrix alone, solved once per hom and shared
+by every such partner pair.  Pairs with two zero homs have none.
 """
 
 from __future__ import annotations
@@ -28,6 +34,23 @@ def _pair_name(x: str, y: str) -> str:
     return f"({x},{y})"
 
 
+def _homs_over(fun: LinearFunctor) -> dict:
+    """The non-zero source homs of ``fun``, grouped by the base hom pair
+    they lie over."""
+    over: dict = {}
+    for (x, x2) in fun.source.hom_basis:
+        over.setdefault((fun.object_map[x], fun.object_map[x2]), []).append((x, x2))
+    return over
+
+
+def _zero_homs(fun: LinearFunctor, b: str, b2: str, homs: list) -> list:
+    """The pairs in fibre(b) × fibre(b2) of ``fun`` that are not in ``homs``,
+    the non-zero source homs over (b, b2)."""
+    present = set(homs)
+    return [(x, x2) for x in fun.fibre(b) for x2 in fun.fibre(b2)
+            if (x, x2) not in present]
+
+
 @dataclass(frozen=True)
 class FibreProduct:
     """The fibre product category together with its two projections.
@@ -46,33 +69,51 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
     """Construct C ×_B D for f: C → B and g: D → B."""
     if f.target != g.target:
         raise ConstructionError("functors do not share a base category")
-    base = f.target
     cat_c, cat_d = f.source, g.source
-    field = base.field
+    field = f.target.field
 
     pairs = sorted((x, y) for x in cat_c.objects for y in cat_d.objects
                    if f.object_map[x] == g.object_map[y])
     if not pairs:
         raise ConstructionError("fibre product has no objects")
-
-    # per ordered pair of pair-objects: kernel rows over (C-basis ++ D-basis)
-    # and their pivots
     pair_of = {_pair_name(x, y): (x, y) for x, y in pairs}
-    kernels: dict[tuple[str, str], tuple] = {}
-    for p, (x, y) in pair_of.items():
-        for p2, (x2, y2) in pair_of.items():
-            dim_c = cat_c.dim(x, x2)
-            dim_d = cat_d.dim(y, y2)
-            if dim_c + dim_d == 0:
-                continue
-            b, b2 = f.object_map[x], f.object_map[x2]
-            rows = base.dim(b, b2)
-            mc = f.hom_matrices.get((x, x2), Matrix.zeros(field, rows, dim_c))
-            md = g.hom_matrices.get((y, y2), Matrix.zeros(field, rows, dim_d))
-            diff = Matrix.hstack(mc, md.neg())
-            kernel = kernel_basis(diff)
+    if len(pair_of) != len(pairs):
+        raise ConstructionError("duplicate object names")
+
+    # kernel rows over (C-basis ++ D-basis) and their pivots, per ordered
+    # pair of pair-objects with a non-zero hom: a join of the non-zero homs
+    # of C and of D over the base hom pair they lie over
+    found: dict[tuple, tuple] = {}
+    over_c, over_d = _homs_over(f), _homs_over(g)
+    for (b, b2) in over_c.keys() | over_d.keys():
+        c_homs, d_homs = over_c.get((b, b2), []), over_d.get((b, b2), [])
+        for (x, x2) in c_homs:
+            mc = f.hom_matrices[(x, x2)]
+            for (y, y2) in d_homs:
+                kernel = kernel_basis(Matrix.hstack(mc, g.hom_matrices[(y, y2)].neg()))
+                if kernel:
+                    found[((x, y), (x2, y2))] = (kernel, echelon_pivots(kernel, field))
+        # opposite a zero hom the kernel is that of the one matrix present
+        # (ker(−md) = ker md), the same for every such partner pair
+        d_zero = _zero_homs(g, b, b2, d_homs)
+        for (x, x2) in c_homs if d_zero else ():
+            kernel = kernel_basis(f.hom_matrices[(x, x2)])
             if kernel:
-                kernels[(p, p2)] = (kernel, echelon_pivots(kernel, field))
+                entry = (kernel, echelon_pivots(kernel, field))
+                for (y, y2) in d_zero:
+                    found[((x, y), (x2, y2))] = entry
+        c_zero = _zero_homs(f, b, b2, c_homs)
+        for (y, y2) in d_homs if c_zero else ():
+            kernel = kernel_basis(g.hom_matrices[(y, y2)])
+            if kernel:
+                entry = (kernel, echelon_pivots(kernel, field))
+                for (x, x2) in c_zero:
+                    found[((x, y), (x2, y2))] = entry
+    # in pair-object order, so that basis names and every output byte are
+    # those of a scan over all pairs of pair-objects
+    index = {pair: i for i, pair in enumerate(pairs)}
+    kernels = {(_pair_name(*q), _pair_name(*q2)): found[(q, q2)]
+               for q, q2 in sorted(found, key=lambda k: (index[k[0]], index[k[1]]))}
 
     def product(p, p2, p3, v1, v2) -> tuple:
         # componentwise: the C part in front, the D part behind
@@ -87,9 +128,7 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
               for (p, p2), (rows, _) in kernels.items()}
     identity = {p: coords(p, p, tuple(cat_c.identity[x]) + tuple(cat_d.identity[y]))
                 for p, (x, y) in pair_of.items()}
-    # every pair, so that two pairs sharing a name are rejected
-    objects = [_pair_name(x, y) for x, y in pairs]
-    category = category_from_model(field, objects, spaces, identity, product,
+    category = category_from_model(field, tuple(pair_of), spaces, identity, product,
                                    coords)
 
     om1 = {p: x for p, (x, _) in pair_of.items()}

@@ -136,10 +136,21 @@ def hom_inverses(fun: LinearFunctor) -> Optional[dict]:
     bijective on every hom space (an absent hom must map to an absent hom);
     None otherwise."""
     src, dst = fun.source, fun.target
-    for x in src.objects:
-        for y in src.objects:
-            if src.dim(x, y) != dst.dim(fun.object_map[x], fun.object_map[y]):
-                return None
+    # Equivalent to src.dim(x, y) == dst.dim(Fx, Fy) over all object pairs.
+    # A LinearCategory has no empty hom entries, so hom_basis lists exactly
+    # the non-zero homs.  The loop puts every non-zero source hom over a
+    # non-zero target hom of its own dimension; those lie among the
+    # Σ |F⁻¹b|·|F⁻¹c| preimage pairs of the non-zero target homs (b, c), and
+    # the count says that every one of those pairs has a hom.  Every other
+    # pair lies over a zero target hom and has none.  The count, the cheaper
+    # test, goes first.
+    if len(src.hom_basis) != sum(len(fun.fibre(b)) * len(fun.fibre(c))
+                                 for b, c in dst.hom_basis):
+        return None
+    om = fun.object_map
+    for (x, y), basis in src.hom_basis.items():
+        if len(basis) != dst.dim(om[x], om[y]):
+            return None
     inverses = {}
     for pair, m in fun.hom_matrices.items():
         _, inv = rank_and_inverse(m)

@@ -256,6 +256,31 @@ def _matrix_rows(fun: LinearFunctor, hu: str, hv: str):
     return m.entries if m is not None else ()
 
 
+# fibre product dimensions ----------------------------------------------------------
+
+
+def naive_fibre_dims(f: LinearFunctor, g: LinearFunctor) -> dict:
+    """dim hom(p, p2) in C ×_B D for every ordered pair of pair-objects,
+    zero homs included: dim_c + dim_d − rank [mc | −md], the kernel
+    dimension of (φ, ψ) ↦ fφ − gψ, by textbook elimination."""
+    base = f.target
+    field = base.field
+    pairs = [(x, y) for x in f.source.objects for y in g.source.objects
+             if f.object_map[x] == g.object_map[y]]
+    dims = {}
+    for (x, y) in pairs:
+        for (x2, y2) in pairs:
+            dim_c, dim_d = f.source.dim(x, x2), g.source.dim(y, y2)
+            nrows = base.dim(f.object_map[x], f.object_map[x2])
+            mc = _matrix_rows(f, x, x2) or [()] * nrows
+            md = _matrix_rows(g, y, y2) or [()] * nrows
+            rows = [list(rc) + [field.sub(field.zero, a) for a in rd]
+                    for rc, rd in zip(mc, md)]
+            dims[(f"({x},{y})", f"({x2},{y2})")] = \
+                dim_c + dim_d - naive_rank(rows, field)
+    return dims
+
+
 # mediating functor for fibre products ---------------------------------------------
 
 

@@ -342,6 +342,21 @@ def test_build_path_category(workspace, capsys, tmp_path):
     assert cat.dim("p", "s") == 2  # m plus the identified square composite
 
 
+def test_build_path_category_with_a_killed_hom_space(capsys, tmp_path):
+    """b∘a = 0 on x -a-> y -b-> z: the quotient has hom(x, z) = 0."""
+    q = Quiver(("x", "y", "z"), (("a", "x", "y"), ("b", "y", "z")))
+    (tmp_path / "q.json").write_text(docs.dumps(docs.quiver_to_json(
+        q, "q", triangle_base().field, [[(1, ["b", "a"])]])))
+    out = tmp_path / "out"
+    code, _ = run(capsys, "build", "path-category", str(tmp_path / "q.json"),
+                  "--out", str(out))
+    assert code == 0
+    built = json.loads((out / "q-cat.json").read_text())
+    assert [(h["src"], h["dst"]) for h in built["homs"]] == \
+        [("x", "x"), ("x", "y"), ("y", "y"), ("y", "z"), ("z", "z")]
+    assert ("a", "b") not in [(c["f"], c["g"]) for c in built["composition"]]
+
+
 def _chain(length: int) -> Quiver:
     return Quiver(tuple(f"v{i}" for i in range(length)),
                   tuple((f"a{i}", f"v{i}", f"v{i + 1}") for i in range(length - 1)))

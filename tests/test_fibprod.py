@@ -12,9 +12,10 @@ from covcat.covering import CoveringCertificate, CoveringFailure, \
     check_covering
 from covcat.fibprod import fibre_product, fullyfaithful_pullback, \
     is_fully_faithful
+from covcat import fibprod
 from covcat.examples import triangle_base, triangle_cover
 
-from oracles import solve_mediating
+from oracles import naive_fibre_dims, solve_mediating
 
 
 def test_square_of_plain_cover(f1):
@@ -67,20 +68,102 @@ def test_is_fully_faithful():
     assert not is_fully_faithful(f1)  # dim hom(t0, s1) = 1 < dim hom(t, s) = 2
 
 
+def _arrow_functors():
+    """Functors between the arrow x -a-> y and the discrete category on
+    {x, y}, all identity on objects: ``kill`` sends a to 0, ``include``
+    maps the discrete category into the arrow, ``collapse`` maps the arrow
+    onto the discrete category (a 0×1 matrix at (x, y))."""
+    arrow = path_category(Quiver(("x", "y"), (("a", "x", "y"),)), [], QQ)
+    discrete = path_category(Quiver(("x", "y"), ()), [], QQ)
+    one = Matrix.identity(QQ, 1)
+    ends = {"x": "x", "y": "y"}
+    units = {("x", "x"): one, ("y", "y"): one}
+    kill = LinearFunctor(arrow, arrow, ends,
+                         {**units, ("x", "y"): Matrix.zeros(QQ, 1, 1)})
+    include = LinearFunctor(discrete, arrow, ends, units)
+    collapse = LinearFunctor(arrow, discrete, ends,
+                             {**units, ("x", "y"): Matrix.zeros(QQ, 0, 1)})
+    for fun in (kill, include, collapse):
+        assert validate_functor(fun).ok
+    return kill, include, collapse
+
+
 def test_functor_killing_an_arrow_is_not_bijective_on_homs():
     """Identity on the objects of x -a-> y with a sent to 0: every hom
     dimension matches, but the matrix on hom(x, y) is singular."""
-    cat = path_category(Quiver(("x", "y"), (("a", "x", "y"),)), [], QQ)
-    one = Matrix.identity(QQ, 1)
-    kill = LinearFunctor(cat, cat, {"x": "x", "y": "y"},
-                         {("x", "x"): one, ("y", "y"): one,
-                          ("x", "y"): Matrix.zeros(QQ, 1, 1)})
-    assert validate_functor(kill).ok
+    kill, _, _ = _arrow_functors()
     assert not is_fully_faithful(kill)
     assert is_isomorphism(kill) is None
     witness = check_covering(kill)
     assert isinstance(witness, CoveringFailure)
     assert witness.kind == "block-singular"
+
+
+def test_identity_on_objects_into_an_arrow_is_not_bijective_on_homs():
+    """Discrete {x, y} into x -a-> y: every source hom keeps its dimension,
+    but hom(x, y) is never hit."""
+    _, include, _ = _arrow_functors()
+    assert not is_fully_faithful(include)
+    assert is_isomorphism(include) is None
+
+
+def test_functor_onto_a_zero_hom_fails_its_block():
+    """x -a-> y onto discrete {x, y}: the base hom (x, y) is zero, but a
+    lies over it, so its source block has one column too many."""
+    _, _, collapse = _arrow_functors()
+    witness = check_covering(collapse)
+    assert witness == CoveringFailure("block-dimension", "x", "y", "x",
+                                      "source", 0, 1)
+
+
+def _assert_fibre_dims_match_oracle(f, g, name=""):
+    fp = fibre_product(f, g)
+    dims = naive_fibre_dims(f, g)
+    assert set(fp.category.objects) == {p for p, _ in dims}, name
+    for (p, p2), dim in dims.items():
+        assert fp.category.dim(p, p2) == dim, (name, p, p2)
+    return fp
+
+
+def test_fibre_dims_match_oracle(galois_corpus, pullback_pairs, f1, f2):
+    for name, fun in galois_corpus:
+        _assert_fibre_dims_match_oracle(fun, fun, name)
+    for name, cover, incl in pullback_pairs:
+        _assert_fibre_dims_match_oracle(cover, incl, name)
+    _assert_fibre_dims_match_oracle(f1, f2)
+
+
+def test_fibre_dims_match_oracle_on_non_coverings():
+    """The arrow-killing functor against the identity, both ways; then pairs
+    where a hom with a non-zero kernel has a zero hom opposite it, once on
+    each side, so that the fibre product keeps that kernel as a hom."""
+    kill, include, collapse = _arrow_functors()
+    arrow, discrete = kill.source, collapse.target
+    for f, g in ((kill, identity_functor(arrow)), (identity_functor(arrow), kill)):
+        _assert_fibre_dims_match_oracle(f, g)
+    for f, g in ((kill, include), (include, kill),
+                 (collapse, identity_functor(discrete)),
+                 (identity_functor(discrete), collapse)):
+        fp = _assert_fibre_dims_match_oracle(f, g)
+        assert fp.category.dim("(x,x)", "(y,y)") == 1
+
+
+def test_fibre_product_solves_kernels_only_over_nonzero_homs(monkeypatch):
+    """One kernel per pair of homs over a common base hom, plus one per hom
+    that has a zero hom opposite it; not one per pair of pair-objects."""
+    calls = []
+    solve = fibprod.kernel_basis
+    monkeypatch.setattr(fibprod, "kernel_basis",
+                        lambda m: calls.append(m) or solve(m))
+    f = triangle_cover(8)
+    fibre_product(f, f)
+    over = {}
+    for x, x2 in f.source.hom_basis:
+        over.setdefault((f.object_map[x], f.object_map[x2]), []).append((x, x2))
+    joined = sum(len(homs) ** 2 for homs in over.values())
+    one_sided = sum(len(homs) for (b, b2), homs in over.items()
+                    if len(homs) < len(f.fibre(b)) * len(f.fibre(b2)))
+    assert len(calls) <= joined + 2 * one_sided
 
 
 def test_pullback_along_subcategory_inclusion(f1):

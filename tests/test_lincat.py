@@ -102,6 +102,15 @@ def test_commutative_square_relation():
     assert gf == kh and any(c != 0 for c in gf)
 
 
+def test_relation_killing_a_whole_hom_space():
+    """b∘a = 0 on x -a-> y -b-> z leaves hom(x, z) zero, not an error."""
+    q = Quiver(("x", "y", "z"), (("a", "x", "y"), ("b", "y", "z")))
+    cat = path_category(q, [[(1, ["b", "a"])]], QQ)
+    assert validate_category(cat).ok
+    assert (cat.dim("x", "y"), cat.dim("y", "z"), cat.dim("x", "z")) == (1, 1, 0)
+    assert cat.compose_basis("a", "b") == ()
+
+
 def test_path_category_rejects_bad_relations():
     wq = triangle()
     with pytest.raises(ConstructionError):

@@ -10,14 +10,10 @@ from .exactalg import FieldSpec, GF, Matrix, QQ, kernel_basis, rank_and_inverse
 from .lincat import (
     LinearCategory,
     Quiver,
-    SignedWalk,
-    WalkStep,
     ValidationReport,
-    Violation,
     category_from_algebra,
     connected_components,
     full_subcategory,
-    nonzero_walk_between,
     path_category,
     product_with_set,
     validate_category,
@@ -33,19 +29,13 @@ from .linfun import (
 from .covering import (
     CoveringCertificate,
     CoveringFailure,
-    FibreBlock,
-    StarDecomposition,
     check_covering,
-    prop_connected_check,
-    star,
 )
-from .fibprod import FibreProduct, fibre_product, fullyfaithful_pullback, \
-    is_fully_faithful
+from .fibprod import FibreProduct, fibre_product
 from .galois import (
     DeckGroup,
     GaloisStatus,
     GaloisVerdict,
-    Section,
     TrivialityResult,
     TrivialityWitness,
     UniversalityCheck,
@@ -57,7 +47,6 @@ from .galois import (
     is_trivial_covering,
     lift_endofunctor,
     quotient_by_group,
-    sections_through,
     structure_iso,
 )
 from .errors import (

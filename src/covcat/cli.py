@@ -1,7 +1,8 @@
 """The covcat command line: validate documents, run checks, build categories.
 
-Exit codes: 0 positive verdict, 1 negative verdict, 2 input/parse error,
-3 precondition NotConnected, 4 precondition NotCovering.
+Exit codes: 0 positive verdict, 1 negative verdict, 2 input/parse error or
+unwritable output path, 3 precondition NotConnected, 4 precondition
+NotCovering.
 """
 
 from __future__ import annotations
@@ -120,11 +121,26 @@ def _workspace_for(ref: str, directory) -> tuple[Workspace, str]:
     return ws, ws.name_of(ref)
 
 
-def _emit(report: dict, json_out) -> None:
+def _emit(args, report: dict, code: int) -> int:
+    """Print ``report``, after writing it to the ``--json`` file if one is
+    given, and return ``code``; an unwritable ``--json`` path is an input
+    error instead."""
     text = docs.dumps(report)
-    sys.stdout.write(text)
+    json_out = getattr(args, "json", None)
     if json_out:
-        Path(json_out).write_text(text)
+        try:
+            Path(json_out).write_text(text)
+        except OSError as exc:
+            text = docs.dumps({"command": args.command, "error": str(exc)})
+            code = EXIT_INPUT
+    sys.stdout.write(text)
+    return code
+
+
+def _require_valid(fun, name: str) -> None:
+    """Refuse a functor document that breaks the functor axioms."""
+    if not validate_functor(fun).ok:
+        raise DocumentError(f"functor {name} is invalid")
 
 
 # validate ---------------------------------------------------------------------
@@ -135,8 +151,7 @@ def cmd_validate(args) -> int:
     try:
         ws.load_all(args.files)
     except DocumentError as exc:
-        _emit({"command": "validate", "error": str(exc)}, args.json)
-        return EXIT_INPUT
+        return _emit(args, {"command": "validate", "error": str(exc)}, EXIT_INPUT)
     results = []
     ok = True
     for name in sorted(ws.categories):
@@ -159,8 +174,8 @@ def cmd_validate(args) -> int:
                                         "witness": list(v.witness),
                                         "message": v.message}
                                        for v in report.violations]})
-    _emit({"command": "validate", "ok": ok, "results": results}, args.json)
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return _emit(args, {"command": "validate", "ok": ok, "results": results},
+                 EXIT_OK if ok else EXIT_NEGATIVE)
 
 
 # check ------------------------------------------------------------------------
@@ -189,13 +204,11 @@ def cmd_check(args) -> int:
     try:
         ws, name = _workspace_for(args.functor, args.dir)
     except DocumentError as exc:
-        _emit({"command": "check", "error": str(exc)}, args.json)
-        return EXIT_INPUT
+        return _emit(args, {"command": "check", "error": str(exc)}, EXIT_INPUT)
     report, code = _check(args, ws, name)
     if ws.skipped:
         report["skipped"] = ws.skipped
-    _emit(report, args.json)
-    return code
+    return _emit(args, report, code)
 
 
 def _check(args, ws: Workspace, name: str) -> tuple[dict, int]:
@@ -208,10 +221,9 @@ def _check(args, ws: Workspace, name: str) -> tuple[dict, int]:
     for cat, which in ((fun.source, "source"), (fun.target, "target")):
         if not validate_category(cat).ok:
             return error(f"{which} category of {name} is invalid")
-    if not validate_functor(fun).ok:
-        return error(f"functor {name} is invalid")
 
     try:
+        _require_valid(fun, name)
         if args.kind == "covering":
             result = check_covering(fun)
             if isinstance(result, CoveringFailure):
@@ -293,20 +305,19 @@ def cmd_build(args) -> int:
         ws.load_all(candidates + [p for p in extra if p not in candidates],
                     set(extra))
     except DocumentError as exc:
-        _emit({"command": "build", "error": str(exc)}, None)
-        return EXIT_INPUT
+        return _emit(args, {"command": "build", "error": str(exc)}, EXIT_INPUT)
     try:
         report, code = _build(args, ws), EXIT_OK
     except NotConnectedError as exc:
         report, code = {"command": "build", "error": str(exc)}, EXIT_NOT_CONNECTED
     except NotCoveringError as exc:
         report, code = {"command": "build", "error": str(exc)}, EXIT_NOT_COVERING
-    except (DocumentError, ConstructionError, CovcatError, IndexError) as exc:
+    except (DocumentError, ConstructionError, CovcatError, IndexError,
+            OSError) as exc:
         report, code = {"command": "build", "error": str(exc)}, EXIT_INPUT
     if ws.skipped:
         report["skipped"] = ws.skipped
-    _emit(report, None)
-    return code
+    return _emit(args, report, code)
 
 
 def _build(args, ws: Workspace) -> dict:
@@ -346,6 +357,8 @@ def _build(args, ws: Workspace) -> dict:
                 raise DocumentError(f"unknown functor {ref!r}")
         f, f_src, _ = ws.functors[fname]
         g, g_src, _ = ws.functors[gname]
+        _require_valid(f, fname)
+        _require_valid(g, gname)
         fp = fibre_product(f, g)
         stem = f"fp-{fname}-{gname}"
         return _write_docs(args.out, [
@@ -363,6 +376,7 @@ def _build(args, ws: Workspace) -> dict:
         if fname not in ws.functors:
             raise DocumentError(f"unknown functor {fname!r}")
         fun, f_src, _ = ws.functors[fname]
+        _require_valid(fun, fname)
         if fun.source != ws.categories[cname]:
             raise DocumentError(
                 f"{fname} is not a functor out of {cname}")

@@ -1,6 +1,7 @@
-"""Stars, the fibre-block covering criterion, and covering certificates.
+"""The fibre-block covering criterion and covering certificates.
 
-The covering test runs block-wise: for every base hom space (b, c) and
+A covering is bijective on every star, the morphisms out of and into one
+object.  The test runs block-wise: for every base hom space (b, c) and
 every lift x of b, the restriction of the functor to the morphisms from x
 into the whole fibre of c must be a bijection onto hom(b, c), and dually
 for lifts of c.  This is equivalent to the star condition but yields small
@@ -12,46 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import CovcatError
 from .exactalg import Matrix, rank_and_inverse
-from .lincat import LinearCategory, connected_components
 from .linfun import LinearFunctor
 
 __all__ = [
-    "StarDecomposition",
     "FibreBlock",
     "CoveringCertificate",
     "CoveringFailure",
-    "star",
     "check_covering",
-    "prop_connected_check",
 ]
-
-
-@dataclass(frozen=True)
-class StarDecomposition:
-    """All morphisms with a given source or target, split into the two halves.
-
-    ``source_star`` lists (target object, basis of hom(b, y)) and
-    ``target_star`` lists (source object, basis of hom(y, b)); the
-    endomorphism space at b appears once in each half, so it is counted
-    twice in the total, as in the definition.
-    """
-
-    object: str
-    source_star: tuple[tuple[str, tuple[str, ...]], ...]
-    target_star: tuple[tuple[str, tuple[str, ...]], ...]
-    total_dim: int
-
-
-def star(cat: LinearCategory, b: str) -> StarDecomposition:
-    if b not in cat.objects:
-        raise CovcatError(f"unknown object {b}")
-    source = tuple((y, cat.hom(b, y)) for y in cat.objects if cat.dim(b, y))
-    target = tuple((y, cat.hom(y, b)) for y in cat.objects if cat.dim(y, b))
-    total = sum(len(basis) for _, basis in source) + \
-        sum(len(basis) for _, basis in target)
-    return StarDecomposition(b, source, target, total)
 
 
 @dataclass(frozen=True)
@@ -161,16 +131,3 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
     fibres = {b: fun.fibre(b) for b in base.objects}
     return CoveringCertificate(fun, fibres, blocks)
 
-
-def prop_connected_check(fun: LinearFunctor,
-                         cert: CoveringCertificate) -> bool:
-    """A covering with connected source has a connected target; asserted."""
-    if cert.functor is not fun and cert.functor != fun:
-        raise CovcatError("certificate does not belong to this functor")
-    _, src_connected = connected_components(fun.source)
-    if src_connected:
-        _, dst_connected = connected_components(fun.target)
-        if not dst_connected:
-            raise CovcatError(
-                "covering with connected source has a disconnected target")
-    return True

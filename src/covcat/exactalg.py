@@ -193,14 +193,6 @@ class Matrix:
 
     # basic ops ----------------------------------------------------------
 
-    def __add__(self, other: Matrix) -> Matrix:
-        if (self.nrows, self.ncols, self.field) != (other.nrows, other.ncols, other.field):
-            raise ValueError("shape/field mismatch")
-        k = self.field
-        return Matrix(k, self.nrows, self.ncols,
-                      tuple(tuple(k.add(a, b) for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
-
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows or self.field != other.field:
             raise ValueError("matmul shape/field mismatch")

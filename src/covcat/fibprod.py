@@ -16,17 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConstructionError, NotCoveringError, CovcatError
+from .errors import ConstructionError, CovcatError
 from .exactalg import Matrix, echelon_pivots, kernel_basis
 from .lincat import LinearCategory, category_from_model, echelon_coords
-from .linfun import LinearFunctor, hom_inverses, validate_functor
-from .covering import CoveringFailure, check_covering
+from .linfun import LinearFunctor, validate_functor
 
 __all__ = [
     "FibreProduct",
     "fibre_product",
-    "is_fully_faithful",
-    "fullyfaithful_pullback",
 ]
 
 
@@ -147,23 +144,3 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
             raise CovcatError(f"fibre product projection {name} failed validation")
     return FibreProduct(category, pr1, pr2)
 
-
-def is_fully_faithful(g: LinearFunctor) -> bool:
-    """True iff g is bijective on every hom space (zero onto zero allowed)."""
-    return hom_inverses(g) is not None
-
-
-def fullyfaithful_pullback(f: LinearFunctor, g: LinearFunctor):
-    """Pull a covering f back along a fully faithful g; the second projection
-    of the fibre product is then itself a covering, certificate included."""
-    cert = check_covering(f)
-    if isinstance(cert, CoveringFailure):
-        raise NotCoveringError(f"first functor is not a covering: {cert.message()}")
-    if not is_fully_faithful(g):
-        raise ConstructionError("second functor is not fully faithful")
-    fp = fibre_product(f, g)
-    cert2 = check_covering(fp.pr2)
-    if isinstance(cert2, CoveringFailure):
-        raise CovcatError(
-            f"pullback projection unexpectedly fails to cover: {cert2.message()}")
-    return fp, cert2

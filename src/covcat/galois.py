@@ -26,14 +26,12 @@ from .fibprod import fibre_product
 
 __all__ = [
     "DeckGroup",
-    "Section",
     "TrivialityWitness",
     "TrivialityResult",
     "GaloisStatus",
     "GaloisVerdict",
     "lift_endofunctor",
     "deck_group",
-    "sections_through",
     "is_trivial_covering",
     "is_galois",
     "is_galois_both",
@@ -175,12 +173,6 @@ class DeckGroup:
     def act(self, i: int, x: str) -> str:
         return self.elements[i].object_map[x]
 
-    def element_index(self, h: LinearFunctor) -> Optional[int]:
-        for i, e in enumerate(self.elements):
-            if functor_equal(e, h):
-                return i
-        return None
-
     def orbit(self, x: str) -> tuple[str, ...]:
         return tuple(sorted({h.object_map[x] for h in self.elements}))
 
@@ -240,14 +232,6 @@ def deck_group(fun: LinearFunctor,
 # sections and trivial coverings ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Section:
-    """A functor S with FS = 1; its image is a full connected component."""
-
-    covering: LinearFunctor
-    functor: LinearFunctor
-
-
 def _section_on(fun: LinearFunctor,
                 component: Sequence[str]) -> Optional[LinearFunctor]:
     """The section of ``fun`` with image ``component``, when that component
@@ -257,23 +241,6 @@ def _section_on(fun: LinearFunctor,
     if inv is None:
         return None
     return compose(incl, inv)
-
-
-def sections_through(fun: LinearFunctor, x: str,
-                     cert: Optional[CoveringCertificate] = None,
-                     ) -> Optional[Section]:
-    """The section through x, when the component of x maps isomorphically
-    onto the base; None otherwise."""
-    cert = _ensure_certificate(fun, cert)
-    _ensure_connected(fun.target, "target")
-    parts, _ = connected_components(fun.source)
-    component = next(p for p in parts if x in p)
-    section = _section_on(fun, component)
-    if section is None:
-        return None
-    if section.object_map[fun.object_map[x]] != x:
-        raise CovcatError("section misses its anchor object")
-    return Section(fun, section)
 
 
 @dataclass(frozen=True)

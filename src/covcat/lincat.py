@@ -1,8 +1,9 @@
-"""Finite k-linear categories: data model, builders, walks and components.
+"""Finite k-linear categories: data model, builders, validation, components.
 
 A category is stored by its ordered hom bases and composition structure
-constants.  Zero hom spaces are represented by absence, so the walk graph
-and the star decompositions read directly off the present (src, dst) pairs.
+constants.  Zero hom spaces are represented by absence, so the graph of
+non-zero homs and every scan over composable pairs read directly off the
+present (src, dst) pairs.
 Object identifiers are strings and every enumeration is in lexicographic
 order, which keeps all downstream outputs deterministic.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConstructionError
 from .exactalg import FieldSpec, Matrix, echelon_residue, express_in_echelon
@@ -20,15 +21,12 @@ from .exactalg import FieldSpec, Matrix, echelon_residue, express_in_echelon
 __all__ = [
     "LinearCategory",
     "Quiver",
-    "SignedWalk",
-    "WalkStep",
     "Violation",
     "ValidationReport",
     "validate_category",
     "path_category",
     "category_from_algebra",
     "connected_components",
-    "nonzero_walk_between",
     "product_with_set",
     "full_subcategory",
 ]
@@ -155,50 +153,6 @@ class LinearCategory:
                 for t, c in enumerate(coords):
                     out[t] = k.add(out[t], k.mul(s, c))
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class WalkStep:
-    """One signed step: a non-zero morphism traversed forwards (+1) or backwards (-1)."""
-
-    coords: tuple
-    src: str
-    dst: str
-    sign: int
-
-    def start(self) -> str:
-        return self.src if self.sign == 1 else self.dst
-
-    def end(self) -> str:
-        return self.dst if self.sign == 1 else self.src
-
-
-@dataclass(frozen=True)
-class SignedWalk:
-    """A chain of signed non-zero morphisms; consecutive endpoints must match."""
-
-    steps: tuple[WalkStep, ...]
-
-    def start(self) -> str:
-        return self.steps[0].start()
-
-    def end(self) -> str:
-        return self.steps[-1].end()
-
-    def validate(self, cat: LinearCategory) -> None:
-        if not self.steps:
-            raise ConstructionError("empty walk")
-        for step in self.steps:
-            if step.sign not in (-1, 1):
-                raise ConstructionError("step sign must be ±1")
-            if len(step.coords) != cat.dim(step.src, step.dst):
-                raise ConstructionError("step coordinates do not match the hom space")
-            if all(c == cat.field.zero for c in step.coords):
-                raise ConstructionError("walk step is the zero morphism")
-        for a, b in zip(self.steps, self.steps[1:]):
-            if b.start() != a.end():
-                raise ConstructionError(
-                    f"walk breaks between {a.end()} and {b.start()}")
 
 
 def by_source(keys: Iterable[tuple]) -> dict:
@@ -667,42 +621,6 @@ def connected_components(cat: LinearCategory) -> tuple[tuple[tuple[str, ...], ..
         parts.append(tuple(sorted(comp)))
     parts.sort(key=lambda part: part[0])
     return tuple(parts), len(parts) == 1
-
-
-def nonzero_walk_between(cat: LinearCategory, a: str, b: str) -> Optional[SignedWalk]:
-    """An explicit non-zero signed walk from a to b, or None if disconnected."""
-    if a == b:
-        return SignedWalk((WalkStep(cat.identity[a], a, a, 1),))
-    adj = _adjacency(cat)
-    parent: dict[str, tuple[str, str, str, int]] = {}
-    queue = deque([a])
-    seen = {a}
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v]):
-            if w in seen:
-                continue
-            if (v, w) in cat.hom_basis:
-                parent[w] = (v, v, w, 1)
-            else:
-                parent[w] = (v, w, v, -1)
-            seen.add(w)
-            queue.append(w)
-            if w == b:
-                queue.clear()
-                break
-    if b not in parent:
-        return None
-    steps = []
-    cur = b
-    while cur != a:
-        prev, src, dst, sign = parent[cur]
-        name = cat.hom_basis[(src, dst)][0]
-        steps.append(WalkStep(cat.basis_vector(name), src, dst, sign))
-        cur = prev
-    walk = SignedWalk(tuple(reversed(steps)))
-    walk.validate(cat)
-    return walk
 
 
 # product with a set ---------------------------------------------------------

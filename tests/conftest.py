@@ -17,7 +17,8 @@ from covcat.examples import (
     triangle_cover_twisted,
 )
 from covcat.lincat import connected_components, full_subcategory
-from covcat.fibprod import fullyfaithful_pullback
+from covcat.covering import CoveringCertificate, check_covering
+from covcat.fibprod import fibre_product
 
 # full-subcategory object subsets per base, used for the pullback corpus;
 # the first subset of each base keeps the n-fold covers connected
@@ -80,7 +81,9 @@ def connected_pullback_covers():
         cover = cyclic_cover(base, 2)
         subset = PULLBACK_SUBSETS[base.name][0]
         _, incl = full_subcategory(cover.target, subset)
-        fp, cert = fullyfaithful_pullback(cover, incl)
+        fp = fibre_product(cover, incl)
+        # the pullback of a covering along a fully faithful functor covers
+        assert isinstance(check_covering(fp.pr2), CoveringCertificate)
         _, connected = connected_components(fp.pr2.source)
         assert connected, f"pullback over {base.name} should stay connected"
         out.append((f"pullback/{base.name}", fp.pr2))

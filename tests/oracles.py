@@ -2,14 +2,15 @@
 
 Nothing here calls the echelon/kernel routines, the covering checker, or
 the lift construction being tested: row reduction is a separate textbook
-implementation, connectivity is a fresh BFS, lifts are found by exhaustive
+implementation, connectivity is a fresh BFS, star dimensions are summed
+straight off the hom bases, lifts are found by exhaustive
 backtracking over fibre-constrained object maps with per-hom linear solves,
 and mediating functors are found by brute-force coordinate solving.
 """
 
 from __future__ import annotations
 
-from covcat.exactalg import FieldSpec
+from covcat.exactalg import FieldSpec, Matrix
 from covcat.lincat import LinearCategory, Quiver
 from covcat.linfun import LinearFunctor
 
@@ -45,6 +46,15 @@ def naive_echelon(rows, field: FieldSpec):
 
 def naive_rank(rows, field: FieldSpec) -> int:
     return naive_echelon(rows, field)[1]
+
+
+def matrix_sum(a: Matrix, b: Matrix) -> Matrix:
+    """Entrywise sum of two matrices of one shape over one field."""
+    assert (a.field, a.nrows, a.ncols) == (b.field, b.nrows, b.ncols)
+    k = a.field
+    return Matrix(k, a.nrows, a.ncols,
+                  tuple(tuple(k.add(x, y) for x, y in zip(r, s))
+                        for r, s in zip(a.entries, b.entries)))
 
 
 def naive_solve_unique(a_rows, b, field: FieldSpec):
@@ -124,6 +134,17 @@ def bfs_components(cat: LinearCategory):
         parts.append(tuple(sorted(comp)))
         remaining -= comp
     return tuple(sorted(parts, key=lambda p: p[0]))
+
+
+# stars ------------------------------------------------------------------------------
+
+
+def star_dim(cat: LinearCategory, b: str) -> int:
+    """Dimension of the star at b: the homs out of b plus the homs into b,
+    so the endomorphisms at b count twice."""
+    out_of = sum(len(basis) for (x, _), basis in cat.hom_basis.items() if x == b)
+    into = sum(len(basis) for (_, y), basis in cat.hom_basis.items() if y == b)
+    return out_of + into
 
 
 # functor axioms, checked directly against the structure constants ---------------
@@ -329,7 +350,6 @@ def solve_mediating(fp, p: LinearFunctor, q: LinearFunctor):
 
     if not functor_axioms_hold(t, cat, object_map, matrices):
         return []
-    from covcat.exactalg import Matrix
     built = {key: Matrix(field, len(m), t.dim(*key), m)
              for key, m in matrices.items()}
     return [LinearFunctor(t, cat, object_map, built)]

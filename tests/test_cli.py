@@ -75,6 +75,23 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def _run_cli(cwd, *argv) -> subprocess.CompletedProcess:
+    """``covcat argv`` in a fresh interpreter, so a traceback would show."""
+    env = {**os.environ, "PYTHONPATH": str(Path(covcat.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "covcat.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def _assert_one_input_error(done, command: str) -> str:
+    """Exit 2 with a single JSON error on stdout and no traceback."""
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    report = json.loads(done.stdout)  # one JSON document, nothing before it
+    assert report["command"] == command
+    return report["error"]
+
+
 def test_validate_good_documents(workspace, capsys):
     code, report = run(capsys, "validate", str(workspace / "B.json"),
                        str(workspace / "C2.json"), str(workspace / "F1.json"))
@@ -136,15 +153,8 @@ def test_validate_parse_error(capsys, tmp_path):
                                   ["build", "product-set", "bad.json", "3"]])
 def test_unparseable_named_file_is_an_input_error(tmp_path, argv, content):
     (tmp_path / "bad.json").write_text(content)
-    env = {**os.environ, "PYTHONPATH": str(Path(covcat.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "covcat.cli", *argv],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    report = json.loads(done.stdout)
-    assert report["command"] == argv[0]
-    assert "bad.json" in report["error"]
+    done = _run_cli(tmp_path, *argv)
+    assert "bad.json" in _assert_one_input_error(done, argv[0])
 
 
 @pytest.mark.parametrize("content", [
@@ -379,15 +389,9 @@ def test_build_path_category_over_the_path_budget_is_an_input_error(tmp_path,
                                                                     quiver):
     (tmp_path / "q.json").write_text(
         docs.dumps(docs.quiver_to_json(quiver, "q", triangle_base().field, [])))
-    env = {**os.environ, "PYTHONPATH": str(Path(covcat.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "covcat.cli", "build",
-                           "path-category", "q.json", "--out", "out"],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    report = json.loads(done.stdout)
-    assert report["error"] == f"quiver has more than {PATH_BUDGET} paths"
+    done = _run_cli(tmp_path, "build", "path-category", "q.json", "--out", "out")
+    assert _assert_one_input_error(done, "build") == \
+        f"quiver has more than {PATH_BUDGET} paths"
 
 
 DIAGONAL_ALGEBRA = {
@@ -434,6 +438,38 @@ def test_build_quotient_of_disconnected_source_exits_3(workspace, capsys, tmp_pa
     code, report = run(capsys, "build", "quotient", "BX2", "--by-deck-of", "proj",
                        "--dir", str(workspace), "--out", str(tmp_path / "o"))
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fibre-product", "FX", "F1"], id="fibre-product-FX-F1"),
+    pytest.param(["fibre-product", "F1", "FX"], id="fibre-product-F1-FX"),
+    pytest.param(["quotient", "C2", "--by-deck-of", "FX"], id="quotient")])
+def test_build_refuses_a_functor_document_that_is_not_a_functor(workspace, argv):
+    # F1 with b0 sent to 2·b breaks F(c0∘b0) = F(c0)∘F(b0)
+    doc = json.loads((workspace / "F1.json").read_text())
+    doc["name"] = "FX"
+    for entry in doc["hom_matrices"]:
+        if (entry["src"], entry["dst"]) == ("t0", "u0"):
+            entry["matrix"] = ["2"]
+    (workspace / "FX.json").write_text(docs.dumps(doc))
+    done = _run_cli(workspace, "build", *argv, "--out", "out")
+    assert _assert_one_input_error(done, "build") == "functor FX is invalid"
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", "covering", "F1.json", "--json", "missing/x.json"],
+                 id="check-json"),
+    pytest.param(["validate", "B.json", "--json", "missing/x.json"],
+                 id="validate-json"),
+    pytest.param(["build", "product-set", "B", "2", "--out", "afile"],
+                 id="build-out-file")])
+def test_unwritable_output_path_is_an_input_error(workspace, argv):
+    (workspace / "afile").write_text("")
+    done = _run_cli(workspace, *argv)
+    error = _assert_one_input_error(done, argv[0])
+    assert ("missing/x.json" if "--json" in argv else "afile") in error
+    assert not (workspace / "missing").exists()
 
 
 def test_reports_are_byte_identical_across_runs(workspace, capsys, tmp_path):

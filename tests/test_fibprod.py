@@ -2,16 +2,15 @@
 
 import pytest
 
-from covcat.errors import ConstructionError, NotCoveringError
+from covcat.errors import ConstructionError
 from covcat.exactalg import Matrix, QQ, echelon_pivots, express_in_echelon
 from covcat.lincat import Quiver, full_subcategory, path_category, \
     validate_category
 from covcat.linfun import LinearFunctor, compose, functor_equal, \
-    identity_functor, is_isomorphism, validate_functor
+    hom_inverses, identity_functor, is_isomorphism, validate_functor
 from covcat.covering import CoveringCertificate, CoveringFailure, \
     check_covering
-from covcat.fibprod import fibre_product, fullyfaithful_pullback, \
-    is_fully_faithful
+from covcat.fibprod import fibre_product
 from covcat import fibprod
 from covcat.examples import triangle_base, triangle_cover
 
@@ -62,10 +61,11 @@ def test_fibre_product_rejects_mismatched_base(f1):
 def test_is_fully_faithful():
     base = triangle_base()
     _, incl = full_subcategory(base, ("t", "u"))
-    assert is_fully_faithful(incl)
-    assert is_fully_faithful(identity_functor(base))
+    assert hom_inverses(incl) is not None
+    assert hom_inverses(identity_functor(base)) is not None
     f1 = triangle_cover(2)
-    assert not is_fully_faithful(f1)  # dim hom(t0, s1) = 1 < dim hom(t, s) = 2
+    # dim hom(t0, s1) = 1 < dim hom(t, s) = 2
+    assert hom_inverses(f1) is None
 
 
 def _arrow_functors():
@@ -92,7 +92,7 @@ def test_functor_killing_an_arrow_is_not_bijective_on_homs():
     """Identity on the objects of x -a-> y with a sent to 0: every hom
     dimension matches, but the matrix on hom(x, y) is singular."""
     kill, _, _ = _arrow_functors()
-    assert not is_fully_faithful(kill)
+    assert hom_inverses(kill) is None
     assert is_isomorphism(kill) is None
     witness = check_covering(kill)
     assert isinstance(witness, CoveringFailure)
@@ -103,7 +103,7 @@ def test_identity_on_objects_into_an_arrow_is_not_bijective_on_homs():
     """Discrete {x, y} into x -a-> y: every source hom keeps its dimension,
     but hom(x, y) is never hit."""
     _, include, _ = _arrow_functors()
-    assert not is_fully_faithful(include)
+    assert hom_inverses(include) is None
     assert is_isomorphism(include) is None
 
 
@@ -166,16 +166,25 @@ def test_fibre_product_solves_kernels_only_over_nonzero_homs(monkeypatch):
     assert len(calls) <= joined + 2 * one_sided
 
 
+def _pullback_certificate(cover, fully_faithful):
+    """The covering certificate of the second projection of the pullback of
+    ``cover`` along a fully faithful functor."""
+    assert isinstance(check_covering(cover), CoveringCertificate)
+    assert hom_inverses(fully_faithful) is not None
+    cert = check_covering(fibre_product(cover, fully_faithful).pr2)
+    assert isinstance(cert, CoveringCertificate)
+    return cert
+
+
 def test_pullback_along_subcategory_inclusion(f1):
     _, incl = full_subcategory(f1.target, ("t", "u"))
-    fp, cert = fullyfaithful_pullback(f1, incl)
-    assert isinstance(cert, CoveringCertificate)
+    cert = _pullback_certificate(f1, incl)
     for d in incl.source.objects:
         assert len(cert.fibres[d]) == 2
 
 
 def test_pullback_along_identity_matches_original(f1):
-    fp, cert = fullyfaithful_pullback(f1, identity_functor(f1.target))
+    cert = _pullback_certificate(f1, identity_functor(f1.target))
     original = check_covering(f1)
     for b in f1.target.objects:
         assert len(cert.fibres[b]) == len(original.fibres[b])
@@ -184,18 +193,9 @@ def test_pullback_along_identity_matches_original(f1):
 
 def test_pullback_of_twisted_cover(f2):
     _, incl = full_subcategory(f2.target, ("s", "u"))
-    fp, cert = fullyfaithful_pullback(f2, incl)
+    cert = _pullback_certificate(f2, incl)
     for d in incl.source.objects:
         assert len(cert.fibres[d]) == 2
-
-
-def test_pullback_rejects_bad_inputs(f1):
-    base = triangle_base()
-    _, incl = full_subcategory(base, ("t", "u"))
-    with pytest.raises(NotCoveringError):
-        fullyfaithful_pullback(incl, incl)  # inclusion is not a covering
-    with pytest.raises(ConstructionError):
-        fullyfaithful_pullback(f1, f1)  # a cover is not fully faithful
 
 
 def _swap_functor(fp_fg, fp_gf):

@@ -21,7 +21,6 @@ from covcat.galois import (
     is_trivial_covering,
     lift_endofunctor,
     quotient_by_group,
-    sections_through,
     structure_iso,
 )
 from covcat.examples import triangle_base, triangle_cover
@@ -105,14 +104,20 @@ def test_deck_group_is_a_group_acting_freely(galois_corpus):
     # the functor-level group laws that deck_group checks on object maps
     for name, fun in galois_corpus:
         deck = deck_group(fun)
-        idx = deck.element_index(identity_functor(fun.source))
-        assert idx is not None, name
+
+        def index_of(h):
+            found = [i for i, e in enumerate(deck.elements) if functor_equal(e, h)]
+            assert len(found) == 1, name
+            return found[0]
+
+        idx = index_of(identity_functor(fun.source))
         for i, h in enumerate(deck.elements):
             inv = is_isomorphism(h)
-            assert inv is not None and deck.element_index(inv) is not None, name
+            assert inv is not None, name
+            index_of(inv)
             assert functor_equal(compose(fun, h), fun), name
             for g in deck.elements:
-                assert deck.element_index(compose(h, g)) is not None, name
+                index_of(compose(h, g))
             if i != idx:
                 for x in fun.source.objects:
                     assert deck.act(i, x) != x, name
@@ -153,40 +158,46 @@ def test_transitivity_propagates_to_every_fibre(f1):
 # sections ------------------------------------------------------------------------
 
 
+def _assert_sections(fun):
+    """The triviality witness of ``fun`` holds one section S per connected
+    component of the source: F∘S = 1, S's image is exactly its component,
+    and that image's full subcategory has the base's total dimension.
+    Returns the sections keyed by the objects of their images."""
+    result = is_trivial_covering(fun)
+    assert result.trivial and result.failing_component is None
+    witness = result.witness
+    parts, _ = connected_components(fun.source)
+    assert witness.components == parts
+    assert len(witness.sections) == len(parts)
+    through = {}
+    for component, s in zip(witness.components, witness.sections):
+        assert functor_equal(compose(fun, s), identity_functor(fun.target))
+        assert tuple(sorted(s.object_map.values())) == component
+        sub, _ = full_subcategory(fun.source, component)
+        assert sub.total_dim() == fun.target.total_dim()
+        for x in component:
+            assert s.object_map[fun.object_map[x]] == x
+            through[x] = s
+    return through
+
+
 def test_section_through_product_sheet():
     base = triangle_base()
-    product, projection = product_with_set(base, ["0", "1"])
-    section = sections_through(projection, "(t,1)")
-    assert section is not None
-    s = section.functor
-    assert functor_equal(compose(projection, s), identity_functor(base))
-    assert s.object_map["t"] == "(t,1)"
-    image = sorted(s.object_map.values())
-    parts, _ = connected_components(product)
-    assert tuple(image) in parts  # the image is exactly one component
-    # fullness: the image subcategory has the same hom dimensions as the base
-    sub, _ = full_subcategory(product, image)
-    assert sub.total_dim() == base.total_dim()
+    _, projection = product_with_set(base, ["0", "1"])
+    through = _assert_sections(projection)
+    assert through["(t,1)"].object_map["t"] == "(t,1)"
 
 
 def test_no_section_through_connected_double_cover(f1):
-    assert sections_through(f1, "t0") is None
+    result = is_trivial_covering(f1)
+    assert not result.trivial and result.witness is None
+    assert result.failing_component == f1.source.objects
 
 
 def test_sections_exist_through_every_object_of_the_square(f1):
     fp = fibre_product(f1, f1)
-    for obj in fp.category.objects:
-        section = sections_through(fp.pr1, obj)
-        assert section is not None
-        assert section.functor.object_map[fp.pr1.object_map[obj]] == obj
-        assert functor_equal(compose(fp.pr1, section.functor),
-                             identity_functor(f1.source))
-        # section images are full subcategories and exactly one component
-        image = tuple(sorted(section.functor.object_map.values()))
-        parts, _ = connected_components(fp.category)
-        assert image in parts
-        sub, _ = full_subcategory(fp.category, image)
-        assert sub.total_dim() == f1.source.total_dim()
+    through = _assert_sections(fp.pr1)
+    assert set(through) == set(fp.category.objects)
 
 
 # triviality ------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Categories: builders, validation, walks, components, products."""
+"""Categories: builders, validation, components, products."""
 
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from covcat.lincat import (
     category_from_algebra,
     connected_components,
     full_subcategory,
-    nonzero_walk_between,
     path_category,
     product_with_set,
     validate_category,
@@ -311,16 +310,6 @@ def test_components_invariant_under_relabelling():
     renamed_parts, _ = connected_components(renamed)
     transported = {frozenset(rename[x] for x in part) for part in parts}
     assert transported == {frozenset(part) for part in renamed_parts}
-
-
-def test_nonzero_walks():
-    cover = triangle_cover(2).source
-    walk = nonzero_walk_between(cover, "t0", "s1")
-    assert walk is not None
-    assert walk.start() == "t0" and walk.end() == "s1"
-    walk.validate(cover)
-    product, _ = product_with_set(triangle_base(), ["0", "1"])
-    assert nonzero_walk_between(product, "(t,0)", "(t,1)") is None
 
 
 # products -------------------------------------------------------------------------

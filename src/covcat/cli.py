@@ -30,6 +30,8 @@ EXIT_INPUT = 2
 EXIT_NOT_CONNECTED = 3
 EXIT_NOT_COVERING = 4
 
+PRODUCT_SET_BUDGET = 1_000  # the largest count `build product-set` takes
+
 
 class Workspace:
     """Documents loaded by name: categories, functors, quivers, algebras."""
@@ -254,6 +256,7 @@ def _check(args, ws: Workspace, name: str) -> tuple[dict, int]:
                 fname = fname.strip()
                 if fname not in ws.functors:
                     return error(f"unknown family member {fname!r}")
+                _require_valid(ws.functors[fname][0], fname)
                 members.append((fname, ws.functors[fname][0]))
             result = check_universal_against(fun, [m for _, m in members])
             checks = []
@@ -340,8 +343,13 @@ def _build(args, ws: Workspace) -> dict:
         if cname not in ws.categories:
             raise DocumentError(f"unknown category {cname!r}")
         rest = args.args[1:]
-        if len(rest) == 1 and rest[0].isdigit():
-            labels = [str(i) for i in range(int(rest[0]))]
+        if len(rest) == 1 and rest[0].isascii() and rest[0].isdigit():
+            # the length goes first, so a huge count is never converted
+            count = rest[0].lstrip("0") or "0"
+            if len(count) > len(str(PRODUCT_SET_BUDGET)) \
+                    or int(count) > PRODUCT_SET_BUDGET:
+                raise DocumentError(f"label count exceeds {PRODUCT_SET_BUDGET}")
+            labels = [str(i) for i in range(int(count))]
         else:
             labels = list(rest)
         product, projection = product_with_set(ws.categories[cname], labels)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import ConstructionError, CovcatError
 from .exactalg import Matrix, echelon_pivots, kernel_basis
 from .lincat import LinearCategory, category_from_model, echelon_coords
-from .linfun import LinearFunctor, validate_functor
+from .linfun import LinearFunctor
 
 __all__ = [
     "FibreProduct",
@@ -53,8 +53,9 @@ class FibreProduct:
     """The fibre product category together with its two projections.
 
     ``pr1`` projects onto the source of the first functor, ``pr2`` onto the
-    source of the second.  Neither projection is assumed to be a covering;
-    that is always decided by ``check_covering``.
+    source of the second; both are functors by construction.  Neither
+    projection is assumed to be a covering; that is always decided by
+    ``check_covering``.
     """
 
     category: LinearCategory
@@ -136,11 +137,11 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
         hm1[(p, p2)] = Matrix.from_columns(field, [v[:dim_c] for v in rows], dim_c)
         hm2[(p, p2)] = Matrix.from_columns(field, [v[dim_c:] for v in rows],
                                            len(rows[0]) - dim_c)
-    pr1 = LinearFunctor(category, cat_c, om1, hm1)
-    pr2 = LinearFunctor(category, cat_d, om2, hm2)
-    for name, pr in (("pr1", pr1), ("pr2", pr2)):
-        report = validate_functor(pr)
-        if not report.ok:
-            raise CovcatError(f"fibre product projection {name} failed validation")
-    return FibreProduct(category, pr1, pr2)
+    # The projections are functors by construction.  A hom row lies in
+    # hom_C ⊕ hom_D and pr1, pr2 read off its parts.  ``coords`` writes the
+    # componentwise composite of two rows, and (1_x, 1_y), back exactly as
+    # combinations of rows, or raises; so by bilinearity each pr_i
+    # preserves composites and identities.
+    return FibreProduct(category, LinearFunctor(category, cat_c, om1, hm1),
+                        LinearFunctor(category, cat_d, om2, hm2))
 

@@ -1,14 +1,17 @@
 """Shared corpus fixtures.
 
 The corpus: the Z/n covers (n = 1..4) of five weighted-quiver bases, the
-twisted Kronecker double cover (the non-Galois witness), and pullbacks of
-the covers along full-subcategory inclusions.  Built once per session.
+twisted Kronecker double cover (the non-Galois witness), pullbacks of
+the covers along full-subcategory inclusions, functors around a single
+arrow that are not coverings, and the fibre products of all of these.
+Built once per session.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from covcat.exactalg import QQ, Matrix
 from covcat.examples import (
     cyclic_cover,
     kronecker_cover_twisted,
@@ -16,7 +19,9 @@ from covcat.examples import (
     triangle_cover,
     triangle_cover_twisted,
 )
-from covcat.lincat import connected_components, full_subcategory
+from covcat.lincat import Quiver, connected_components, full_subcategory, \
+    path_category
+from covcat.linfun import LinearFunctor, identity_functor, validate_functor
 from covcat.covering import CoveringCertificate, check_covering
 from covcat.fibprod import fibre_product
 
@@ -106,4 +111,45 @@ def small_corpus(cyclic_corpus, kron_twisted):
     out = [(name, fun) for name, fun in cyclic_corpus
            if len(fun.source.objects) <= 8]
     out.append(("kronecker/twisted", kron_twisted))
+    return out
+
+
+@pytest.fixture(scope="session")
+def arrow_functors():
+    """Functors between the arrow x -a-> y and the discrete category on
+    {x, y}, all identity on objects: ``kill`` sends a to 0, ``include``
+    maps the discrete category into the arrow, ``collapse`` maps the arrow
+    onto the discrete category (a 0×1 matrix at (x, y))."""
+    arrow = path_category(Quiver(("x", "y"), (("a", "x", "y"),)), [], QQ)
+    discrete = path_category(Quiver(("x", "y"), ()), [], QQ)
+    one = Matrix.identity(QQ, 1)
+    ends = {"x": "x", "y": "y"}
+    units = {("x", "x"): one, ("y", "y"): one}
+    kill = LinearFunctor(arrow, arrow, ends,
+                         {**units, ("x", "y"): Matrix.zeros(QQ, 1, 1)})
+    include = LinearFunctor(discrete, arrow, ends, units)
+    collapse = LinearFunctor(arrow, discrete, ends,
+                             {**units, ("x", "y"): Matrix.zeros(QQ, 0, 1)})
+    for fun in (kill, include, collapse):
+        assert validate_functor(fun).ok
+    return kill, include, collapse
+
+
+@pytest.fixture(scope="session")
+def fibre_product_corpus(galois_corpus, pullback_pairs, arrow_functors):
+    """(name, FibreProduct): the square of every Galois-corpus covering,
+    every pullback pair, and the arrow functors against each other and
+    the identities."""
+    out = [(f"{name}^2", fibre_product(fun, fun)) for name, fun in galois_corpus]
+    out.extend((name, fibre_product(cover, incl))
+               for name, cover, incl in pullback_pairs)
+    kill, include, collapse = arrow_functors
+    arrow, discrete = kill.source, collapse.target
+    for name, f, g in (("kill*id", kill, identity_functor(arrow)),
+                       ("id*kill", identity_functor(arrow), kill),
+                       ("kill*include", kill, include),
+                       ("include*kill", include, kill),
+                       ("collapse*id", collapse, identity_functor(discrete)),
+                       ("id*collapse", identity_functor(discrete), collapse)):
+        out.append((name, fibre_product(f, g)))
     return out

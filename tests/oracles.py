@@ -6,13 +6,17 @@ implementation, connectivity is a fresh BFS, star dimensions are summed
 straight off the hom bases, lifts are found by exhaustive
 backtracking over fibre-constrained object maps with per-hom linear solves,
 and mediating functors are found by brute-force coordinate solving.
+Sections of a trivial covering are built per component from the full
+subcategory and ``is_isomorphism``, not from the object count that
+``is_trivial_covering`` decides by.
 """
 
 from __future__ import annotations
 
 from covcat.exactalg import FieldSpec, Matrix
-from covcat.lincat import LinearCategory, Quiver
-from covcat.linfun import LinearFunctor
+from covcat.lincat import LinearCategory, Quiver, full_subcategory, \
+    product_with_set
+from covcat.linfun import LinearFunctor, compose, is_isomorphism
 
 
 # textbook row reduction (forward elimination, no normalization) --------------
@@ -134,6 +138,42 @@ def bfs_components(cat: LinearCategory):
         parts.append(tuple(sorted(comp)))
         remaining -= comp
     return tuple(sorted(parts, key=lambda p: p[0]))
+
+
+# sections of a covering ----------------------------------------------------------
+
+
+def sections_by_restriction(fun: LinearFunctor):
+    """(components, sections, failing component) for a covering: F on the
+    full subcategory of each connected component (fresh BFS) is inverted
+    by ``is_isomorphism``, and the section through the component is the
+    inclusion after that inverse.  ``sections`` is None, and the failing
+    component the first whose restriction is not an isomorphism, when some
+    restriction fails."""
+    parts = bfs_components(fun.source)
+    sections = []
+    for component in parts:
+        _, incl = full_subcategory(fun.source, component)
+        inv = is_isomorphism(compose(fun, incl))
+        if inv is None:
+            return parts, None, component
+        sections.append(compose(incl, inv))
+    return parts, tuple(sections), None
+
+
+def product_iso(fun: LinearFunctor, labels, sections) -> LinearFunctor:
+    """The functor B×E → C, E = ``labels``, that is ``sections[i]`` on the
+    sheet ``labels[i]`` (labels in sorted order)."""
+    base = fun.target
+    product, _ = product_with_set(base, labels)
+    object_map, hom_matrices = {}, {}
+    for label, section in zip(labels, sections):
+        for b in base.objects:
+            object_map[f"({b},{label})"] = section.object_map[b]
+        for (b, b2) in base.hom_basis:
+            hom_matrices[(f"({b},{label})", f"({b2},{label})")] = \
+                section.hom_matrices[(b, b2)]
+    return LinearFunctor(product, fun.source, object_map, hom_matrices)
 
 
 # stars ------------------------------------------------------------------------------

@@ -330,6 +330,27 @@ def test_build_product_set(workspace, capsys, tmp_path):
     assert len(cat.objects) == 9
 
 
+def test_build_product_set_with_a_non_ascii_digit_label(workspace, capsys,
+                                                        tmp_path):
+    # "²" passes str.isdigit but is no count: it is the one label
+    out = tmp_path / "out"
+    code, report = run(capsys, "build", "product-set", "B", "²",
+                       "--dir", str(workspace), "--out", str(out))
+    assert code == 0
+    name, cat = docs.category_from_json(
+        json.loads((out / "B-x1.json").read_text()))
+    assert cat.objects == ("(s,²)", "(t,²)", "(u,²)")
+
+
+def test_build_product_set_over_the_count_budget_is_an_input_error(workspace):
+    count = str(cli.PRODUCT_SET_BUDGET + 1)
+    done = _run_cli(workspace, "build", "product-set", "B", count,
+                    "--out", "out")
+    error = _assert_one_input_error(done, "build")
+    assert error == f"label count exceeds {cli.PRODUCT_SET_BUDGET}"
+    assert not (workspace / "out").exists()
+
+
 def test_build_quotient(workspace, capsys, tmp_path):
     out = tmp_path / "out"
     code, report = run(capsys, "build", "quotient", "C2", "--by-deck-of", "F1",
@@ -440,18 +461,29 @@ def test_build_quotient_of_disconnected_source_exits_3(workspace, capsys, tmp_pa
     assert code == 3
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["fibre-product", "FX", "F1"], id="fibre-product-FX-F1"),
-    pytest.param(["fibre-product", "F1", "FX"], id="fibre-product-F1-FX"),
-    pytest.param(["quotient", "C2", "--by-deck-of", "FX"], id="quotient")])
-def test_build_refuses_a_functor_document_that_is_not_a_functor(workspace, argv):
-    # F1 with b0 sent to 2·b breaks F(c0∘b0) = F(c0)∘F(b0)
+def _write_fx(workspace) -> None:
+    """FX: F1 with b0 sent to 2·b, which breaks F(c0∘b0) = F(c0)∘F(b0)."""
     doc = json.loads((workspace / "F1.json").read_text())
     doc["name"] = "FX"
     for entry in doc["hom_matrices"]:
         if (entry["src"], entry["dst"]) == ("t0", "u0"):
             entry["matrix"] = ["2"]
     (workspace / "FX.json").write_text(docs.dumps(doc))
+
+
+def test_check_universal_refuses_a_family_member_that_is_not_a_functor(
+        workspace):
+    _write_fx(workspace)
+    done = _run_cli(workspace, "check", "universal", "F1", "--family", "FX")
+    assert _assert_one_input_error(done, "check") == "functor FX is invalid"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fibre-product", "FX", "F1"], id="fibre-product-FX-F1"),
+    pytest.param(["fibre-product", "F1", "FX"], id="fibre-product-F1-FX"),
+    pytest.param(["quotient", "C2", "--by-deck-of", "FX"], id="quotient")])
+def test_build_refuses_a_functor_document_that_is_not_a_functor(workspace, argv):
+    _write_fx(workspace)
     done = _run_cli(workspace, "build", *argv, "--out", "out")
     assert _assert_one_input_error(done, "build") == "functor FX is invalid"
     assert not (workspace / "out").exists()

@@ -3,9 +3,8 @@
 import pytest
 
 from covcat.errors import ConstructionError
-from covcat.exactalg import Matrix, QQ, echelon_pivots, express_in_echelon
-from covcat.lincat import Quiver, full_subcategory, path_category, \
-    validate_category
+from covcat.exactalg import Matrix, echelon_pivots, express_in_echelon
+from covcat.lincat import full_subcategory, validate_category
 from covcat.linfun import LinearFunctor, compose, functor_equal, \
     hom_inverses, identity_functor, is_isomorphism, validate_functor
 from covcat.covering import CoveringCertificate, CoveringFailure, \
@@ -68,30 +67,10 @@ def test_is_fully_faithful():
     assert hom_inverses(f1) is None
 
 
-def _arrow_functors():
-    """Functors between the arrow x -a-> y and the discrete category on
-    {x, y}, all identity on objects: ``kill`` sends a to 0, ``include``
-    maps the discrete category into the arrow, ``collapse`` maps the arrow
-    onto the discrete category (a 0×1 matrix at (x, y))."""
-    arrow = path_category(Quiver(("x", "y"), (("a", "x", "y"),)), [], QQ)
-    discrete = path_category(Quiver(("x", "y"), ()), [], QQ)
-    one = Matrix.identity(QQ, 1)
-    ends = {"x": "x", "y": "y"}
-    units = {("x", "x"): one, ("y", "y"): one}
-    kill = LinearFunctor(arrow, arrow, ends,
-                         {**units, ("x", "y"): Matrix.zeros(QQ, 1, 1)})
-    include = LinearFunctor(discrete, arrow, ends, units)
-    collapse = LinearFunctor(arrow, discrete, ends,
-                             {**units, ("x", "y"): Matrix.zeros(QQ, 0, 1)})
-    for fun in (kill, include, collapse):
-        assert validate_functor(fun).ok
-    return kill, include, collapse
-
-
-def test_functor_killing_an_arrow_is_not_bijective_on_homs():
+def test_functor_killing_an_arrow_is_not_bijective_on_homs(arrow_functors):
     """Identity on the objects of x -a-> y with a sent to 0: every hom
     dimension matches, but the matrix on hom(x, y) is singular."""
-    kill, _, _ = _arrow_functors()
+    kill, _, _ = arrow_functors
     assert hom_inverses(kill) is None
     assert is_isomorphism(kill) is None
     witness = check_covering(kill)
@@ -99,18 +78,19 @@ def test_functor_killing_an_arrow_is_not_bijective_on_homs():
     assert witness.kind == "block-singular"
 
 
-def test_identity_on_objects_into_an_arrow_is_not_bijective_on_homs():
+def test_identity_on_objects_into_an_arrow_is_not_bijective_on_homs(
+        arrow_functors):
     """Discrete {x, y} into x -a-> y: every source hom keeps its dimension,
     but hom(x, y) is never hit."""
-    _, include, _ = _arrow_functors()
+    _, include, _ = arrow_functors
     assert hom_inverses(include) is None
     assert is_isomorphism(include) is None
 
 
-def test_functor_onto_a_zero_hom_fails_its_block():
+def test_functor_onto_a_zero_hom_fails_its_block(arrow_functors):
     """x -a-> y onto discrete {x, y}: the base hom (x, y) is zero, but a
     lies over it, so its source block has one column too many."""
-    _, _, collapse = _arrow_functors()
+    _, _, collapse = arrow_functors
     witness = check_covering(collapse)
     assert witness == CoveringFailure("block-dimension", "x", "y", "x",
                                       "source", 0, 1)
@@ -133,11 +113,11 @@ def test_fibre_dims_match_oracle(galois_corpus, pullback_pairs, f1, f2):
     _assert_fibre_dims_match_oracle(f1, f2)
 
 
-def test_fibre_dims_match_oracle_on_non_coverings():
+def test_fibre_dims_match_oracle_on_non_coverings(arrow_functors):
     """The arrow-killing functor against the identity, both ways; then pairs
     where a hom with a non-zero kernel has a zero hom opposite it, once on
     each side, so that the fibre product keeps that kernel as a hom."""
-    kill, include, collapse = _arrow_functors()
+    kill, include, collapse = arrow_functors
     arrow, discrete = kill.source, collapse.target
     for f, g in ((kill, identity_functor(arrow)), (identity_functor(arrow), kill)):
         _assert_fibre_dims_match_oracle(f, g)
@@ -146,6 +126,14 @@ def test_fibre_dims_match_oracle_on_non_coverings():
                  (identity_functor(discrete), collapse)):
         fp = _assert_fibre_dims_match_oracle(f, g)
         assert fp.category.dim("(x,x)", "(y,y)") == 1
+
+
+def test_projections_are_functors(fibre_product_corpus):
+    # fibre_product builds both projections as functors and does not check
+    # their axioms; check them here
+    for name, fp in fibre_product_corpus:
+        assert validate_functor(fp.pr1).ok, name
+        assert validate_functor(fp.pr2).ok, name
 
 
 def test_fibre_product_solves_kernels_only_over_nonzero_homs(monkeypatch):

@@ -4,9 +4,9 @@ import pytest
 
 from covcat import galois
 from covcat.errors import ConstructionError, CovcatError, NotConnectedError
-from covcat.exactalg import QQ, Matrix
-from covcat.lincat import Quiver, connected_components, full_subcategory, \
-    path_category, product_with_set, validate_category
+from covcat.exactalg import GF, QQ, Matrix
+from covcat.lincat import LinearCategory, Quiver, connected_components, \
+    full_subcategory, path_category, product_with_set, validate_category
 from covcat.linfun import LinearFunctor, compose, functor_equal, \
     identity_functor, is_isomorphism, validate_functor
 from covcat.covering import CoveringCertificate, check_covering
@@ -23,9 +23,11 @@ from covcat.galois import (
     quotient_by_group,
     structure_iso,
 )
-from covcat.examples import triangle_base, triangle_cover
+from covcat.examples import base_category, cyclic_cover, standard_bases, \
+    triangle_base, triangle_cover
 
-from oracles import exhaustive_lifts
+from oracles import exhaustive_lifts, functor_axioms_hold, product_iso, \
+    sections_by_restriction
 
 
 # lifts -----------------------------------------------------------------------
@@ -81,6 +83,24 @@ def test_exhaustive_search_agrees_on_double_cover(f1):
         assert found[0][0] == lift.object_map
 
 
+def test_lift_that_breaks_fh_equals_f_is_rejected(f1, monkeypatch):
+    # doubling H's one entry on hom(t0, u0) leaves H invertible but breaks
+    # FH = F there, the check that also stands for the functor axioms
+    real_transport = galois._transport_matrix
+
+    def doubled(fun, cert, assign, u, v):
+        m = real_transport(fun, cert, assign, u, v)
+        if (u, v) != ("t0", "u0"):
+            return m
+        rows = [list(row) for row in m.entries]
+        rows[0][0] = QQ.add(rows[0][0], rows[0][0])
+        return Matrix(m.field, m.nrows, m.ncols, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(galois, "_transport_matrix", doubled)
+    assert lift_endofunctor(f1, "t0", "t0") is None
+    assert lift_endofunctor(f1, "t0", "t1") is None
+
+
 def test_lift_precondition_errors(f1):
     with pytest.raises(ConstructionError):
         lift_endofunctor(f1, "t0", "u0")  # different fibres
@@ -101,7 +121,8 @@ def test_deck_group_orders(f1, f2, kron_twisted):
 
 
 def test_deck_group_is_a_group_acting_freely(galois_corpus):
-    # the functor-level group laws that deck_group checks on object maps
+    # the functor-level group laws that deck_group checks on object maps,
+    # and the functor axioms that lift_endofunctor derives from FH = F
     for name, fun in galois_corpus:
         deck = deck_group(fun)
 
@@ -112,6 +133,10 @@ def test_deck_group_is_a_group_acting_freely(galois_corpus):
 
         idx = index_of(identity_functor(fun.source))
         for i, h in enumerate(deck.elements):
+            assert validate_functor(h).ok, name
+            rows = {pair: m.entries for pair, m in h.hom_matrices.items()}
+            assert functor_axioms_hold(h.source, h.target, h.object_map,
+                                       rows), name
             inv = is_isomorphism(h)
             assert inv is not None, name
             index_of(inv)
@@ -159,18 +184,19 @@ def test_transitivity_propagates_to_every_fibre(f1):
 
 
 def _assert_sections(fun):
-    """The triviality witness of ``fun`` holds one section S per connected
-    component of the source: F∘S = 1, S's image is exactly its component,
-    and that image's full subcategory has the base's total dimension.
-    Returns the sections keyed by the objects of their images."""
+    """The triviality witness of ``fun`` lists every connected component of
+    the source, and each has a section S: F∘S = 1, S's image is exactly its
+    component, and that image's full subcategory has the base's total
+    dimension.  Returns the sections keyed by the objects of their images."""
     result = is_trivial_covering(fun)
     assert result.trivial and result.failing_component is None
     witness = result.witness
     parts, _ = connected_components(fun.source)
     assert witness.components == parts
-    assert len(witness.sections) == len(parts)
+    _, sections, _ = sections_by_restriction(fun)
+    assert len(sections) == len(parts)
     through = {}
-    for component, s in zip(witness.components, witness.sections):
+    for component, s in zip(witness.components, sections):
         assert functor_equal(compose(fun, s), identity_functor(fun.target))
         assert tuple(sorted(s.object_map.values())) == component
         sub, _ = full_subcategory(fun.source, component)
@@ -209,7 +235,8 @@ def test_product_projection_is_trivial():
     result = is_trivial_covering(projection)
     assert result.trivial
     assert len(result.witness.labels) == 2
-    iso = result.witness.iso
+    _, sections, _ = sections_by_restriction(projection)
+    iso = product_iso(projection, result.witness.labels, sections)
     assert is_isomorphism(iso) is not None
     assert functor_equal(compose(projection, iso),
                          product_with_set(base, result.witness.labels)[1])
@@ -226,6 +253,79 @@ def test_square_of_galois_cover_is_trivial(f1):
     result = is_trivial_covering(fp.pr1)
     assert result.trivial
     assert len(result.witness.labels) == 2
+
+
+def _assert_triviality_agrees(fun, name=""):
+    """is_trivial_covering, deciding by objects, agrees with the sections
+    oracle on verdict, components and failing component."""
+    result = is_trivial_covering(fun)
+    parts, sections, failing = sections_by_restriction(fun)
+    assert result.trivial == (sections is not None), name
+    assert result.failing_component == failing, name
+    if result.trivial:
+        assert result.witness.components == parts, name
+        assert result.witness.labels == tuple(p[0] for p in parts), name
+    else:
+        assert result.witness is None, name
+
+
+def _sum_of_covers(*covers):
+    """The coproduct of coverings of one base: the i-th cover's names get
+    the prefix "i:", so its component sorts after those of the earlier
+    covers."""
+    base = covers[0].target
+    objects, hom_basis, identity, composition = [], {}, {}, {}
+    object_map, matrices = {}, {}
+    for i, cover in enumerate(covers):
+        src = cover.source
+
+        def tag(name):
+            return f"{i}:{name}"
+
+        for x in src.objects:
+            objects.append(tag(x))
+            identity[tag(x)] = src.identity[x]
+            object_map[tag(x)] = cover.object_map[x]
+        for (x, y), basis in src.hom_basis.items():
+            hom_basis[(tag(x), tag(y))] = tuple(map(tag, basis))
+            matrices[(tag(x), tag(y))] = cover.hom_matrices[(x, y)]
+        for (f, g), coords in src.composition.items():
+            composition[(tag(f), tag(g))] = coords
+    total = LinearCategory(base.field, tuple(objects), hom_basis, identity,
+                           composition)
+    return LinearFunctor(total, base, object_map, matrices)
+
+
+def test_triviality_agrees_with_sections_oracle(galois_corpus, f1):
+    """Connected coverings, sums of one-sheeted and two-sheeted coverings,
+    products of every standard base with a set, and Z/n covers and
+    products over GF(7)."""
+    for name, fun in galois_corpus:
+        _assert_triviality_agrees(fun, name)
+    one = identity_functor(f1.target)
+    for covers in ((one, f1), (f1, one), (one, one), (one, f1, f1)):
+        _assert_triviality_agrees(_sum_of_covers(*covers))
+    mixed = is_trivial_covering(_sum_of_covers(one, f1, f1))
+    assert mixed.failing_component == tuple(f"1:{x}" for x in f1.source.objects)
+    for field in (QQ, GF(7)):
+        for wq in standard_bases():
+            for labels in (["0"], ["0", "1"], ["a", "b", "c"]):
+                _, projection = product_with_set(base_category(wq, field), labels)
+                _assert_triviality_agrees(projection, f"{wq.name}x{len(labels)}")
+            cover = cyclic_cover(wq, 3, field)
+            _assert_triviality_agrees(cover, f"{wq.name}/n3")
+
+
+def test_triviality_agrees_on_fibre_product_projections(fibre_product_corpus):
+    """Every projection that is a covering of a connected category."""
+    checked = 0
+    for name, fp in fibre_product_corpus:
+        for pr in (fp.pr1, fp.pr2):
+            if (connected_components(pr.target)[1]
+                    and isinstance(check_covering(pr), CoveringCertificate)):
+                _assert_triviality_agrees(pr, name)
+                checked += 1
+    assert checked > len(fibre_product_corpus)
 
 
 def test_triviality_rejects_disconnected_target():
@@ -261,13 +361,9 @@ def test_galois_gating_verdicts():
 
 def test_twisted_kronecker_square_has_an_alien_component(kron_twisted):
     fp = fibre_product(kron_twisted, kron_twisted)
-    parts, _ = connected_components(fp.category)
-    broken = []
-    for part in parts:
-        sub, incl = full_subcategory(fp.category, part)
-        if is_isomorphism(compose(fp.pr1, incl)) is None:
-            broken.append(part)
-    assert broken, "some component must fail to project isomorphically"
+    _, sections, failing = sections_by_restriction(fp.pr1)
+    assert sections is None and failing, \
+        "some component must fail to project isomorphically"
 
 
 # quotients -------------------------------------------------------------------------

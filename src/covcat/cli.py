@@ -2,7 +2,8 @@
 
 Exit codes: 0 positive verdict, 1 negative verdict, 2 input/parse error or
 unwritable output path, 3 precondition NotConnected, 4 precondition
-NotCovering.
+NotCovering, 5 internal error (any other exception, reported as a JSON
+error instead of a traceback).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_NOT_CONNECTED = 3
 EXIT_NOT_COVERING = 4
+EXIT_INTERNAL = 5
 
 PRODUCT_SET_BUDGET = 1_000  # the largest count `build product-set` takes
 
@@ -439,7 +441,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.raw_argv = argv
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a bug, not a verdict: never exit 1 for it
+        return _emit(args, {"command": args.command,
+                            "error": f"internal error: {exc!r}"}, EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

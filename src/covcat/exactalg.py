@@ -1,14 +1,17 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
-Scalars are `fractions.Fraction` values over Q and plain ints in ``range(p)``
-over F_p.  Every routine that emits a basis emits a canonical one (reduced
-echelon form), so identical inputs always produce bit-identical outputs.
+Scalars over Q are ints, or `fractions.Fraction` values when not integral;
+over F_p they are plain ints in ``range(p)``.  Every routine that emits a
+basis emits a canonical one (reduced echelon form), so identical inputs
+always produce bit-identical outputs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 __all__ = [
@@ -29,6 +32,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
 
 
+@lru_cache(maxsize=32)
 def _is_prime(n: int) -> bool:
     """Deterministic Miller–Rabin; ValueError for n >= PRIME_BOUND."""
     if n >= PRIME_BOUND:
@@ -56,50 +60,102 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _q_scalar(value):
+    """A rational as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _q_inv(a):
+    """1/a, as an int when integral, so that a pivot of ±1 keeps its row
+    of ints integral."""
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero")
+    if isinstance(a, int):
+        return a if a == 1 or a == -1 else Fraction(1, a)
+    # the only `/` on scalars: ``a`` is a Fraction, so no float can appear
+    return _q_scalar(1 / a)
+
+
+def _fp_ops(p: int) -> dict:
+    """The arithmetic of GF(p), each operation closed over ``p``."""
+    def scalar(value):
+        if isinstance(value, Fraction):
+            if value.denominator != 1:
+                return mul(value.numerator % p, inv(value.denominator % p))
+            value = value.numerator
+        return value % p
+
+    def add(a, b):
+        return (a + b) % p
+
+    def sub(a, b):
+        return (a - b) % p
+
+    def mul(a, b):
+        return a * b % p
+
+    def neg(a):
+        return -a % p
+
+    def inv(a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, p - 2, p)
+
+    return {"scalar": scalar, "add": add, "sub": sub, "mul": mul, "neg": neg,
+            "inv": inv}
+
+
+_Q_OPS = {"scalar": _q_scalar, "add": operator.add, "sub": operator.sub,
+          "mul": operator.mul, "neg": operator.neg, "inv": _q_inv}
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """The ground field: ``kind`` is "Q" (rationals) or "Fp" (integers mod p)."""
+    """The ground field: ``kind`` is "Q" (rationals) or "Fp" (integers mod p).
+
+    Equality and hashing are on ``(kind, p)``.  ``scalar``, ``add``, ``sub``,
+    ``mul``, ``neg`` and ``inv`` are bound once, at construction, to the
+    field's own arithmetic; ``zero`` and ``one`` are the ints 0 and 1 in
+    both kinds of field.
+    """
 
     kind: str
     p: Optional[int] = None
+
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if self.kind == "Q":
             if self.p is not None:
                 raise ValueError("the rationals take no modulus")
+            ops = _Q_OPS
         elif self.kind == "Fp":
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"modulus must be a prime, got {self.p!r}")
+            ops = _fp_ops(self.p)
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        for name, op in ops.items():
+            object.__setattr__(self, name, op)
+
+    def __reduce__(self):
+        # rebuilt from (kind, p): the closures over p do not pickle
+        return FieldSpec, (self.kind, self.p)
 
     # scalar construction ------------------------------------------------
-
-    @property
-    def zero(self):
-        return 0 if self.kind == "Fp" else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.kind == "Fp" else Fraction(1)
-
-    def scalar(self, value):
-        """Coerce an int or Fraction into a field element."""
-        if self.kind == "Fp":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    return self.div(value.numerator % self.p,
-                                    value.denominator % self.p)
-                value = value.numerator
-            return value % self.p
-        return Fraction(value)
 
     def parse(self, text: str):
         """Parse "n" or "n/d" (exact decimal integer strings)."""
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            return self.div(self.scalar(int(num)), self.scalar(int(den)))
+            return self.scalar(self.div(self.scalar(int(num)),
+                                        self.scalar(int(den))))
         return self.scalar(int(text))
 
     def format(self, x) -> str:
@@ -110,25 +166,6 @@ class FieldSpec:
         return f"{x.numerator}/{x.denominator}"
 
     # arithmetic ---------------------------------------------------------
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "Fp" else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "Fp" else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "Fp" else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "Fp" else -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.kind == "Fp":
-            return pow(a, self.p - 2, self.p)
-        return 1 / a
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

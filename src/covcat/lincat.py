@@ -200,11 +200,14 @@ def echelon_coords(field: FieldSpec, echelons: Mapping[tuple[str, str], tuple],
                    escaped: Exception) -> Callable:
     """A ``coords`` map for ``category_from_model`` over hom spaces given as
     (reduced echelon rows, pivots); ``escaped`` is raised for a non-zero
-    element of an absent hom space."""
+    element of an absent hom space, or one outside a present hom space."""
     def coords(x: str, z: str, w) -> tuple:
         target = echelons.get((x, z))
         if target is not None:
-            return express_in_echelon(target[0], target[1], w, field)
+            try:
+                return express_in_echelon(target[0], target[1], w, field)
+            except ValueError as exc:
+                raise escaped from exc
         if any(c != field.zero for c in w):
             raise escaped
         return ()

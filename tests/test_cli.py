@@ -247,6 +247,27 @@ def test_check_covering_and_witness(workspace, capsys):
     assert report["evidence"]["witness"]["kind"] == "not-surjective"
 
 
+def test_unexpected_exception_exits_5_with_one_json_error(
+        workspace, capsys, monkeypatch):
+    def broken(fun):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check_covering", broken)
+    code = main(["check", "covering", "F1", "--dir", str(workspace)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 5
+    assert json.loads(captured.out) == {
+        "command": "check", "error": "internal error: RuntimeError('boom')"}
+    assert "Traceback" not in captured.out + captured.err
+
+    def interrupted(fun):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "check_covering", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check", "covering", "F1", "--dir", str(workspace)])
+
+
 def test_check_trivial(workspace, capsys):
     code, report = run(capsys, "check", "trivial", "proj", "--dir", str(workspace))
     assert code == 0

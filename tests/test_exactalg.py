@@ -1,5 +1,6 @@
 """Exact linear algebra: frozen examples plus algebraic property tests."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -48,10 +49,11 @@ def test_field_spec_rejects_strong_pseudoprimes(n):
 
 
 def test_field_spec_rejects_moduli_beyond_the_primality_bound():
-    with pytest.raises(ValueError, match="primality bound"):
-        GF(2**127 - 1)
-    with pytest.raises(ValueError, match="primality bound"):
-        GF(PRIME_BOUND)
+    for _ in range(2):  # a memoized primality test must not remember a pass
+        with pytest.raises(ValueError, match="primality bound"):
+            GF(2**127 - 1)
+        with pytest.raises(ValueError, match="primality bound"):
+            GF(PRIME_BOUND)
 
 
 def test_is_prime_matches_trial_division_below_5000():
@@ -70,6 +72,51 @@ def test_scalar_parse_and_format_round_trip():
     assert f5.parse("7") == 2
     assert f5.parse("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
     assert f5.format(3) == "3"
+
+
+def test_integral_rationals_are_ints():
+    assert type(QQ.parse("4/2")) is int and QQ.parse("4/2") == 2
+    assert type(QQ.scalar(Fraction(3))) is int
+    assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
+    assert QQ.format(QQ.parse("-6/4")) == "-3/2"
+    assert QQ.format(QQ.parse("-6/3")) == "-2"
+
+
+def test_field_equality_and_hash_are_on_kind_and_modulus():
+    assert FieldSpec("Q") == QQ and hash(FieldSpec("Q")) == hash(QQ)
+    assert hash(GF(7)) == hash(FieldSpec("Fp", 7))
+    assert GF(7) == FieldSpec("Fp", 7)
+    assert GF(7) != GF(11)
+    assert GF(7) != QQ
+
+
+def test_fields_survive_pickling():
+    for field in (QQ, GF(7)):
+        copy = pickle.loads(pickle.dumps(field))
+        assert copy == field
+        assert copy.add(3, 5) == field.add(3, 5)
+        assert copy.inv(2) == field.inv(2)
+
+
+_Q_SCALARS = st.one_of(st.integers(-40, 40),
+                       st.builds(Fraction, st.integers(-40, 40),
+                                 st.integers(1, 12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_Q_SCALARS, b=_Q_SCALARS)
+def test_rational_arithmetic_is_fraction_arithmetic_and_never_a_float(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    pairs = [(QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+             (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa)]
+    if b != 0:
+        pairs += [(QQ.inv(b), 1 / fb), (QQ.div(a, b), fa / fb)]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(b)
+    for got, want in pairs:
+        assert type(got) in (int, Fraction)
+        assert got == want
 
 
 def test_kernel_of_identity_is_empty():
@@ -139,7 +186,10 @@ FIELDS = [QQ, GF(2), GF(5)]
 
 def _entries(field):
     if field.kind == "Q":
-        return st.integers(-4, 4).map(Fraction)
+        # ints, integral Fractions and non-integral Fractions
+        return st.one_of(st.integers(-4, 4),
+                         st.builds(Fraction, st.integers(-4, 4),
+                                   st.integers(1, 3)))
     return st.integers(0, field.p - 1)
 
 

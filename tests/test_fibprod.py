@@ -2,7 +2,7 @@
 
 import pytest
 
-from covcat.errors import ConstructionError
+from covcat.errors import ConstructionError, CovcatError
 from covcat.exactalg import Matrix, echelon_pivots, express_in_echelon
 from covcat.lincat import full_subcategory, validate_category
 from covcat.linfun import LinearFunctor, compose, functor_equal, \
@@ -55,6 +55,17 @@ def test_fibre_product_rejects_mismatched_base(f1):
     other = identity_functor(f1.source)
     with pytest.raises(ConstructionError):
         fibre_product(f1, other)
+
+
+def test_composite_outside_a_present_hom_space_is_a_covcat_error(f1):
+    # FX: F1 with b0 sent to 2·b, not a functor; the composite c∘(2·b0)
+    # lands in a present hom space of F1 ×_B FX but outside its span
+    hom_matrices = dict(f1.hom_matrices)
+    hom_matrices[("t0", "u0")] = Matrix.from_rows(f1.source.field, [[2]])
+    fx = LinearFunctor(f1.source, f1.target, f1.object_map, hom_matrices)
+    with pytest.raises(CovcatError) as info:
+        fibre_product(f1, fx)
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_is_fully_faithful():

@@ -46,14 +46,23 @@ def field_to_json(field: FieldSpec) -> dict:
 
 def field_from_json(obj, path=None) -> FieldSpec:
     kind = _need(obj, "kind", path)
+    if kind == "Q":
+        return FieldSpec("Q")
+    if kind != "Fp":
+        raise DocumentError(f"unknown field kind {kind!r}", path)
+    p = _need(obj, "p", path)
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise DocumentError(f"bad field: modulus {p!r} is not an integer", path)
     try:
-        if kind == "Q":
-            return FieldSpec("Q")
-        if kind == "Fp":
-            return FieldSpec("Fp", int(_need(obj, "p", path)))
-    except (ValueError, TypeError) as exc:
+        return FieldSpec("Fp", p)
+    except ValueError as exc:
         raise DocumentError(f"bad field: {exc}", path)
-    raise DocumentError(f"unknown field kind {kind!r}", path)
+
+
+def _name(value, what: str, path=None) -> str:
+    if not isinstance(value, str):
+        raise DocumentError(f"{what} name {value!r} is not a string", path)
+    return value
 
 
 def _parse_coeff(field: FieldSpec, text, path=None):
@@ -221,16 +230,18 @@ def quiver_from_json(doc: dict, path=None):
     name = _need(doc, "name", path)
     field = field_from_json(doc.get("field", {"kind": "Q"}), path)
     try:
-        quiver = Quiver(tuple(_need(doc, "vertices", path)),
-                        tuple((_need(a, "name", path), _need(a, "src", path),
-                               _need(a, "dst", path))
+        quiver = Quiver(tuple(_name(v, "vertex", path)
+                              for v in _need(doc, "vertices", path)),
+                        tuple((_name(_need(a, "name", path), "arrow", path),
+                               _need(a, "src", path), _need(a, "dst", path))
                               for a in _need(doc, "arrows", path)))
     except ConstructionError as exc:
         raise DocumentError(str(exc), path)
     relations = []
     for rel in doc.get("relations", []):
         relations.append([(_parse_coeff(field, _need(t, "coeff", path), path),
-                           list(_need(t, "path", path))) for t in rel])
+                           [_name(a, "relation path arrow", path)
+                            for a in _need(t, "path", path)]) for t in rel])
     return name, quiver, relations, field
 
 
@@ -245,7 +256,7 @@ def algebra_from_json(doc: dict, path=None):
         raise DocumentError(f"not a {FORMAT_ALGEBRA} document", path)
     name = _need(doc, "name", path)
     field = field_from_json(_need(doc, "field", path), path)
-    basis = list(_need(doc, "basis", path))
+    basis = [_name(b, "basis", path) for b in _need(doc, "basis", path)]
     mult = {}
     for entry in _need(doc, "table", path):
         a, b = _need(entry, "a", path), _need(entry, "b", path)
@@ -258,7 +269,8 @@ def algebra_from_json(doc: dict, path=None):
     for entry in _need(doc, "idempotents", path):
         coords = [_parse_coeff(field, c, path)
                   for c in _need(entry, "coords", path)]
-        idems.append((_need(entry, "name", path), coords))
+        idems.append((_name(_need(entry, "name", path), "idempotent", path),
+                      coords))
     return name, field, basis, mult, idems
 
 

@@ -1,10 +1,9 @@
 """Deck transformations and the Galois / trivial / universal decision procedures.
 
-Lifts of objects to endofunctors are propagated along a breadth-first
-spanning tree of the non-zero-hom graph, transporting morphisms through the
-inverse fibre-block matrices of a covering certificate, and then verified
-globally; uniqueness of lifts makes the propagation deterministic and makes
-the x0-anchored lifts exhaust the whole deck group.
+A lift of one object to an endofunctor H with FH = F is read off the
+inverse fibre blocks of a covering certificate in one breadth-first pass;
+uniqueness of lifts makes the pass deterministic and makes the x0-anchored
+lifts exhaust the whole deck group.
 
 Every procedure here takes functors as input; the CLI validates each
 functor document before it decides.
@@ -20,10 +19,11 @@ from typing import Optional, Sequence, Union
 from .errors import ConstructionError, CovcatError, NotConnectedError, \
     NotCoveringError
 from .exactalg import Matrix
-from .lincat import LinearCategory, _adjacency, category_from_model, \
+from .lincat import LinearCategory, by_source, category_from_model, \
     connected_components
 from .linfun import LinearFunctor, compose, functor_equal, is_isomorphism
-from .covering import CoveringCertificate, CoveringFailure, check_covering
+from .covering import CoveringCertificate, CoveringFailure, FibreBlock, \
+    check_covering
 from .fibprod import fibre_product
 
 __all__ = [
@@ -69,98 +69,76 @@ def lift_endofunctor(fun: LinearFunctor, x: str, x_prime: str,
                      ) -> Optional[LinearFunctor]:
     """The unique endofunctor H with FH = F and H(x) = x', if one exists.
 
-    The object assignment is forced: pushing any basis morphism at an
-    assigned object through the inverse fibre block at its image must land
-    in a single fibre component, which names the image of the far object.
-    The resulting candidate is verified globally (FH = F, invertibility);
-    at most one H can exist, so failure means none does.  ``fun`` must be a
-    functor: FH = F then gives H the functor axioms.
+    Breadth-first from x: F's matrix on each hom(u, v) at a reached u,
+    transported through the inverse source block at H(u), must have its
+    non-zero rows in one fibre object, H(v); those rows are H's matrix.  A
+    hom(v, u) from an unreached v names H(v) through the target block at
+    H(u).  None when this fails, as at most one H exists.  ``fun`` must be
+    a functor.
     """
     cert = _ensure_certificate(fun, cert)
     _ensure_connected(fun.source, "source")
     if fun.object_map[x] != fun.object_map[x_prime]:
         raise ConstructionError(f"{x} and {x_prime} are not in the same fibre")
 
-    src = fun.source
-    assign = {x: x_prime}
-    adjacency = _adjacency(src)
+    src, om = fun.source, fun.object_map
+    homs_from = by_source(src.hom_basis)
+    homs_into = by_source((v, u) for u, v in src.hom_basis)
+    assign, matrices = {x: x_prime}, {}
     queue = deque([x])
     while queue:
         u = queue.popleft()
-        for v in sorted(adjacency[u]):
+        for _, v in homs_from.get(u, ()):
+            lifted = _transport(cert.block(om[u], om[v], assign[u], "source"),
+                                fun.hom_matrices[(u, v)])
+            if lifted is None:
+                return None
+            w, matrices[(u, v)] = lifted
+            if v not in assign:
+                assign[v] = w
+                queue.append(v)
+            elif assign[v] != w:
+                return None
+        for _, v in homs_into.get(u, ()):
             if v in assign:
                 continue
-            target = _propagate(fun, cert, assign[u], u, v)
-            if target is None:
+            lifted = _transport(cert.block(om[v], om[u], assign[u], "target"),
+                                fun.hom_matrices[(v, u)])
+            if lifted is None:
                 return None
-            assign[v] = target
+            assign[v] = lifted[0]
             queue.append(v)
 
-    matrices = {}
-    for (u, v) in src.hom_basis:
-        extracted = _transport_matrix(fun, cert, assign, u, v)
-        if extracted is None:
-            return None
-        matrices[(u, v)] = extracted
+    # H is not re-proved: _transport's zero test implies all of it.
+    # - FH = F: with M the invertible source block at H(u), M·T = F(u, v)
+    #   for the transported T, so T vanishes outside H(v)'s rows exactly
+    #   when F(Hf) = F(f) on hom(u, v).  The source is connected, so every
+    #   hom was transported.
+    # - Functor axioms: F is injective on each hom(x', z'), whose columns
+    #   lie in the invertible source block at x'.  As F is a functor,
+    #   F(H(g∘f)) = F(g∘f) = F(Hg∘Hf) in hom(Hx, Hz) gives H(g∘f) = Hg∘Hf;
+    #   likewise F(H(1_x)) = F(1_{Hx}) gives H(1_x) = 1_{Hx}.
+    # - Invertibility: FH = F writes the source block at u over (Fu, c) as
+    #   the one at H(u) times H on ⊕_{v over c} hom(u, v), so H maps that
+    #   sum bijectively onto ⊕_{w over c} hom(Hu, w); dually for target
+    #   blocks.  So the image of H is closed under non-zero homs, hence is
+    #   the whole connected, finite source: H is bijective on objects, then
+    #   on each hom(u, v) → hom(Hu, Hv), and so an isomorphism.
+    return LinearFunctor(src, src, assign, matrices)
 
-    candidate = LinearFunctor(src, src, assign, matrices)
-    # No functor-axiom check: F is injective on each hom(x', z'), whose
-    # columns lie in the certificate's invertible source block at x'.  As F
-    # is a functor, F(H(g∘f)) = F(g∘f) = F(Hg∘Hf), both in hom(Hx, Hz), so
-    # H(g∘f) = Hg∘Hf; likewise F(H(1_x)) = F(1_{Hx}) gives H(1_x) = 1_{Hx}.
-    if not functor_equal(compose(fun, candidate), fun):
+
+def _transport(block: FibreBlock, matrix: Matrix,
+               ) -> Optional[tuple[str, Matrix]]:
+    """The fibre object w owning every non-zero row of block⁻¹·matrix, with
+    w's rows; None when the non-zero rows belong to several objects."""
+    layout = block.column_layout
+    transported = (block.inverse @ matrix).entries
+    owners = {w for (w, _), row in zip(layout, transported) if any(row)}
+    if len(owners) != 1:
         return None
-    if is_isomorphism(candidate) is None:
-        return None
-    return candidate
-
-
-def _block_support(block, vec) -> set:
-    """Fibre objects whose slice of a block-coordinate vector is non-zero."""
-    support = set()
-    for coeff, (obj, _) in zip(vec, block.column_layout):
-        if coeff != 0:
-            support.add(obj)
-    return support
-
-
-def _propagate(fun: LinearFunctor, cert: CoveringCertificate,
-               lifted_u: str, u: str, v: str) -> Optional[str]:
-    """Image of v forced by the morphisms between u and v, given u's image."""
-    src = fun.source
-    fu, fv = fun.object_map[u], fun.object_map[v]
-    if (u, v) in src.hom_basis:
-        block = cert.block(fu, fv, lifted_u, "source")
-        matrix = fun.hom_matrices[(u, v)]
-    else:
-        block = cert.block(fv, fu, lifted_u, "target")
-        matrix = fun.hom_matrices[(v, u)]
-    target = None
-    for j in range(matrix.ncols):
-        transported = block.inverse.apply(matrix.column(j))
-        support = _block_support(block, transported)
-        if len(support) != 1:
-            return None
-        w = support.pop()
-        if target is None:
-            target = w
-        elif target != w:
-            return None
-    return target
-
-
-def _transport_matrix(fun: LinearFunctor, cert: CoveringCertificate,
-                      assign: dict, u: str, v: str) -> Optional[Matrix]:
-    """H's matrix on hom(u, v): inverse block transport, then the slice of
-    rows belonging to assign[v]."""
-    src = fun.source
-    fu, fv = fun.object_map[u], fun.object_map[v]
-    block = cert.block(fu, fv, assign[u], "source")
-    transported = block.inverse @ fun.hom_matrices[(u, v)]
-    rows = [i for i, (obj, _) in enumerate(block.column_layout)
-            if obj == assign[v]]
-    data = tuple(transported.entries[i] for i in rows)
-    return Matrix(src.field, len(rows), transported.ncols, data)
+    [w] = owners
+    rows = tuple(row for (obj, _), row in zip(layout, transported) if obj == w)
+    return w, Matrix(matrix.field, len(rows), matrix.ncols, rows)
 
 
 @dataclass(frozen=True)
@@ -202,15 +180,11 @@ def deck_group(fun: LinearFunctor,
     base_obj = fun.target.objects[0]
     fibre = cert.fibres[base_obj]
     anchor = fibre[0]
-    elements = []
-    for x_prime in fibre:
-        h = lift_endofunctor(fun, anchor, x_prime, cert)
-        if h is not None:
-            elements.append(h)
-    elements = tuple(elements)
+    lifts = (lift_endofunctor(fun, anchor, x_prime, cert) for x_prime in fibre)
+    elements = tuple(h for h in lifts if h is not None)
 
-    # The group laws are checked on object maps.  lift_endofunctor has
-    # proved each element an invertible functor with FH = F.  Over a
+    # The group laws are checked on object maps.  Each element is an
+    # invertible functor with FH = F (see lift_endofunctor).  Over a
     # connected source such a functor is fixed by the image of one object
     # (uniqueness of lifts, acceptance criterion 07), so the lifts are
     # indexed by where they send the anchor.  h∘g is again an invertible

@@ -517,7 +517,7 @@ def category_from_algebra(field: FieldSpec, basis: Sequence[str],
 
     table = {}
     for (a, b), result in mult.items():
-        if a not in index or b not in index:
+        if a not in index or b not in index or not result.keys() <= index.keys():
             raise ConstructionError(f"multiplication ({a},{b}) references unknown basis")
         vec = [field.zero] * n
         for name, coeff in result.items():

@@ -1,18 +1,20 @@
 """Shared corpus fixtures.
 
-The corpus: the Z/n covers (n = 1..4) of five weighted-quiver bases, the
-twisted Kronecker double cover (the non-Galois witness), pullbacks of
-the covers along full-subcategory inclusions, functors around a single
-arrow that are not coverings, and the fibre products of all of these.
-Built once per session.
+The corpus: the Z/n covers (n = 1..4) of five weighted-quiver bases, over
+Q and over GF(7), two non-Galois double covers (the twisted Kronecker one
+and the half-twisted triangle), pullbacks of the covers along
+full-subcategory inclusions, functors around a single arrow that are not
+coverings, and the fibre products of all of these.  Built once per
+session.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from covcat.exactalg import QQ, Matrix
+from covcat.exactalg import GF, QQ, Matrix
 from covcat.examples import (
+    _replace_column,
     cyclic_cover,
     kronecker_cover_twisted,
     standard_bases,
@@ -52,6 +54,19 @@ def kron_twisted():
 
 
 @pytest.fixture(scope="session")
+def triangle_half_twisted():
+    """The triangle double cover with only a1 sent to a + c*b: a covering
+    whose one cross lift would have to send a0 to a1 - c1*b1, which spans
+    two sheets."""
+    plain = triangle_cover(2)
+    key = ("t1", "s0")
+    j = plain.source.hom(*key).index("a1")
+    matrices = dict(plain.hom_matrices)
+    matrices[key] = _replace_column(matrices[key], j, (1, 1))
+    return LinearFunctor(plain.source, plain.target, plain.object_map, matrices)
+
+
+@pytest.fixture(scope="session")
 def cyclic_corpus():
     """(name, functor) for every base and n in 1..4; all sources connected."""
     out = []
@@ -62,6 +77,13 @@ def cyclic_corpus():
             assert connected, f"{base.name} cover n={n} should be connected"
             out.append((f"{base.name}/n{n}", cover))
     return out
+
+
+@pytest.fixture(scope="session")
+def gf7_corpus():
+    """(name, functor) for every base and n in 1..4, over GF(7)."""
+    return [(f"{base.name}/n{n}/GF7", cyclic_cover(base, n, GF(7)))
+            for base in standard_bases() for n in (1, 2, 3, 4)]
 
 
 @pytest.fixture(scope="session")
@@ -96,21 +118,25 @@ def connected_pullback_covers():
 
 
 @pytest.fixture(scope="session")
-def galois_corpus(cyclic_corpus, kron_twisted, connected_pullback_covers):
+def galois_corpus(cyclic_corpus, kron_twisted, triangle_half_twisted,
+                  connected_pullback_covers):
     """The >= 25 connected coverings of the method-agreement suite."""
     corpus = list(cyclic_corpus)
     corpus.append(("kronecker/twisted", kron_twisted))
+    corpus.append(("triangle/half-twisted", triangle_half_twisted))
     corpus.extend(connected_pullback_covers)
     return corpus
 
 
 @pytest.fixture(scope="session")
-def small_corpus(cyclic_corpus, kron_twisted):
+def small_corpus(cyclic_corpus, gf7_corpus, kron_twisted,
+                 triangle_half_twisted):
     """Corpus instances whose source has at most 8 objects (for exhaustive
     searches)."""
-    out = [(name, fun) for name, fun in cyclic_corpus
+    out = [(name, fun) for name, fun in cyclic_corpus + gf7_corpus
            if len(fun.source.objects) <= 8]
     out.append(("kronecker/twisted", kron_twisted))
+    out.append(("triangle/half-twisted", triangle_half_twisted))
     return out
 
 

@@ -66,6 +66,12 @@ MALFORMED = [
     pytest.param(_malformed_category(objects=3), id="objects-int"),
     pytest.param(docs.dumps({"format": docs.FORMAT_VERDICT, "name": ["bad"]}),
                  id="report-name-list"),
+    pytest.param(_malformed_category(field={"kind": "Fp", "p": 7.9}),
+                 id="p-float"),
+    pytest.param(_malformed_category(field={"kind": "Fp", "p": "7"}),
+                 id="p-string"),
+    pytest.param(_malformed_category(field={"kind": "Fp", "p": True}),
+                 id="p-bool"),
 ]
 
 
@@ -474,6 +480,42 @@ def test_build_from_algebra_with_a_zero_idempotent_is_an_input_error(capsys,
                        "--dir", str(tmp_path), "--out", str(tmp_path / "out"))
     assert code == 2
     assert report["error"] == "object p3 has no endomorphism space"
+
+
+def _with(doc: dict, edit) -> dict:
+    """A deep copy of ``doc`` after ``edit`` has changed it in place."""
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+# the quiver x -a-> y -b-> z with b∘a = 0
+_QUIVER = docs.quiver_to_json(
+    Quiver(("x", "y", "z"), (("a", "x", "y"), ("b", "y", "z"))), "q",
+    triangle_base().field, [[(1, ["b", "a"])]])
+
+
+@pytest.mark.parametrize("doc, kind", [
+    pytest.param(_with(_QUIVER, lambda d: d["arrows"][0].update(name=7)),
+                 "path-category", id="quiver-arrow-int"),
+    pytest.param(_with(_QUIVER, lambda d: d["vertices"].append(7)),
+                 "path-category", id="quiver-vertex-int"),
+    pytest.param(_with(_QUIVER, lambda d: d["relations"][0][0].update(
+        path=["b", ["a"]])), "path-category", id="quiver-relation-path-list"),
+    pytest.param(_with(DIAGONAL_ALGEBRA,
+                       lambda d: d["idempotents"][0].update(name=None)),
+                 "from-algebra", id="algebra-idempotent-null"),
+    pytest.param(_with(DIAGONAL_ALGEBRA, lambda d: d["basis"].append(["e3"])),
+                 "from-algebra", id="algebra-basis-list"),
+    pytest.param(_with(DIAGONAL_ALGEBRA, lambda d: d["table"][0].update(
+        result=[{"basis": "e3", "coeff": "1"}])),
+                 "from-algebra", id="algebra-result-unknown-basis")])
+def test_build_from_malformed_quiver_or_algebra_is_an_input_error(
+        tmp_path, doc, kind):
+    (tmp_path / "bad.json").write_text(docs.dumps(doc))
+    done = _run_cli(tmp_path, "build", kind, "bad.json", "--out", "out")
+    _assert_one_input_error(done, "build")
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_quotient_of_disconnected_source_exits_3(workspace, capsys, tmp_path):

@@ -83,22 +83,17 @@ def test_exhaustive_search_agrees_on_double_cover(f1):
         assert found[0][0] == lift.object_map
 
 
-def test_lift_that_breaks_fh_equals_f_is_rejected(f1, monkeypatch):
-    # doubling H's one entry on hom(t0, u0) leaves H invertible but breaks
-    # FH = F there, the check that also stands for the functor axioms
-    real_transport = galois._transport_matrix
-
-    def doubled(fun, cert, assign, u, v):
-        m = real_transport(fun, cert, assign, u, v)
-        if (u, v) != ("t0", "u0"):
-            return m
-        rows = [list(row) for row in m.entries]
-        rows[0][0] = QQ.add(rows[0][0], rows[0][0])
-        return Matrix(m.field, m.nrows, m.ncols, tuple(map(tuple, rows)))
-
-    monkeypatch.setattr(galois, "_transport_matrix", doubled)
-    assert lift_endofunctor(f1, "t0", "t0") is None
-    assert lift_endofunctor(f1, "t0", "t1") is None
+def test_lift_whose_transport_spans_two_sheets_is_rejected(
+        triangle_half_twisted):
+    # F(a0) = a is a1 - c1*b1 through the block at t1: no H with H(t0) = t1
+    # has FH = F on hom(t0, s1), and the exhaustive search agrees
+    fun = triangle_half_twisted
+    assert validate_functor(fun).ok
+    assert isinstance(check_covering(fun), CoveringCertificate)
+    assert lift_endofunctor(fun, "t0", "t1") is None
+    assert exhaustive_lifts(fun, "t0", "t1") == []
+    h = lift_endofunctor(fun, "t0", "t0")
+    assert functor_equal(h, identity_functor(fun.source))
 
 
 def test_lift_precondition_errors(f1):
@@ -120,10 +115,11 @@ def test_deck_group_orders(f1, f2, kron_twisted):
     assert deck_group(ident).order == 1
 
 
-def test_deck_group_is_a_group_acting_freely(galois_corpus):
+def test_deck_group_is_a_group_acting_freely(galois_corpus, gf7_corpus):
     # the functor-level group laws that deck_group checks on object maps,
-    # and the functor axioms that lift_endofunctor derives from FH = F
-    for name, fun in galois_corpus:
+    # and the functor axioms, FH = F and invertibility that lift_endofunctor
+    # reads off the covering certificate without re-proving them
+    for name, fun in galois_corpus + gf7_corpus:
         deck = deck_group(fun)
 
         def index_of(h):
@@ -338,7 +334,8 @@ def test_triviality_rejects_disconnected_target():
 # Galois verdicts ----------------------------------------------------------------------
 
 
-def test_galois_verdicts_for_the_running_examples(f1, f2, kron_twisted):
+def test_galois_verdicts_for_the_running_examples(f1, f2, kron_twisted,
+                                                  triangle_half_twisted):
     v1 = is_galois_both(f1)
     assert v1.status is GaloisStatus.GALOIS and v1.deck.order == 2
     v2 = is_galois_both(f2)
@@ -347,6 +344,9 @@ def test_galois_verdicts_for_the_running_examples(f1, f2, kron_twisted):
     assert vk.status is GaloisStatus.NON_GALOIS
     assert vk.deck.order == 1
     assert vk.unreachable == ("x1",)
+    vh = is_galois_both(triangle_half_twisted)
+    assert vh.status is GaloisStatus.NON_GALOIS
+    assert vh.unreachable == ("s1",)
 
 
 def test_galois_gating_verdicts():

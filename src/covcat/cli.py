@@ -33,78 +33,145 @@ EXIT_NOT_COVERING = 4
 EXIT_INTERNAL = 5
 
 PRODUCT_SET_BUDGET = 1_000  # the largest count `build product-set` takes
+DOCUMENT_BYTES = 16 * 2**20  # the largest document file a command reads
 
 
 class Workspace:
-    """Documents loaded by name: categories, functors, quivers, algebras."""
+    """The documents of one command, by format and name.
+
+    ``load_all`` reads and parses every file once, to learn its format and
+    name; a category, functor, quiver or algebra is built only when a
+    command first asks ``get`` for it, or at load time when its file is
+    named.  A name claimed by several files resolves to the last of them,
+    in load order, that builds.
+    """
 
     def __init__(self):
-        self.categories = {}
-        self.functors = {}   # name -> (functor, source_name, target_name)
-        self.quivers = {}    # name -> (quiver, relations, field)
-        self.algebras = {}   # name -> (field, basis, mult, idempotents)
         self.names = {}      # path -> document name, for every file parsed
-        self.skipped = []    # unnamed files that did not load (lenient loads)
+        self._claims = {}    # (format, name) -> claiming paths, in load order
+        self._parsed = {}    # path -> parsed document, until it is built
+        self._built = {}     # path -> built document, or None if it failed
+        self._resolved = {}  # (format, name) -> path it resolves to, or None
+        self._named = None   # files that must build; None: every file
+        self._skipped = []   # files reached that did not parse or build
 
     def load_all(self, paths, named=None):
-        """Read and parse each file once, then resolve functors against the
-        loaded categories.
+        """Read and parse each file once, then build the named ones.
 
         With ``named=None`` every file must parse, build and be an input
-        document.  Otherwise loading is lenient: files in other formats
-        (reports, certificates) are skipped, and a file that does not parse
-        or build is skipped and listed in ``skipped`` unless it is one of
-        ``named``.
+        document, and every file is built.  Otherwise loading is lenient:
+        files in other formats (reports, certificates) are ignored, only
+        the files in ``named`` are built now, and a file that does not
+        parse, or does not build when it is reached, is skipped and listed
+        in ``skipped`` unless it is one of ``named``.
         """
-        funct_docs = []
-        for path in map(Path, paths):
-            with self._loading(path, named):
+        self._named = named
+        paths = [Path(p) for p in paths]
+        for path in paths:
+            with self._loading(path):
                 doc = _read_document(path)
-                fmt, where = doc.get("format"), str(path)
-                name = doc.get("name", path.stem)
+                fmt, name = doc.get("format"), doc.get("name", path.stem)
                 if not isinstance(name, str):
-                    raise DocumentError("document name is not a string", where)
+                    raise DocumentError("document name is not a string", str(path))
                 self.names[path] = name
-                if fmt == docs.FORMAT_LINFUN:
-                    funct_docs.append((path, doc))
-                elif fmt == docs.FORMAT_LINCAT:
-                    name, cat = docs.category_from_json(doc, where)
-                    self.categories[name] = cat
-                elif fmt == docs.FORMAT_QUIVER:
-                    name, quiver, relations, field = docs.quiver_from_json(doc, where)
-                    self.quivers[name] = (quiver, relations, field)
-                elif fmt == docs.FORMAT_ALGEBRA:
-                    name, field, basis, mult, idems = docs.algebra_from_json(doc, where)
-                    self.algebras[name] = (field, basis, mult, idems)
+                if isinstance(fmt, str) and fmt in _BUILDERS:
+                    self._parsed[path] = doc
+                    self._claims.setdefault((fmt, name), []).append(path)
                 elif named is None:
-                    raise DocumentError(f"unknown document format {fmt!r}", where)
-        for path, doc in funct_docs:
-            with self._loading(path, named):
-                name, fun = docs.functor_from_json(doc, self.categories, str(path))
-                self.functors[name] = (fun, doc["source"], doc["target"])
+                    raise DocumentError(f"unknown document format {fmt!r}", str(path))
+        for path in paths:
+            if path in self._parsed and (named is None or path in named):
+                self._build(path)
+
+    def get(self, fmt: str, name: str):
+        """The document of format ``fmt`` called ``name``, or None when no
+        file claiming it builds: a LinearCategory; (functor, source name,
+        target name); (quiver, relations, field); or (field, basis, mult,
+        idempotents)."""
+        path = self._resolve(fmt, name)
+        return None if path is None else self._built[path]
+
+    def resolved(self, fmt: str) -> list:
+        """(name, path, document) for each name claimed in format ``fmt``
+        that resolves, sorted by name."""
+        names = sorted(name for f, name in self._claims if f == fmt)
+        return [(name, path, self._built[path]) for name in names
+                if (path := self._resolve(fmt, name)) is not None]
+
+    @property
+    def skipped(self) -> list[str]:
+        """The files reached that did not parse or build, in sorted path
+        order."""
+        return [str(path) for path in sorted(self._skipped)]
+
+    def name_of(self, ref: str) -> str:
+        """The document name of a loaded file ``ref``; else ``ref`` itself."""
+        return self.names.get(Path(ref), ref)
+
+    def _resolve(self, fmt: str, name: str):
+        key = (fmt, name)
+        if key not in self._resolved:
+            self._resolved[key] = next(
+                (path for path in reversed(self._claims.get(key, ()))
+                 if self._build(path) is not None), None)
+        return self._resolved[key]
+
+    def _build(self, path: Path):
+        if path not in self._built:
+            self._built[path] = None
+            doc = self._parsed.pop(path)
+            with self._loading(path):
+                self._built[path] = _BUILDERS[doc["format"]](self, doc, str(path))
+        return self._built[path]
 
     @contextmanager
-    def _loading(self, path: Path, named):
+    def _loading(self, path: Path):
         """Report a file that fails to parse or build as a DocumentError
         naming it; in a lenient load, skip and list it unless it is named."""
         try:
             yield
         except (DocumentError, TypeError, AttributeError, KeyError,
                 IndexError, ValueError) as exc:
-            if named is not None and path not in named:
-                self.skipped.append(str(path))
+            if self._named is not None and path not in self._named:
+                self._skipped.append(path)
                 return
             if isinstance(exc, DocumentError):
                 raise
             raise DocumentError(f"malformed document: {exc!r}", str(path))
 
-    def name_of(self, ref: str) -> str:
-        """The document name of a loaded file ``ref``; else ``ref`` itself."""
-        return self.names.get(Path(ref), ref)
+
+def _category(ws: Workspace, doc: dict, where: str):
+    return docs.category_from_json(doc, where)[1]
+
+
+def _functor(ws: Workspace, doc: dict, where: str):
+    """(functor, source name, target name), its source and target resolved
+    by name in ``ws``."""
+    categories = {ref: cat for ref in (doc.get("source"), doc.get("target"))
+                  if (cat := ws.get(docs.FORMAT_LINCAT, ref)) is not None}
+    _, fun = docs.functor_from_json(doc, categories, where)
+    return fun, doc["source"], doc["target"]
+
+
+def _quiver(ws: Workspace, doc: dict, where: str):
+    return docs.quiver_from_json(doc, where)[1:]
+
+
+def _algebra(ws: Workspace, doc: dict, where: str):
+    return docs.algebra_from_json(doc, where)[1:]
+
+
+_BUILDERS = {docs.FORMAT_LINCAT: _category, docs.FORMAT_LINFUN: _functor,
+             docs.FORMAT_QUIVER: _quiver, docs.FORMAT_ALGEBRA: _algebra}
 
 
 def _read_document(path: Path) -> dict:
+    """The JSON object in ``path``; a file over DOCUMENT_BYTES is refused
+    unread."""
     try:
+        if path.stat().st_size > DOCUMENT_BYTES:
+            raise DocumentError(
+                f"document is larger than {DOCUMENT_BYTES} bytes", str(path))
         doc = json.loads(path.read_text())
     except (OSError, ValueError, RecursionError) as exc:
         raise DocumentError(f"cannot parse: {exc}", str(path))
@@ -154,32 +221,42 @@ def cmd_validate(args) -> int:
     ws = Workspace()
     try:
         ws.load_all(args.files)
+        results = _validate(ws)
     except DocumentError as exc:
         return _emit(args, {"command": "validate", "error": str(exc)}, EXIT_INPUT)
-    results = []
-    ok = True
-    for name in sorted(ws.categories):
-        report = validate_category(ws.categories[name])
-        ok = ok and report.ok
-        results.append({"name": name, "kind": "category", "ok": report.ok,
-                        "violations": [{"kind": v.kind,
-                                        "witness": list(v.witness),
-                                        "message": v.message}
-                                       for v in report.violations]})
-    for name in sorted(ws.quivers):
-        results.append({"name": name, "kind": "quiver", "ok": True,
-                        "violations": []})
-    for name in sorted(ws.functors):
-        fun, _, _ = ws.functors[name]
-        report = validate_functor(fun)
-        ok = ok and report.ok
-        results.append({"name": name, "kind": "functor", "ok": report.ok,
-                        "violations": [{"kind": v.kind,
-                                        "witness": list(v.witness),
-                                        "message": v.message}
-                                       for v in report.violations]})
+    ok = all(result["ok"] for result in results)
     return _emit(args, {"command": "validate", "ok": ok, "results": results},
                  EXIT_OK if ok else EXIT_NEGATIVE)
+
+
+def _validate(ws: Workspace) -> list[dict]:
+    """One result per document name: categories, quivers, algebras, then
+    functors.  A quiver or an algebra is checked by building its category,
+    as `build` would; one that does not build is an input error."""
+    results = []
+    for fmt, kind in ((docs.FORMAT_LINCAT, "category"),
+                      (docs.FORMAT_QUIVER, "quiver"),
+                      (docs.FORMAT_ALGEBRA, "algebra"),
+                      (docs.FORMAT_LINFUN, "functor")):
+        for name, path, doc in ws.resolved(fmt):
+            violations = []
+            if fmt == docs.FORMAT_LINCAT:
+                violations = validate_category(doc).violations
+            elif fmt == docs.FORMAT_LINFUN:
+                violations = validate_functor(doc[0]).violations
+            else:
+                build = path_category if fmt == docs.FORMAT_QUIVER \
+                    else category_from_algebra
+                try:
+                    build(*doc)
+                except (CovcatError, IndexError) as exc:
+                    raise DocumentError(str(exc), str(path))
+            results.append({"name": name, "kind": kind, "ok": not violations,
+                            "violations": [{"kind": v.kind,
+                                            "witness": list(v.witness),
+                                            "message": v.message}
+                                           for v in violations]})
+    return results
 
 
 # check ------------------------------------------------------------------------
@@ -219,9 +296,10 @@ def _check(args, ws: Workspace, name: str) -> tuple[dict, int]:
     def error(message: str) -> tuple[dict, int]:
         return {"command": "check", "error": message}, EXIT_INPUT
 
-    if name not in ws.functors:
+    found = ws.get(docs.FORMAT_LINFUN, name)
+    if found is None:
         return error(f"unknown functor {name!r}")
-    fun, _, _ = ws.functors[name]
+    fun = found[0]
     for cat, which in ((fun.source, "source"), (fun.target, "target")):
         if not validate_category(cat).ok:
             return error(f"{which} category of {name} is invalid")
@@ -256,10 +334,11 @@ def _check(args, ws: Workspace, name: str) -> tuple[dict, int]:
             members = []
             for fname in args.family.split(","):
                 fname = fname.strip()
-                if fname not in ws.functors:
+                member = ws.get(docs.FORMAT_LINFUN, fname)
+                if member is None:
                     return error(f"unknown family member {fname!r}")
-                _require_valid(ws.functors[fname][0], fname)
-                members.append((fname, ws.functors[fname][0]))
+                _require_valid(member[0], fname)
+                members.append((fname, member[0]))
             result = check_universal_against(fun, [m for _, m in members])
             checks = []
             for (fname, _), check in zip(members, result.checks):
@@ -325,25 +404,29 @@ def cmd_build(args) -> int:
     return _emit(args, report, code)
 
 
+def _document(ws: Workspace, fmt: str, ref: str, what: str):
+    """The name of the document ``ref`` (a loaded path or a document name)
+    and the document; an input error when it does not resolve."""
+    name = ws.name_of(ref)
+    found = ws.get(fmt, name)
+    if found is None:
+        raise DocumentError(f"unknown {what} {name!r}")
+    return name, found
+
+
 def _build(args, ws: Workspace) -> dict:
     if args.kind == "path-category":
-        qname = ws.name_of(args.args[0])
-        if qname not in ws.quivers:
-            raise DocumentError(f"unknown quiver {qname!r}")
-        quiver, relations, field = ws.quivers[qname]
+        qname, (quiver, relations, field) = _document(
+            ws, docs.FORMAT_QUIVER, args.args[0], "quiver")
         cat = path_category(quiver, relations, field)
         return _write_docs(args.out, [docs.category_to_json(cat, f"{qname}-cat")])
     if args.kind == "from-algebra":
-        aname = ws.name_of(args.args[0])
-        if aname not in ws.algebras:
-            raise DocumentError(f"unknown algebra {aname!r}")
-        field, basis, mult, idems = ws.algebras[aname]
+        aname, (field, basis, mult, idems) = _document(
+            ws, docs.FORMAT_ALGEBRA, args.args[0], "algebra")
         cat = category_from_algebra(field, basis, mult, idems)
         return _write_docs(args.out, [docs.category_to_json(cat, f"{aname}-cat")])
     if args.kind == "product-set":
-        cname = ws.name_of(args.args[0])
-        if cname not in ws.categories:
-            raise DocumentError(f"unknown category {cname!r}")
+        cname, cat = _document(ws, docs.FORMAT_LINCAT, args.args[0], "category")
         rest = args.args[1:]
         if len(rest) == 1 and rest[0].isascii() and rest[0].isdigit():
             # the length goes first, so a huge count is never converted
@@ -354,19 +437,17 @@ def _build(args, ws: Workspace) -> dict:
             labels = [str(i) for i in range(int(count))]
         else:
             labels = list(rest)
-        product, projection = product_with_set(ws.categories[cname], labels)
+        product, projection = product_with_set(cat, labels)
         stem = f"{cname}-x{len(labels)}"
         return _write_docs(args.out, [
             docs.category_to_json(product, stem),
             docs.functor_to_json(projection, f"{stem}-pr", stem, cname),
         ])
     if args.kind == "fibre-product":
-        fname, gname = ws.name_of(args.args[0]), ws.name_of(args.args[1])
-        for ref in (fname, gname):
-            if ref not in ws.functors:
-                raise DocumentError(f"unknown functor {ref!r}")
-        f, f_src, _ = ws.functors[fname]
-        g, g_src, _ = ws.functors[gname]
+        fname, (f, f_src, _) = _document(ws, docs.FORMAT_LINFUN, args.args[0],
+                                         "functor")
+        gname, (g, g_src, _) = _document(ws, docs.FORMAT_LINFUN, args.args[1],
+                                         "functor")
         _require_valid(f, fname)
         _require_valid(g, gname)
         fp = fibre_product(f, g)
@@ -377,21 +458,17 @@ def _build(args, ws: Workspace) -> dict:
             docs.functor_to_json(fp.pr2, f"{stem}-pr2", stem, g_src),
         ])
     if args.kind == "quotient":
-        cname = ws.name_of(args.args[0])
-        if cname not in ws.categories:
-            raise DocumentError(f"unknown category {cname!r}")
+        cname, cat = _document(ws, docs.FORMAT_LINCAT, args.args[0], "category")
         if not args.by_deck_of:
             raise DocumentError("quotient requires --by-deck-of")
-        fname = ws.name_of(args.by_deck_of)
-        if fname not in ws.functors:
-            raise DocumentError(f"unknown functor {fname!r}")
-        fun, f_src, _ = ws.functors[fname]
+        fname, (fun, _, _) = _document(ws, docs.FORMAT_LINFUN, args.by_deck_of,
+                                       "functor")
         _require_valid(fun, fname)
-        if fun.source != ws.categories[cname]:
+        if fun.source != cat:
             raise DocumentError(
                 f"{fname} is not a functor out of {cname}")
         group = deck_group(fun)
-        quotient, projection = quotient_by_group(ws.categories[cname], group)
+        quotient, projection = quotient_by_group(cat, group)
         stem = f"{cname}-mod-{fname}"
         return _write_docs(args.out, [
             docs.category_to_json(quotient, stem),

@@ -1,4 +1,5 @@
-"""JSON document formats: lincat/v1, linfun/v1, quiver/v1, covcert/v1, verdict/v1.
+"""JSON document formats: lincat/v1, linfun/v1, quiver/v1, algebra/v1, covcert/v1,
+verdict/v1.
 
 All coefficients travel as exact strings ("3", "-1/2"); writers emit sorted
 keys and sorted entry lists so that identical inputs always serialize to

@@ -172,6 +172,11 @@ def test_unnamed_unparseable_file_is_skipped_and_listed(workspace, capsys,
                                                         tmp_path, content):
     notes = workspace / "notes.json"
     notes.write_text(content)
+    # a valid second claim of B, between B.json and notes.json in sorted
+    # order: B resolves to it, the last file claiming B that builds
+    doc = json.loads((workspace / "B.json").read_text())
+    doc["objects"].reverse()
+    (workspace / "B2.json").write_text(docs.dumps(doc))
     code, report = run(capsys, "check", "covering", str(workspace / "F1.json"))
     assert code == 0
     assert report["status"] == "Covering"
@@ -180,6 +185,9 @@ def test_unnamed_unparseable_file_is_skipped_and_listed(workspace, capsys,
                        "--dir", str(workspace), "--out", str(tmp_path / "out"))
     assert code == 0
     assert report["skipped"] == [str(notes)]
+    product, _ = product_with_set(docs.category_from_json(doc)[1], ["0", "1"])
+    assert (tmp_path / "out" / "B-x2.json").read_text() == \
+        docs.dumps(docs.category_to_json(product, "B-x2"))
     code, report = run(capsys, "check", "covering", str(notes))
     assert code == 2
     assert "skipped" not in report
@@ -205,6 +213,60 @@ def test_each_document_is_parsed_at_most_once(workspace, capsys, tmp_path,
     code, _ = run(capsys, *argv)
     assert code == 0
     assert len(parsed) == len(set(parsed)) == len(list(workspace.glob("*.json")))
+
+
+def _count_builds(monkeypatch) -> list:
+    """The names of the documents built from here on, in build order."""
+    built = []
+
+    def counting(parse):
+        def wrapper(*args, **kwargs):
+            result = parse(*args, **kwargs)
+            built.append(result[0])
+            return result
+        return wrapper
+
+    for parse in ("category_from_json", "functor_from_json",
+                  "quiver_from_json", "algebra_from_json"):
+        monkeypatch.setattr(docs, parse, counting(getattr(docs, parse)))
+    return built
+
+
+@pytest.mark.parametrize("argv, reached", [
+    (["check", "covering", "{ws}/F1.json"], ["B", "C2", "F1"]),
+    (["build", "product-set", "B", "2", "--dir", "{ws}", "--out", "{out}"],
+     ["B"])])
+def test_a_command_builds_only_the_documents_it_reaches(
+        workspace, capsys, tmp_path, monkeypatch, argv, reached):
+    built = _count_builds(monkeypatch)
+    argv = [a.format(ws=workspace, out=tmp_path / "out") for a in argv]
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert sorted(built) == reached
+
+
+def test_an_unreached_broken_document_changes_no_report(workspace, capsys):
+    argv = ["check", "covering", str(workspace / "F1.json")]
+    assert main(list(argv)) == 0
+    before = capsys.readouterr().out
+    (workspace / "notes.json").write_text(
+        _malformed_category(name="unused", identity=[["1"]]))
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == before
+
+
+def test_a_document_over_the_size_bound_is_refused_unread(workspace, capsys):
+    big = workspace / "big.json"
+    with open(big, "wb") as out:
+        out.truncate(cli.DOCUMENT_BYTES + 1)  # sparse: no data is written
+    code, report = run(capsys, "check", "covering", str(workspace / "F1.json"))
+    assert code == 0
+    assert report["skipped"] == [str(big)]
+    for argv in (["check", "covering", str(big)], ["validate", str(big)]):
+        code, report = run(capsys, *argv)
+        assert code == 2
+        assert report["error"] == \
+            f"{big}: document is larger than {cli.DOCUMENT_BYTES} bytes"
 
 
 def test_modulus_beyond_primality_bound_is_an_input_error(workspace, capsys):
@@ -470,6 +532,14 @@ def test_build_from_algebra(capsys, tmp_path):
     assert cat.dim("p1", "p2") == 0
 
 
+def test_validate_algebra_document(capsys, tmp_path):
+    (tmp_path / "diag.json").write_text(docs.dumps(DIAGONAL_ALGEBRA))
+    code, report = run(capsys, "validate", str(tmp_path / "diag.json"))
+    assert code == 0
+    assert report["results"] == [{"name": "diag", "kind": "algebra",
+                                  "ok": True, "violations": []}]
+
+
 def test_build_from_algebra_with_a_zero_idempotent_is_an_input_error(capsys,
                                                                     tmp_path):
     # p3 = 0 is idempotent and orthogonal to the others, but p3·A·p3 = 0
@@ -516,6 +586,27 @@ def test_build_from_malformed_quiver_or_algebra_is_an_input_error(
     done = _run_cli(tmp_path, "build", kind, "bad.json", "--out", "out")
     _assert_one_input_error(done, "build")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, kind, error", [
+    pytest.param(_with(_QUIVER, lambda d: d["relations"][0][0].update(
+        path=["zz"])), "path-category", "relation references unknown arrow zz",
+                 id="quiver-relation-unknown-arrow"),
+    pytest.param(_with(DIAGONAL_ALGEBRA, lambda d: d["idempotents"][1].update(
+        coords=["1", "0"])), "from-algebra",
+                 "idempotents p1 and p2 are not orthogonal",
+                 id="algebra-equal-idempotents")])
+def test_validate_refuses_a_quiver_or_algebra_that_build_refuses(
+        capsys, tmp_path, doc, kind, error):
+    bad = tmp_path / "bad.json"
+    bad.write_text(docs.dumps(doc))
+    code, report = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert report["error"] == f"{bad}: {error}"
+    code, report = run(capsys, "build", kind, str(bad),
+                       "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert report["error"] == error
 
 
 def test_build_quotient_of_disconnected_source_exits_3(workspace, capsys, tmp_path):

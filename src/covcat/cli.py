@@ -370,12 +370,20 @@ def _check(args, ws: Workspace, name: str) -> tuple[dict, int]:
 
 
 def _write_docs(out_dir, payloads) -> dict:
+    """Write each payload to ``out_dir``; when any is over DOCUMENT_BYTES,
+    which no command would read back, write none and raise."""
+    encoded = [(payload["name"], docs.dumps(payload).encode())
+               for payload in payloads]
+    for name, data in encoded:
+        if len(data) > DOCUMENT_BYTES:
+            raise DocumentError(f"document {name!r} would be {len(data)} bytes, "
+                                f"over the {DOCUMENT_BYTES}-byte bound")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for payload in payloads:
-        path = out / f"{payload['name']}.json"
-        path.write_text(docs.dumps(payload))
+    for name, data in encoded:
+        path = out / f"{name}.json"
+        path.write_bytes(data)
         written.append(str(path))
     return {"command": "build", "written": written}
 

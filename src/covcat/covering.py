@@ -73,18 +73,22 @@ class CoveringFailure:
         return f"{where} is singular"
 
 
-def _fibre_block(fun: LinearFunctor, direction: str, lift: str,
-                 fibre: tuple[str, ...]):
-    """Columns of F on ⊕_{y in fibre} hom(lift, y) ("source") or
-    ⊕_{y in fibre} hom(y, lift) ("target"), laid out in fibre order."""
+def _fibre_block(fun: LinearFunctor, direction: str, lift: str, far: str):
+    """Columns of F on ⊕_{y over far} hom(lift, y) ("source") or
+    ⊕_{y over far} hom(y, lift) ("target"), read off the lift's entries in
+    the source's ``out_of`` or ``into`` index.  The index is sorted and
+    ``fibre()`` is sorted, so the layout, and with it the first-failure
+    witness, keeps fibre order."""
+    src, om = fun.source, fun.object_map
+    index = src.out_of if direction == "source" else src.into
     layout = []
     cols = []
-    for y in fibre:
-        key = (lift, y) if direction == "source" else (y, lift)
-        m = fun.hom_matrices.get(key)
-        if m is None:
+    for _, y in index[lift]:
+        if om[y] != far:
             continue
-        for j, name in enumerate(fun.source.hom(*key)):
+        key = (lift, y) if direction == "source" else (y, lift)
+        m = fun.hom_matrices[key]
+        for j, name in enumerate(src.hom_basis[key]):
             layout.append((y, name))
             cols.append(m.column(j))
     return layout, cols
@@ -99,22 +103,16 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
             return CoveringFailure("not-surjective", missing_object=b)
 
     blocks: dict[tuple[str, str, str, str], FibreBlock] = {}
-    lies_over = None  # base pairs under a non-zero source hom, built lazily
     for b in base.objects:
         for c in base.objects:
             dim = base.dim(b, c)
-            if dim == 0:
-                # every block over (b, c) is empty, and passes, unless a
-                # source hom lies over it
-                if lies_over is None:
-                    om = fun.object_map
-                    lies_over = {(om[x], om[y]) for x, y in fun.source.hom_basis}
-                if (b, c) not in lies_over:
-                    continue
-            checks = [("source", x, fun.fibre(c)) for x in fun.fibre(b)] + \
-                     [("target", z, fun.fibre(b)) for z in fun.fibre(c)]
-            for direction, lift, fibre in checks:
-                layout, cols = _fibre_block(fun, direction, lift, fibre)
+            if dim == 0 and (b, c) not in fun.homs_over:
+                # every block over (b, c) is empty, and passes
+                continue
+            checks = [("source", x, c) for x in fun.fibre(b)] + \
+                     [("target", z, b) for z in fun.fibre(c)]
+            for direction, lift, far in checks:
+                layout, cols = _fibre_block(fun, direction, lift, far)
                 if len(cols) != dim:
                     return CoveringFailure("block-dimension", b, c, lift,
                                            direction, dim, len(cols))

@@ -324,10 +324,18 @@ def kernel_basis(m: Matrix) -> list[tuple]:
         for r, pc in enumerate(pivots):
             v[pc] = k.neg(red.entries[r][j])
         vectors.append(tuple(v))
-    # canonicalize: reduce the spanning set, rows become the echelon basis
-    span = Matrix(k, len(vectors), m.ncols, tuple(vectors))
-    red2, _ = span.rref()
-    return [row for row in red2.entries if any(a != k.zero for a in row)]
+    # canonicalize: the echelon basis of the spanning set
+    return echelon_basis(k, vectors)[0]
+
+
+def echelon_basis(field: FieldSpec, vectors) -> tuple[list[tuple], tuple[int, ...]]:
+    """The reduced echelon basis of the span of ``vectors`` (field scalars,
+    one length) and its pivots: their rref without the zero rows."""
+    rows = tuple(tuple(v) for v in vectors)
+    if not rows:
+        return [], ()
+    red, pivots = Matrix(field, len(rows), len(rows[0]), rows).rref()
+    return list(red.entries[:len(pivots)]), pivots
 
 
 def rank_and_inverse(m: Matrix) -> tuple[int, Optional[Matrix]]:

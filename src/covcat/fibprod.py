@@ -5,11 +5,12 @@ is the canonical kernel basis of (φ, ψ) ↦ Fφ − Gψ on the direct sum of t
 two hom spaces, so every basis morphism satisfies Fφ = Gψ exactly and
 composition is componentwise.
 
-The hom spaces are found by a join: the non-zero homs of C and of D are
-grouped by the base hom pair they lie over.  Where both sides have a hom
-the kernel of [F | −G] is solved; where one side has a zero hom the kernel
-is that of the other side's matrix alone, solved once per hom and shared
-by every such partner pair.  Pairs with two zero homs have none.
+The hom spaces are found by a join of the non-zero homs of C and of D,
+grouped by the base hom pair they lie over (``LinearFunctor.homs_over``).
+Where both sides have a hom the kernel of [F | −G] is solved; where one
+side has a zero hom the kernel is that of the other side's matrix alone,
+solved once per hom and shared by every such partner pair.  Pairs with two
+zero homs have none.
 """
 
 from __future__ import annotations
@@ -29,15 +30,6 @@ __all__ = [
 
 def _pair_name(x: str, y: str) -> str:
     return f"({x},{y})"
-
-
-def _homs_over(fun: LinearFunctor) -> dict:
-    """The non-zero source homs of ``fun``, grouped by the base hom pair
-    they lie over."""
-    over: dict = {}
-    for (x, x2) in fun.source.hom_basis:
-        over.setdefault((fun.object_map[x], fun.object_map[x2]), []).append((x, x2))
-    return over
 
 
 def _zero_homs(fun: LinearFunctor, b: str, b2: str, homs: list) -> list:
@@ -82,7 +74,7 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
     # pair of pair-objects with a non-zero hom: a join of the non-zero homs
     # of C and of D over the base hom pair they lie over
     found: dict[tuple, tuple] = {}
-    over_c, over_d = _homs_over(f), _homs_over(g)
+    over_c, over_d = f.homs_over, g.homs_over
     for (b, b2) in over_c.keys() | over_d.keys():
         c_homs, d_homs = over_c.get((b, b2), []), over_d.get((b, b2), [])
         for (x, x2) in c_homs:

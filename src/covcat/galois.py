@@ -19,8 +19,7 @@ from typing import Optional, Sequence, Union
 from .errors import ConstructionError, CovcatError, NotConnectedError, \
     NotCoveringError
 from .exactalg import Matrix
-from .lincat import LinearCategory, by_source, category_from_model, \
-    connected_components
+from .lincat import LinearCategory, category_from_model, connected_components
 from .linfun import LinearFunctor, compose, functor_equal, is_isomorphism
 from .covering import CoveringCertificate, CoveringFailure, FibreBlock, \
     check_covering
@@ -81,14 +80,15 @@ def lift_endofunctor(fun: LinearFunctor, x: str, x_prime: str,
     if fun.object_map[x] != fun.object_map[x_prime]:
         raise ConstructionError(f"{x} and {x_prime} are not in the same fibre")
 
+    # The visiting order does not change the result: at most one H exists,
+    # every step is forced by assign[u], and a pass that ends has built an H
+    # (see below).
     src, om = fun.source, fun.object_map
-    homs_from = by_source(src.hom_basis)
-    homs_into = by_source((v, u) for u, v in src.hom_basis)
     assign, matrices = {x: x_prime}, {}
     queue = deque([x])
     while queue:
         u = queue.popleft()
-        for _, v in homs_from.get(u, ()):
+        for _, v in src.out_of[u]:
             lifted = _transport(cert.block(om[u], om[v], assign[u], "source"),
                                 fun.hom_matrices[(u, v)])
             if lifted is None:
@@ -99,7 +99,7 @@ def lift_endofunctor(fun: LinearFunctor, x: str, x_prime: str,
                 queue.append(v)
             elif assign[v] != w:
                 return None
-        for _, v in homs_into.get(u, ()):
+        for _, v in src.into[u]:
             if v in assign:
                 continue
             lifted = _transport(cert.block(om[v], om[u], assign[u], "target"),

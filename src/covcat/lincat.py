@@ -1,9 +1,9 @@
 """Finite k-linear categories: data model, builders, validation, components.
 
 A category is stored by its ordered hom bases and composition structure
-constants.  Zero hom spaces are represented by absence, so the graph of
-non-zero homs and every scan over composable pairs read directly off the
-present (src, dst) pairs.
+constants.  Zero hom spaces are represented by absence; the graph of
+non-zero homs is indexed once per category (``out_of``, ``into``), and every
+walk over composable pairs, connectivity pass and fibre block reads it there.
 Object identifiers are strings and every enumeration is in lexicographic
 order, which keeps all downstream outputs deterministic.
 """
@@ -16,7 +16,8 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConstructionError
-from .exactalg import FieldSpec, Matrix, echelon_residue, express_in_echelon
+from .exactalg import FieldSpec, Matrix, echelon_basis, echelon_residue, \
+    express_in_echelon
 
 __all__ = [
     "LinearCategory",
@@ -102,6 +103,16 @@ class LinearCategory:
                 out[name] = (x, y, i)
         return out
 
+    @cached_property
+    def out_of(self) -> dict[str, list[tuple[str, str]]]:
+        """The non-zero hom pairs (x, y), sorted, grouped by x."""
+        return by_source(sorted(self.hom_basis))
+
+    @cached_property
+    def into(self) -> dict[str, list[tuple[str, str]]]:
+        """The non-zero hom pairs (x, y) as (y, x), sorted, grouped by y."""
+        return by_source((y, x) for x, y in sorted(self.hom_basis))
+
     # queries --------------------------------------------------------------
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
@@ -112,9 +123,6 @@ class LinearCategory:
 
     def total_dim(self) -> int:
         return sum(len(b) for b in self.hom_basis.values())
-
-    def hom_pairs(self) -> list[tuple[str, str]]:
-        return sorted(self.hom_basis)
 
     def zero_vector(self, x: str, y: str) -> tuple:
         return (self.field.zero,) * self.dim(x, y)
@@ -263,24 +271,24 @@ def validate_category(cat: LinearCategory) -> ValidationReport:
                 problems.append(Violation("centrality", (e,),
                                           f"1_{x} does not commute with {e}"))
 
-    pairs = cat.hom_pairs()
-    out_of = by_source(pairs)
-    for (x, y) in pairs:
-        for (_, z) in out_of.get(y, ()):
-            for (_, w) in out_of.get(z, ()):
-                for f in cat.hom(x, y):
-                    fvec = cat.basis_vector(f)
-                    for g in cat.hom(y, z):
-                        gf = cat.compose_basis(f, g)
-                        for h in cat.hom(z, w):
-                            hvec = cat.basis_vector(h)
-                            hg = cat.compose_basis(g, h)
-                            lhs = cat.compose_vectors(x, z, w, gf, hvec)
-                            rhs = cat.compose_vectors(x, y, w, fvec, hg)
-                            if lhs != rhs:
-                                problems.append(Violation(
-                                    "associativity", (f, g, h),
-                                    f"(h∘g)∘f ≠ h∘(g∘f) for ({f},{g},{h})"))
+    out_of = cat.out_of
+    for x in cat.objects:
+        for (_, y) in out_of[x]:
+            for (_, z) in out_of[y]:
+                for (_, w) in out_of[z]:
+                    for f in cat.hom(x, y):
+                        fvec = cat.basis_vector(f)
+                        for g in cat.hom(y, z):
+                            gf = cat.compose_basis(f, g)
+                            for h in cat.hom(z, w):
+                                hvec = cat.basis_vector(h)
+                                hg = cat.compose_basis(g, h)
+                                lhs = cat.compose_vectors(x, z, w, gf, hvec)
+                                rhs = cat.compose_vectors(x, y, w, fvec, hg)
+                                if lhs != rhs:
+                                    problems.append(Violation(
+                                        "associativity", (f, g, h),
+                                        f"(h∘g)∘f ≠ h∘(g∘f) for ({f},{g},{h})"))
     return ValidationReport(not problems, tuple(problems))
 
 
@@ -455,13 +463,7 @@ def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
     reducers: dict[tuple[str, str], tuple] = {}
 
     for (x, y), plist in sorted(paths.items()):
-        vecs = rel_vectors.get((x, y), [])
-        if vecs:
-            m = Matrix.from_rows(field, vecs)
-            red, pivots = m.rref()
-            rows = [r for r in red.entries if any(c != field.zero for c in r)]
-        else:
-            rows, pivots = [], ()
+        rows, pivots = echelon_basis(field, rel_vectors.get((x, y), ()))
         pivot_set = set(pivots)
         keep = [p for i, p in enumerate(plist) if i not in pivot_set]
         if not keep:
@@ -575,8 +577,7 @@ def category_from_algebra(field: FieldSpec, basis: Sequence[str],
             for i in range(n):
                 bvec = tuple(field.one if j == i else field.zero for j in range(n))
                 spanning.append(mul_vec(f, mul_vec(bvec, e)))
-            red, pivots = Matrix.from_rows(field, spanning).rref()
-            rows = [r for r in red.entries if any(c != field.zero for c in r)]
+            rows, pivots = echelon_basis(field, spanning)
             if rows:
                 echelons[(ne, nf)] = (rows, pivots)
 
@@ -594,18 +595,8 @@ def category_from_algebra(field: FieldSpec, basis: Sequence[str],
 # connectedness --------------------------------------------------------------
 
 
-def _adjacency(cat: LinearCategory) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {x: set() for x in cat.objects}
-    for (x, y) in cat.hom_basis:
-        if x != y:
-            adj[x].add(y)
-            adj[y].add(x)
-    return adj
-
-
 def connected_components(cat: LinearCategory) -> tuple[tuple[tuple[str, ...], ...], bool]:
     """Partition of objects by non-zero-walk reachability, plus a connected flag."""
-    adj = _adjacency(cat)
     seen = set()
     parts = []
     for start in cat.objects:
@@ -617,7 +608,7 @@ def connected_components(cat: LinearCategory) -> tuple[tuple[tuple[str, ...], ..
         while queue:
             v = queue.popleft()
             comp.append(v)
-            for w in sorted(adj[v]):
+            for _, w in cat.out_of[v] + cat.into[v]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)

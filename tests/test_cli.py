@@ -15,7 +15,9 @@ from covcat.lincat import PATH_BUDGET, Quiver, full_subcategory, \
     product_with_set
 from covcat.fibprod import fibre_product
 from covcat.galois import deck_group, quotient_by_group
+from covcat.exactalg import GF
 from covcat.examples import (
+    cyclic_cover,
     kronecker_cover_twisted,
     rel_square,
     triangle_base,
@@ -682,3 +684,74 @@ def test_built_documents_are_byte_identical_across_runs(workspace, capsys, tmp_p
         outs.append(out)
     for name in ("fp-F1-F1.json", "fp-F1-F1-pr1.json", "fp-F1-F1-pr2.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_build_writes_no_document_over_the_size_bound(workspace, capsys,
+                                                      tmp_path, monkeypatch):
+    argv = ["build", "product-set", "B", "2", "--dir", str(workspace)]
+    first = tmp_path / "first"
+    assert run(capsys, *argv, "--out", str(first))[0] == 0
+    largest = max(first.iterdir(), key=lambda path: path.stat().st_size)
+    size = largest.stat().st_size
+
+    monkeypatch.setattr(cli, "DOCUMENT_BYTES", size - 1)
+    over = tmp_path / "over"
+    code, report = run(capsys, *argv, "--out", str(over))
+    assert code == 2
+    assert repr(largest.stem) in report["error"]
+    assert f"{size - 1}-byte bound" in report["error"]
+    assert not over.exists()  # not even the documents under the bound
+
+    monkeypatch.setattr(cli, "DOCUMENT_BYTES", size)
+    at = tmp_path / "at"
+    code, report = run(capsys, *argv, "--out", str(at))
+    assert code == 0
+    for path in first.iterdir():
+        assert (at / path.name).read_bytes() == path.read_bytes()
+    # a document exactly at the bound reads back
+    code, _ = run(capsys, "validate", str(workspace / "B.json"),
+                  *report["written"])
+    assert code == 0
+
+
+def _reversed_hom_lists(doc: dict) -> dict:
+    key = "homs" if doc["format"] == docs.FORMAT_LINCAT else "hom_matrices"
+    return {**doc, key: doc[key][::-1]}
+
+
+@pytest.mark.parametrize("cover, galois", [
+    pytest.param(lambda: cyclic_cover(rel_square(), 4, GF(7)), True,
+                 id="rel_square-Z4-GF7"),
+    pytest.param(kronecker_cover_twisted, False, id="kronecker-twisted"),
+])
+def test_hom_list_order_changes_no_report_or_built_byte(
+        cover, galois, capsys, tmp_path, monkeypatch):
+    """Every walk reads a sorted non-zero-hom index, so the order of the
+    ``homs`` and ``hom_matrices`` lists in a document changes nothing."""
+    fun = cover()
+    documents = [docs.category_to_json(fun.target, "B"),
+                 docs.category_to_json(fun.source, "C"),
+                 docs.functor_to_json(fun, "F", "C", "B")]
+    commands = [["check", "covering", "F"],
+                ["check", "galois", "F", "--method", "direct"],
+                ["check", "galois", "F", "--method", "fibre"],
+                ["check", "trivial", "F"]]
+    if galois:  # the quotient needs a deck group transitive on fibres
+        commands.append(["build", "quotient", "C", "--by-deck-of", "F",
+                         "--out", "out"])
+    outputs = {}
+    for order, arrange in (("sorted", dict), ("reversed", _reversed_hom_lists)):
+        ws = tmp_path / order
+        ws.mkdir()
+        for doc in documents:
+            (ws / f"{doc['name']}.json").write_text(docs.dumps(arrange(doc)))
+        monkeypatch.chdir(ws)
+        got = []
+        for argv in commands:
+            code = main(argv)
+            got.append((code, capsys.readouterr().out))
+        got += [(p.name, p.read_bytes()) for p in sorted(ws.glob("out/*.json"))]
+        outputs[order] = got
+    assert [code for code, _ in outputs["sorted"][:4]] == \
+        ([0, 0, 0, 1] if galois else [0, 1, 1, 1])
+    assert outputs["reversed"] == outputs["sorted"]

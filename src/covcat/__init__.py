@@ -13,7 +13,6 @@ from .lincat import (
     ValidationReport,
     category_from_algebra,
     connected_components,
-    full_subcategory,
     path_category,
     product_with_set,
     validate_category,

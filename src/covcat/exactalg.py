@@ -9,6 +9,7 @@ always produce bit-identical outputs.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +31,8 @@ __all__ = [
 # (Sorenson and Webster, 2015).  Larger moduli are refused, not guessed at.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
+
+_EXACT = re.compile(r"[+-]?[0-9]+(/[+-]?[0-9]+)?")
 
 
 @lru_cache(maxsize=32)
@@ -150,13 +153,15 @@ class FieldSpec:
     # scalar construction ------------------------------------------------
 
     def parse(self, text: str):
-        """Parse "n" or "n/d" (exact decimal integer strings)."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.scalar(self.div(self.scalar(int(num)),
-                                        self.scalar(int(den))))
-        return self.scalar(int(text))
+        """Parse an exact string, "n" or "n/d": each side an optional sign
+        and ASCII digits, nothing else (no space, "_" or other digits)."""
+        if not _EXACT.fullmatch(text):
+            raise ValueError("expected an optional sign and ASCII digits, "
+                             "or two such joined by '/'")
+        num, slash, den = text.partition("/")
+        if not slash:
+            return self.scalar(int(num))
+        return self.scalar(self.div(self.scalar(int(num)), self.scalar(int(den))))
 
     def format(self, x) -> str:
         if self.kind == "Fp":
@@ -269,129 +274,93 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    # echelon forms ------------------------------------------------------
-
-    def rref(self) -> tuple[Matrix, tuple[int, ...]]:
-        """Reduced row echelon form and the tuple of pivot column indices."""
-        k = self.field
-        rows = [list(r) for r in self.entries]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for i in range(pr, self.nrows):
-                if rows[i][pc] != k.zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = k.inv(rows[pr][pc])
-            rows[pr] = [k.mul(inv, a) for a in rows[pr]]
-            for i in range(self.nrows):
-                if i != pr and rows[i][pc] != k.zero:
-                    f = rows[i][pc]
-                    rows[i] = [k.sub(a, k.mul(f, b))
-                               for a, b in zip(rows[i], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.nrows:
-                break
-        out = Matrix(k, self.nrows, self.ncols, tuple(tuple(r) for r in rows))
-        return out, tuple(pivots)
-
     def rank(self) -> int:
-        return len(self.rref()[1])
-
-
-def kernel_basis(m: Matrix) -> list[tuple]:
-    """Canonical basis of the null space of ``m``, as column vectors.
-
-    The returned vectors are in reduced column-echelon form: each has a
-    leading 1, leading positions strictly increase, and every other vector
-    vanishes at those positions.  Recomputation is bit-identical.
-    """
-    k = m.field
-    red, pivots = m.rref()
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    if not free:
-        return []
-    vectors = []
-    for j in free:
-        v = [k.zero] * m.ncols
-        v[j] = k.one
-        for r, pc in enumerate(pivots):
-            v[pc] = k.neg(red.entries[r][j])
-        vectors.append(tuple(v))
-    # canonicalize: the echelon basis of the spanning set
-    return echelon_basis(k, vectors)[0]
+        return len(echelon_basis(self.field, self.entries)[1])
 
 
 def echelon_basis(field: FieldSpec, vectors) -> tuple[list[tuple], tuple[int, ...]]:
     """The reduced echelon basis of the span of ``vectors`` (field scalars,
-    one length) and its pivots: their rref without the zero rows."""
-    rows = tuple(tuple(v) for v in vectors)
-    if not rows:
-        return [], ()
-    red, pivots = Matrix(field, len(rows), len(rows[0]), rows).rref()
-    return list(red.entries[:len(pivots)]), pivots
+    one length) and its pivots: their rref without the zero rows.
+
+    This Gauss–Jordan elimination is the library's only one; kernels,
+    inverses, ranks and hom-space coordinates are all read off its rows.
+    """
+    rows = [list(v) for v in vectors]
+    zero, inv, mul, sub = field.zero, field.inv, field.mul, field.sub
+    pivots = []
+    for pc in range(len(rows[0]) if rows else 0):
+        pr = len(pivots)
+        for i in range(pr, len(rows)):
+            if rows[i][pc] != zero:
+                break
+        else:
+            continue
+        rows[pr], rows[i] = rows[i], rows[pr]
+        s = inv(rows[pr][pc])
+        top = rows[pr] = [mul(s, a) for a in rows[pr]]
+        for i, row in enumerate(rows):
+            f = row[pc]
+            if i != pr and f != zero:
+                rows[i] = [sub(a, mul(f, b)) for a, b in zip(row, top)]
+        pivots.append(pc)
+    return [tuple(r) for r in rows[:len(pivots)]], tuple(pivots)
+
+
+def kernel_basis(m: Matrix) -> tuple[list[tuple], tuple[int, ...]]:
+    """The null space of ``m`` as column vectors, in the shape
+    ``echelon_basis`` returns: its reduced echelon basis and its pivots.
+
+    One elimination suffices, of ``m`` with its columns reversed.  The null
+    vector of a free column j is 1 at j and, at the column of each rref
+    row's pivot, minus that row's entry in column j.  A row vanishes before
+    its pivot in the reversed order, so that entry is non-zero only for
+    pivots right of j in the original order.  Taken by increasing j, the
+    vectors lead with a 1 at j and vanish at every other free column: they
+    are the unique reduced echelon basis of the kernel, pivoted at the free
+    columns.
+    """
+    k, last = m.field, m.ncols - 1
+    rows, pivots = echelon_basis(k, (row[::-1] for row in m.entries))
+    pivot_set = {last - pc for pc in pivots}
+    free = tuple(j for j in range(m.ncols) if j not in pivot_set)
+    vectors = []
+    for j in free:
+        v = [k.zero] * m.ncols
+        v[j] = k.one
+        for row, pc in zip(rows, pivots):
+            v[last - pc] = k.neg(row[last - j])
+        vectors.append(tuple(v))
+    return vectors, free
 
 
 def rank_and_inverse(m: Matrix) -> tuple[int, Optional[Matrix]]:
-    """Exact rank, plus the inverse when ``m`` is square of full rank."""
-    if m.nrows != m.ncols:
-        return m.rank(), None
-    n = m.nrows
-    if n == 0:
-        return 0, Matrix.zeros(m.field, 0, 0)
-    aug = Matrix.hstack(m, Matrix.identity(m.field, n))
-    red, pivots = aug.rref()
+    """Exact rank, plus the inverse when ``m`` is square of full rank: the
+    rref of [m | I] is [R | E] with E·m = R the rref of m, so the pivots
+    left of the bar count the rank, and E is m⁻¹ when R = I."""
+    k, n, r = m.field, m.ncols, m.nrows
+    z, o = (k.zero,), (k.one,)
+    rows, pivots = echelon_basis(k, (row + z * i + o + z * (r - 1 - i)
+                                     for i, row in enumerate(m.entries)))
     rank = sum(1 for p in pivots if p < n)
-    if rank < n:
+    if rank < n or m.nrows != n:
         return rank, None
-    inv_rows = tuple(row[n:] for row in red.entries)
-    return n, Matrix(m.field, n, n, inv_rows)
-
-
-def echelon_residue(basis_rows: list[tuple], pivots: tuple[int, ...],
-                    vector, field: FieldSpec) -> tuple[tuple, list]:
-    """Coefficients ``vector[pivots[i]]`` on a reduced echelon basis, and the
-    residue left after subtracting that combination from ``vector``.
-
-    The rows must be reduced (each vanishes at the other rows' pivots), so
-    the coefficients read straight off the vector and the residue is zero
-    at every pivot.
-    """
-    coeffs = tuple(vector[p] for p in pivots)
-    residue = list(vector)
-    for c, row in zip(coeffs, basis_rows):
-        if c == field.zero:
-            continue
-        for j, a in enumerate(row):
-            residue[j] = field.sub(residue[j], field.mul(c, a))
-    return coeffs, residue
+    return n, Matrix(k, n, n, tuple(row[n:] for row in rows))
 
 
 def express_in_echelon(basis_rows: list[tuple], pivots: tuple[int, ...],
                        vector: tuple, field: FieldSpec) -> tuple:
     """Coordinates of ``vector`` in an echelon basis (rows of an rref).
 
-    The expansion is verified exactly and a vector outside the span raises
-    ValueError.
+    The rows are reduced (each vanishes at the other rows' pivots), so the
+    coordinates read straight off the vector; the expansion is verified
+    exactly and a vector outside the span raises ValueError.
     """
-    coeffs, residue = echelon_residue(basis_rows, pivots, vector, field)
+    coeffs = tuple(vector[p] for p in pivots)
+    residue = list(vector)
+    for c, row in zip(coeffs, basis_rows):
+        if c != field.zero:
+            for j, a in enumerate(row):
+                residue[j] = field.sub(residue[j], field.mul(c, a))
     if any(x != field.zero for x in residue):
         raise ValueError("vector is not in the span of the echelon basis")
     return coeffs
-
-
-def echelon_pivots(basis_rows: list[tuple], field: FieldSpec) -> tuple[int, ...]:
-    """Leading-entry positions of an echelon basis (rows assumed reduced)."""
-    pivots = []
-    for row in basis_rows:
-        for j, a in enumerate(row):
-            if a != field.zero:
-                pivots.append(j)
-                break
-    return tuple(pivots)

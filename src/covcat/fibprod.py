@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, CovcatError
-from .exactalg import Matrix, echelon_pivots, kernel_basis
+from .exactalg import Matrix, kernel_basis
 from .lincat import LinearCategory, category_from_model, echelon_coords
 from .linfun import LinearFunctor
 
@@ -81,24 +81,20 @@ def fibre_product(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
             mc = f.hom_matrices[(x, x2)]
             for (y, y2) in d_homs:
                 kernel = kernel_basis(Matrix.hstack(mc, g.hom_matrices[(y, y2)].neg()))
-                if kernel:
-                    found[((x, y), (x2, y2))] = (kernel, echelon_pivots(kernel, field))
+                if kernel[0]:
+                    found[((x, y), (x2, y2))] = kernel
         # opposite a zero hom the kernel is that of the one matrix present
         # (ker(−md) = ker md), the same for every such partner pair
         d_zero = _zero_homs(g, b, b2, d_homs)
         for (x, x2) in c_homs if d_zero else ():
             kernel = kernel_basis(f.hom_matrices[(x, x2)])
-            if kernel:
-                entry = (kernel, echelon_pivots(kernel, field))
-                for (y, y2) in d_zero:
-                    found[((x, y), (x2, y2))] = entry
+            for (y, y2) in d_zero if kernel[0] else ():
+                found[((x, y), (x2, y2))] = kernel
         c_zero = _zero_homs(f, b, b2, c_homs)
         for (y, y2) in d_homs if c_zero else ():
             kernel = kernel_basis(g.hom_matrices[(y, y2)])
-            if kernel:
-                entry = (kernel, echelon_pivots(kernel, field))
-                for (x, x2) in c_zero:
-                    found[((x, y), (x2, y2))] = entry
+            for (x, x2) in c_zero if kernel[0] else ():
+                found[((x, y), (x2, y2))] = kernel
     # in pair-object order, so that basis names and every output byte are
     # those of a scan over all pairs of pair-objects
     index = {pair: i for i, pair in enumerate(pairs)}

@@ -16,8 +16,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConstructionError
-from .exactalg import FieldSpec, Matrix, echelon_basis, echelon_residue, \
-    express_in_echelon
+from .exactalg import FieldSpec, Matrix, echelon_basis, express_in_echelon
 
 __all__ = [
     "LinearCategory",
@@ -29,7 +28,6 @@ __all__ = [
     "category_from_algebra",
     "connected_components",
     "product_with_set",
-    "full_subcategory",
 ]
 
 
@@ -438,12 +436,15 @@ def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
             terms.append((field.scalar(coeff), arrows))
         parsed_relations.append((span, terms))
 
+    # path -> position, per hom pair, for vector_of and class_of_path
+    index = {span: {p: i for i, p in enumerate(plist)}
+             for span, plist in paths.items()}
+
     def vector_of(span, terms) -> list:
-        plist = paths[span]
-        index = {p: i for i, p in enumerate(plist)}
-        v = [field.zero] * len(plist)
+        at = index[span]
+        v = [field.zero] * len(at)
         for coeff, arrows in terms:
-            v[index[arrows]] = field.add(v[index[arrows]], coeff)
+            v[at[arrows]] = field.add(v[at[arrows]], coeff)
         return v
 
     # close the relations under pre/post composition by all paths
@@ -458,29 +459,31 @@ def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
                         rel_vectors.setdefault((u, v), []).append(
                             vector_of((u, v), shifted))
 
-    # per hom pair: surviving paths, ideal echelon rows + pivots for reduction
+    # per hom pair: the surviving paths, and the class of every path, read
+    # off the reduced ideal rows.  A survivor is a unit vector.  A row is 1
+    # at its pivot and 0 at every other pivot, so the path at its pivot,
+    # less the row, lies on the survivors: its class is minus the row there.
     survivors: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-    reducers: dict[tuple[str, str], tuple] = {}
-
+    classes: dict[tuple[str, str], list[tuple]] = {}
     for (x, y), plist in sorted(paths.items()):
         rows, pivots = echelon_basis(field, rel_vectors.get((x, y), ()))
         pivot_set = set(pivots)
-        keep = [p for i, p in enumerate(plist) if i not in pivot_set]
-        if not keep:
+        free = [i for i in range(len(plist)) if i not in pivot_set]
+        if not free:
             continue
-        survivors[(x, y)] = keep
-        reducers[(x, y)] = (rows, pivots,
-                            [i for i in range(len(plist)) if i not in pivot_set])
+        survivors[(x, y)] = [plist[i] for i in free]
+        cls = [None] * len(plist)
+        for k, i in enumerate(free):
+            cls[i] = tuple(field.one if j == k else field.zero
+                           for j in range(len(free)))
+        for row, pc in zip(rows, pivots):
+            cls[pc] = tuple(field.neg(row[i]) for i in free)
+        classes[(x, y)] = cls
 
     def class_of_path(x: str, y: str, arrows: tuple[str, ...]) -> tuple:
-        if (x, y) not in reducers:
-            return ()  # the relations kill every path from x to y
-        plist = paths[(x, y)]
-        vec = [field.zero] * len(plist)
-        vec[plist.index(arrows)] = field.one
-        rows, pivots, free = reducers[(x, y)]
-        _, residue = echelon_residue(rows, pivots, vec, field)
-        return tuple(residue[i] for i in free)
+        cls = classes.get((x, y))
+        # () when the relations kill every path from x to y
+        return () if cls is None else cls[index[(x, y)][arrows]]
 
     identity: dict[str, tuple] = {}
     for x in q.vertices:
@@ -661,26 +664,3 @@ def product_with_set(cat: LinearCategory, labels: Iterable[str]):
             hom_matrices[(obj(x, l), obj(y, l))] = Matrix.identity(cat.field, len(basis))
     projection = LinearFunctor(product, cat, object_map, hom_matrices)
     return product, projection
-
-
-def full_subcategory(cat: LinearCategory, objects: Iterable[str]):
-    """The full subcategory on a subset of objects, with its inclusion functor."""
-    objs = sorted(set(objects))
-    for x in objs:
-        if x not in cat.objects:
-            raise ConstructionError(f"unknown object {x}")
-    keep = set(objs)
-    hom_basis = {pair: basis for pair, basis in cat.hom_basis.items()
-                 if pair[0] in keep and pair[1] in keep}
-    names = {name for basis in hom_basis.values() for name in basis}
-    identity = {x: cat.identity[x] for x in objs}
-    composition = {(f, g): coords for (f, g), coords in cat.composition.items()
-                   if f in names and g in names}
-    sub = LinearCategory(cat.field, tuple(objs), hom_basis, identity, composition)
-
-    from .linfun import LinearFunctor
-    object_map = {x: x for x in objs}
-    hom_matrices = {pair: Matrix.identity(cat.field, len(basis))
-                    for pair, basis in hom_basis.items()}
-    inclusion = LinearFunctor(sub, cat, object_map, hom_matrices)
-    return sub, inclusion

@@ -21,11 +21,12 @@ from covcat.examples import (
     triangle_cover,
     triangle_cover_twisted,
 )
-from covcat.lincat import Quiver, connected_components, full_subcategory, \
-    path_category
+from covcat.lincat import Quiver, connected_components, path_category
 from covcat.linfun import LinearFunctor, identity_functor, validate_functor
 from covcat.covering import CoveringCertificate, check_covering
 from covcat.fibprod import fibre_product
+
+from oracles import full_subcategory
 
 # full-subcategory object subsets per base, used for the pullback corpus;
 # the first subset of each base keeps the n-fold covers connected

@@ -3,7 +3,8 @@
 Nothing here calls the echelon/kernel routines, the covering checker, or
 the lift construction being tested: row reduction is a separate textbook
 implementation, connectivity is a fresh BFS, star dimensions are summed
-straight off the hom bases, lifts are found by exhaustive
+straight off the hom bases, path classes are checked against the relation
+ideal closed over a fresh path walk, lifts are found by exhaustive
 backtracking over fibre-constrained object maps with per-hom linear solves,
 and mediating functors are found by brute-force coordinate solving.
 Sections of a trivial covering are built per component from the full
@@ -13,9 +14,11 @@ subcategory and ``is_isomorphism``, not from the object count that
 
 from __future__ import annotations
 
+from typing import Iterable
+
+from covcat.errors import ConstructionError
 from covcat.exactalg import FieldSpec, Matrix
-from covcat.lincat import LinearCategory, Quiver, full_subcategory, \
-    product_with_set
+from covcat.lincat import LinearCategory, Quiver, product_with_set
 from covcat.linfun import LinearFunctor, compose, is_isomorphism
 
 
@@ -115,6 +118,49 @@ def count_paths(q: Quiver) -> dict:
     return counts
 
 
+def quiver_paths(q: Quiver) -> dict:
+    """Every directed path, as its arrows in composition order (last arrow
+    first), keyed by its (src, dst); the empty tuple is the trivial path."""
+    outgoing = {v: [] for v in q.vertices}
+    for name, src, dst in q.arrows:
+        outgoing[src].append((name, dst))
+    paths = {}
+
+    def walk(start, current, arrows):
+        paths.setdefault((start, current), []).append(arrows)
+        for name, nxt in outgoing[current]:
+            walk(start, nxt, (name,) + arrows)
+
+    for v in q.vertices:
+        walk(v, v, ())
+    return paths
+
+
+def relation_ideal(q: Quiver, relations, field: FieldSpec) -> dict:
+    """The two-sided ideal the relations generate, per hom pair (x, y): a
+    spanning list of {path: coefficient} maps, each a relation composed
+    with a path before it and a path after it."""
+    ends = {name: (src, dst) for name, src, dst in q.arrows}
+    paths = quiver_paths(q)
+    ideal = {}
+    for rel in relations:
+        first = tuple(rel[0][1])
+        x, y = ends[first[-1]][0], ends[first[0]][1]
+        for (u, x2), pres in paths.items():
+            for (y2, v), posts in paths.items():
+                if x2 != x or y2 != y:
+                    continue
+                for pre in pres:
+                    for post in posts:
+                        vec = {}
+                        for coeff, path in rel:
+                            key = post + tuple(path) + pre
+                            vec[key] = field.add(vec.get(key, field.zero),
+                                                 field.scalar(coeff))
+                        ideal.setdefault((u, v), []).append(vec)
+    return ideal
+
+
 # connectivity ------------------------------------------------------------------
 
 
@@ -138,6 +184,30 @@ def bfs_components(cat: LinearCategory):
         parts.append(tuple(sorted(comp)))
         remaining -= comp
     return tuple(sorted(parts, key=lambda p: p[0]))
+
+
+# full subcategories ------------------------------------------------------------
+
+
+def full_subcategory(cat: LinearCategory, objects: Iterable[str]):
+    """The full subcategory on a subset of objects, with its inclusion functor:
+    what coverings are pulled back along, and a covering's restriction to
+    one component."""
+    objs = sorted(set(objects))
+    for x in objs:
+        if x not in cat.objects:
+            raise ConstructionError(f"unknown object {x}")
+    keep = set(objs)
+    hom_basis = {pair: basis for pair, basis in cat.hom_basis.items()
+                 if pair[0] in keep and pair[1] in keep}
+    names = {name for basis in hom_basis.values() for name in basis}
+    identity = {x: cat.identity[x] for x in objs}
+    composition = {(f, g): coords for (f, g), coords in cat.composition.items()
+                   if f in names and g in names}
+    sub = LinearCategory(cat.field, tuple(objs), hom_basis, identity, composition)
+    hom_matrices = {pair: Matrix.identity(cat.field, len(basis))
+                    for pair, basis in hom_basis.items()}
+    return sub, LinearFunctor(sub, cat, {x: x for x in objs}, hom_matrices)
 
 
 # sections of a covering ----------------------------------------------------------

@@ -11,8 +11,7 @@ import pytest
 import covcat
 from covcat import cli, documents as docs
 from covcat.cli import main
-from covcat.lincat import PATH_BUDGET, Quiver, full_subcategory, \
-    product_with_set
+from covcat.lincat import PATH_BUDGET, Quiver, product_with_set
 from covcat.fibprod import fibre_product
 from covcat.galois import deck_group, quotient_by_group
 from covcat.exactalg import GF
@@ -24,6 +23,8 @@ from covcat.examples import (
     triangle_cover,
     triangle_cover_twisted,
 )
+
+from oracles import full_subcategory
 
 
 @pytest.fixture()
@@ -278,6 +279,17 @@ def test_modulus_beyond_primality_bound_is_an_input_error(workspace, capsys):
     code, report = run(capsys, "validate", str(workspace / "B.json"))
     assert code == 2
     assert "primality bound" in report["error"]
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "1/\u0662", " 1"])
+def test_coefficient_outside_the_exact_grammar_is_an_input_error(
+        workspace, capsys, text):
+    doc = json.loads((workspace / "B.json").read_text())
+    doc["identity"]["s"] = [text]
+    (workspace / "B.json").write_text(docs.dumps(doc))
+    code, report = run(capsys, "validate", str(workspace / "B.json"))
+    assert code == 2
+    assert f"bad coefficient {text!r}" in report["error"]
 
 
 def test_check_galois_double_cover(workspace, capsys):

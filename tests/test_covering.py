@@ -1,13 +1,13 @@
 """Stars, fibre blocks, covering certificates and their witnesses."""
 
 from covcat.exactalg import QQ, Matrix
-from covcat.lincat import Quiver, connected_components, full_subcategory, \
-    path_category, product_with_set
+from covcat.lincat import Quiver, connected_components, path_category, \
+    product_with_set
 from covcat.covering import CoveringCertificate, CoveringFailure, check_covering
 from covcat.fibprod import fibre_product
 from covcat.examples import triangle_base
 
-from oracles import count_paths, naive_rank, star_dim
+from oracles import count_paths, full_subcategory, naive_rank, star_dim
 
 
 def test_star_at_u():

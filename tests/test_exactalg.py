@@ -13,7 +13,7 @@ from covcat.exactalg import (
     Matrix,
     QQ,
     _is_prime,
-    echelon_pivots,
+    echelon_basis,
     express_in_echelon,
     kernel_basis,
     rank_and_inverse,
@@ -74,6 +74,25 @@ def test_scalar_parse_and_format_round_trip():
     assert f5.format(3) == "3"
 
 
+# int() alone would read "1_0" as 10 and the Arabic-Indic "٣" as 3
+NOT_EXACT = ["1_0", "\u0663", "1/\u0662", "\uff11", "1 /2", " 3", "3\n", "",
+             "-", "+", "1/", "/2", "1//2", "1/2/3", "1.5", "1e3", "0x10", "--1"]
+
+
+@pytest.mark.parametrize("text", NOT_EXACT)
+def test_parse_accepts_only_a_sign_and_ascii_digits(text):
+    for field in (QQ, GF(7)):
+        with pytest.raises(ValueError):
+            field.parse(text)
+
+
+def test_parse_reads_signs_on_either_side():
+    assert QQ.parse("+3") == 3 and QQ.parse("-0") == 0
+    assert QQ.parse("1/-2") == QQ.parse("-1/2") == Fraction(-1, 2)
+    assert QQ.parse("+6/+4") == Fraction(3, 2)
+    assert GF(7).parse("-1") == 6 and GF(7).parse("007") == 0
+
+
 def test_integral_rationals_are_ints():
     assert type(QQ.parse("4/2")) is int and QQ.parse("4/2") == 2
     assert type(QQ.scalar(Fraction(3))) is int
@@ -120,12 +139,12 @@ def test_rational_arithmetic_is_fraction_arithmetic_and_never_a_float(a, b):
 
 
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(Matrix.identity(QQ, 3)) == []
+    assert kernel_basis(Matrix.identity(QQ, 3))[0] == []
 
 
 def test_kernel_over_f2_forced():
     m = Matrix.from_rows(GF(2), [[1, 1]])
-    assert kernel_basis(m) == [(1, 1)]
+    assert kernel_basis(m)[0] == [(1, 1)]
 
 
 def test_kernel_of_rank_one_matrix_matches_row_reduction_oracle():
@@ -133,7 +152,7 @@ def test_kernel_of_rank_one_matrix_matches_row_reduction_oracle():
     m = Matrix.from_rows(QQ, rows)
     oracle_rank = naive_rank([[Fraction(x) for x in r] for r in rows], QQ)
     assert oracle_rank == 1
-    kernel = kernel_basis(m)
+    kernel = kernel_basis(m)[0]
     assert len(kernel) == 3 - oracle_rank  # dimension 2
     for v in kernel:
         assert m.apply(v) == (Fraction(0), Fraction(0))
@@ -166,12 +185,18 @@ def test_non_square_has_no_inverse():
     rank, inv = rank_and_inverse(Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0]]))
     assert rank == 2
     assert inv is None
+    # full column rank, and still no inverse
+    rank, inv = rank_and_inverse(Matrix.from_rows(QQ, [[1, 0], [0, 1], [1, 1]]))
+    assert rank == 2
+    assert inv is None
+    assert rank_and_inverse(Matrix.zeros(QQ, 2, 0)) == (0, None)
+    assert rank_and_inverse(Matrix.zeros(QQ, 0, 2)) == (0, None)
 
 
 def test_express_in_echelon_round_trip():
     rows = [(Fraction(1), Fraction(0), Fraction(2)),
             (Fraction(0), Fraction(1), Fraction(-1))]
-    pivots = echelon_pivots(list(rows), QQ)
+    pivots = echelon_basis(QQ, rows)[1]
     assert pivots == (0, 1)
     coeffs = express_in_echelon(list(rows), pivots,
                                 (Fraction(3), Fraction(2), Fraction(4)), QQ)
@@ -207,7 +232,7 @@ def _matrices(field, max_dim=4):
 def test_rank_nullity(field, data):
     rows = data.draw(_matrices(field))
     m = Matrix.from_rows(field, rows)
-    assert m.rank() + len(kernel_basis(m)) == m.ncols
+    assert m.rank() + len(kernel_basis(m)[0]) == m.ncols
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F2", "F5"])
@@ -217,7 +242,7 @@ def test_kernel_is_canonical_and_annihilated(field, data):
     rows = data.draw(_matrices(field))
     m1 = Matrix.from_rows(field, rows)
     m2 = Matrix.from_rows(field, rows)
-    k1, k2 = kernel_basis(m1), kernel_basis(m2)
+    (k1, pivots), (k2, _) = kernel_basis(m1), kernel_basis(m2)
     assert k1 == k2
     zero = (field.zero,) * m1.nrows
     for v in k1:
@@ -227,6 +252,12 @@ def test_kernel_is_canonical_and_annihilated(field, data):
     assert leads == sorted(leads) and len(set(leads)) == len(leads)
     for v, lead in zip(k1, leads):
         assert v[lead] == field.one
+    # the pivots returned are the leading positions, one per dimension of
+    # the kernel, and the basis is already the reduced echelon form
+    assert pivots == tuple(leads)
+    assert len(pivots) == m1.ncols - naive_rank(
+        [[field.scalar(x) for x in r] for r in rows], field)
+    assert echelon_basis(field, k1) == (k1, pivots)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F2", "F5"])

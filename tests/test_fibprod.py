@@ -3,8 +3,8 @@
 import pytest
 
 from covcat.errors import ConstructionError, CovcatError
-from covcat.exactalg import Matrix, echelon_pivots, express_in_echelon
-from covcat.lincat import full_subcategory, validate_category
+from covcat.exactalg import Matrix, echelon_basis, express_in_echelon
+from covcat.lincat import validate_category
 from covcat.linfun import LinearFunctor, compose, functor_equal, \
     hom_inverses, identity_functor, is_isomorphism, validate_functor
 from covcat.covering import CoveringCertificate, CoveringFailure, \
@@ -13,7 +13,7 @@ from covcat.fibprod import fibre_product
 from covcat import fibprod
 from covcat.examples import triangle_base, triangle_cover
 
-from oracles import naive_fibre_dims, solve_mediating
+from oracles import full_subcategory, naive_fibre_dims, solve_mediating
 
 
 def test_square_of_plain_cover(f1):
@@ -221,7 +221,7 @@ def _swap_functor(fp_fg, fp_gf):
             first = m1.apply(unit) if m1 is not None else ()
             second = m2.apply(unit) if m2 is not None else ()
             target_rows.append(tuple(first) + tuple(second))
-        pivots = echelon_pivots(target_rows, field)
+        pivots = echelon_basis(field, target_rows)[1]
         cols = []
         for name in basis:
             vec = cat.basis_vector(name)

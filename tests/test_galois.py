@@ -6,7 +6,7 @@ from covcat import galois
 from covcat.errors import ConstructionError, CovcatError, NotConnectedError
 from covcat.exactalg import GF, QQ, Matrix
 from covcat.lincat import LinearCategory, Quiver, connected_components, \
-    full_subcategory, path_category, product_with_set, validate_category
+    path_category, product_with_set, validate_category
 from covcat.linfun import LinearFunctor, compose, functor_equal, \
     identity_functor, is_isomorphism, validate_functor
 from covcat.covering import CoveringCertificate, check_covering
@@ -26,8 +26,8 @@ from covcat.galois import (
 from covcat.examples import base_category, cyclic_cover, standard_bases, \
     triangle_base, triangle_cover
 
-from oracles import exhaustive_lifts, functor_axioms_hold, product_iso, \
-    sections_by_restriction
+from oracles import exhaustive_lifts, full_subcategory, functor_axioms_hold, \
+    product_iso, sections_by_restriction
 
 
 # lifts -----------------------------------------------------------------------

@@ -12,15 +12,17 @@ from covcat.lincat import (
     by_source,
     category_from_algebra,
     connected_components,
-    full_subcategory,
+    _path_category_data,
     path_category,
     product_with_set,
     validate_category,
 )
 from covcat.linfun import is_isomorphism, validate_functor
-from covcat.examples import standard_bases, triangle, triangle_base, triangle_cover
+from covcat.examples import cyclic_cover, rel_square, standard_bases, triangle, \
+    triangle_base, triangle_cover
 
-from oracles import bfs_components, count_paths, naive_rank
+from oracles import bfs_components, count_paths, full_subcategory, naive_rank, \
+    quiver_paths, relation_ideal
 
 
 # quivers ----------------------------------------------------------------------
@@ -118,6 +120,71 @@ def test_path_category_rejects_bad_relations():
         path_category(wq.quiver, [[(1, ["a", "c"])]], QQ)  # not composable
     with pytest.raises(ConstructionError):
         path_category(wq.quiver, [[(1, ["zz"])]], QQ)
+
+
+def _cover_quiver(wq, n):
+    """The quiver and relations of ``cyclic_cover(wq, n)``, lifted sheet by
+    sheet: arrow a of weight w runs from sheet i to sheet i + w."""
+    weights = wq.weights
+    vertices = tuple(f"{v}{i}" for v in wq.quiver.vertices for i in range(n))
+    arrows = tuple((f"{a}{i}", f"{s}{i}", f"{d}{(i + weights[a]) % n}")
+                   for a, s, d in wq.quiver.arrows for i in range(n))
+    relations = []
+    for rel in wq.relations:
+        for i in range(n):
+            terms = []
+            for coeff, path in rel:
+                sheet, lifted = i, []
+                for a in reversed(path):
+                    lifted.insert(0, f"{a}{sheet}")
+                    sheet = (sheet + weights[a]) % n
+                terms.append((coeff, lifted))
+            relations.append(terms)
+    return Quiver(vertices, arrows), relations
+
+
+def _relation_cases():
+    square = Quiver(("p", "q", "r", "s"),
+                    (("f", "p", "q"), ("g", "q", "s"),
+                     ("h", "p", "r"), ("k", "r", "s")))
+    chain = Quiver(("x", "y", "z"), (("a", "x", "y"), ("b", "y", "z")))
+    cases = [pytest.param(triangle().quiver, [[(1, ["a"])]], None,
+                          id="killed_arrow"),
+             pytest.param(square, [[(1, ["g", "f"]), (-1, ["k", "h"])]], None,
+                          id="commutative_square"),
+             pytest.param(chain, [[(1, ["b", "a"])]], None, id="killed_hom"),
+             pytest.param(rel_square().quiver, list(rel_square().relations), None,
+                          id="rel_square")]
+    return cases + [pytest.param(*_cover_quiver(rel_square(), n), n,
+                                 id=f"rel_square_cover{n}") for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("q, relations, degree", _relation_cases())
+def test_path_classes_agree_with_relation_ideal_oracle(q, relations, degree,
+                                                       field):
+    """Each path minus the combination of surviving paths its class names
+    lies in the span of the closed relations, and the survivors number the
+    paths less the rank of that span."""
+    if degree is not None:  # the quiver is that of a cyclic cover
+        assert path_category(q, relations, field) == \
+            cyclic_cover(rel_square(), degree, field).source
+    data = _path_category_data(q, relations, field)
+    ideal = relation_ideal(q, relations, field)
+    zero = field.zero
+    for (x, y), plist in quiver_paths(q).items():
+        rows = [[vec.get(p, zero) for p in plist] for vec in ideal.get((x, y), ())]
+        rank = naive_rank(rows, field)
+        survivors = data.survivors.get((x, y), [])
+        assert len(survivors) == len(plist) - rank
+        for path in plist:
+            cls = data.class_of_path(x, y, path)
+            assert len(cls) == len(survivors)
+            diff = {path: field.one}
+            for c, s in zip(cls, survivors):
+                diff[s] = field.sub(diff.get(s, zero), c)
+            assert naive_rank(rows + [[diff.get(p, zero) for p in plist]],
+                              field) == rank, (x, y, path)
 
 
 def test_path_category_over_prime_field():

@@ -97,7 +97,7 @@ def test_compose_identity_is_neutral(f1):
 
 
 def test_compose_is_associative(f1):
-    from covcat.lincat import full_subcategory
+    from oracles import full_subcategory
     sub, incl = full_subcategory(f1.source, ("s0", "t0", "u0"))
     ident = identity_functor(f1.target)
     lhs = compose(ident, compose(f1, incl))

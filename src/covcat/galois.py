@@ -18,12 +18,12 @@ from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError, CovcatError, NotConnectedError, \
     NotCoveringError
-from .exactalg import Matrix
+from .exactalg import Matrix, express_in_echelon, kernel_basis
 from .lincat import LinearCategory, category_from_model, connected_components
 from .linfun import LinearFunctor, compose, functor_equal, is_isomorphism
 from .covering import CoveringCertificate, CoveringFailure, FibreBlock, \
     check_covering
-from .fibprod import fibre_product
+from .fibprod import _pair_name
 
 __all__ = [
     "DeckGroup",
@@ -79,7 +79,13 @@ def lift_endofunctor(fun: LinearFunctor, x: str, x_prime: str,
     _ensure_connected(fun.source, "source")
     if fun.object_map[x] != fun.object_map[x_prime]:
         raise ConstructionError(f"{x} and {x_prime} are not in the same fibre")
+    return _lift(fun, x, x_prime, cert)
 
+
+def _lift(fun: LinearFunctor, x: str, x_prime: str,
+          cert: CoveringCertificate) -> Optional[LinearFunctor]:
+    """``lift_endofunctor`` without its checks: ``cert`` certifies ``fun``,
+    whose source is connected, and x, x' lie in one fibre."""
     # The visiting order does not change the result: at most one H exists,
     # every step is forced by assign[u], and a pass that ends has built an H
     # (see below).
@@ -180,7 +186,9 @@ def deck_group(fun: LinearFunctor,
     base_obj = fun.target.objects[0]
     fibre = cert.fibres[base_obj]
     anchor = fibre[0]
-    lifts = (lift_endofunctor(fun, anchor, x_prime, cert) for x_prime in fibre)
+    # the source is connected (checked once above) and every x' shares the
+    # anchor's fibre, so each lift skips lift_endofunctor's checks
+    lifts = (_lift(fun, anchor, x_prime, cert) for x_prime in fibre)
     elements = tuple(h for h in lifts if h is not None)
 
     # The group laws are checked on object maps.  Each element is an
@@ -276,17 +284,116 @@ class GaloisVerdict:
         return self.status is GaloisStatus.GALOIS
 
 
+def _kernel_inclusion(m: Matrix) -> tuple:
+    """ker m as its reduced echelon basis, its pivots, and the matrix that
+    includes it (the basis as columns)."""
+    rows, pivots = kernel_basis(m)
+    return rows, pivots, Matrix.from_columns(m.field, rows, m.ncols)
+
+
+def _pullback_pr1(u: LinearFunctor, g: LinearFunctor,
+                  gcert: CoveringCertificate) -> LinearFunctor:
+    """The first projection of P = source(u) ×_B source(g), for a covering g
+    that ``gcert`` certifies, with P's hom spaces read through ``gcert``.
+
+    Only P's objects, hom bases and identities, and pr1's object map and
+    matrices, are meaningful: P's composition table is left empty, as
+    nothing that decides on pr1 reads it, and this functor must not leave
+    ``_pullback_triviality``.  Objects and basis names are those of
+    ``fibre_product``; each hom space has another basis.
+    """
+    if u.target != g.target:
+        raise ConstructionError("functors do not share a base category")
+    cat_c, field, fibres = u.source, u.target.field, gcert.fibres
+    # A zero C-hom gives no P-hom: u(0) = 0 = g(ψ) forces ψ = 0, as g is
+    # injective on each hom space (its columns sit in an invertible block).
+    # So only the non-zero C-homs, those in u.hom_matrices, are scanned.
+    spaces = {}  # ((x, y), (x2, y2)) -> V_y2 as _kernel_inclusion gives it
+    for (x, x2), m in u.hom_matrices.items():
+        b, b2, d = u.object_map[x], u.object_map[x2], m.ncols
+        # (φ, ψ) in C(x, x2) ⊕ D(y, y2) is a P-hom iff u(φ) = g(ψ).  g on
+        # ⊕_{y2 over b2} D(y, y2) is the invertible source block M at y, so
+        # with T = M⁻¹·u(x, x2) (lift_endofunctor's _transport product) this
+        # says that Tφ is ψ in y2's rows and vanishes in every other row.
+        # So P((x, y), (x2, y2)) ≅ V_y2 = {φ : Tφ vanishes outside y2's
+        # rows}, ψ being the y2 part of Tφ, and pr1 on it is the inclusion
+        # V_y2 ⊆ C(x, x2).
+        # - ker T = ker u(x, x2) for every y, and it is V_y2 for each y2
+        #   that owns no non-zero row of T: one kernel per C-hom.
+        # - When B(b, b2) = 0, u(x, x2) has no rows, so that kernel is all of
+        #   C(x, x2); and it is every V_y2, because the covering g has
+        #   D(y, y2) = 0 (its blocks over a zero base hom are empty), so ψ = 0
+        #   and there is no block to transport through.
+        kernel = _kernel_inclusion(m)
+        eye = Matrix.identity(field, d)
+        whole = (eye.entries, tuple(range(d)), eye)
+        for y in fibres[b]:
+            owned = {}  # fibre object -> its non-zero rows of T
+            if m.nrows:
+                block = gcert.block(b, b2, y, "source")
+                for (w, _), row in zip(block.column_layout,
+                                       (block.inverse @ m).entries):
+                    if any(row):
+                        owned.setdefault(w, []).append(row)
+            for y2 in fibres[b2] if kernel[0] else owned:
+                if y2 not in owned:
+                    space = kernel
+                elif len(owned) == 1:
+                    # T's non-zero rows belong to y2 alone: V_y2 = C(x, x2)
+                    space = whole
+                else:
+                    # several owners: V_y2 is the kernel of T without y2's rows
+                    rest = tuple(row for w, rows in owned.items() if w != y2
+                                 for row in rows)
+                    space = _kernel_inclusion(Matrix(field, len(rest), d, rest))
+                if space[0]:
+                    spaces[((x, y), (x2, y2))] = space
+
+    names = {(x, y): _pair_name(x, y)
+             for x in cat_c.objects for y in fibres[u.object_map[x]]}
+    hom_basis, matrices = {}, {}
+    # in fibre_product's order, so that a clash of names is reported alike
+    for q, q2 in sorted(spaces):
+        p, p2 = names[q], names[q2]
+        rows, _, inclusion = spaces[(q, q2)]
+        hom_basis[(p, p2)] = tuple(f"{p}>{p2}#{i}" for i in range(len(rows)))
+        matrices[(p, p2)] = inclusion
+    # 1_x lies in V_y at (x, y): u(1_x) = 1_b = g(1_y), so T·1_x is 1_y's
+    # coordinates, which vanish outside y's rows
+    identity = {}
+    for q, p in names.items():
+        rows, pivots, _ = spaces[(q, q)]
+        identity[p] = express_in_echelon(rows, pivots, cat_c.identity[q[0]],
+                                         field)
+    category = LinearCategory(field, tuple(names.values()), hom_basis,
+                              identity, {})
+    return LinearFunctor(category, cat_c, {p: q[0] for q, p in names.items()},
+                         matrices)
+
+
 def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
+                         gcert: CoveringCertificate,
                          ) -> Union[TrivialityResult, CoveringFailure]:
     """Whether the first projection u ×_B g → source(u) is a trivial
     covering; the covering failure when it is not a covering at all.  This
     is the fibre-product criterion of both the Galois fibre method and
-    universality."""
-    pr1 = fibre_product(u, g).pr1
+    universality, for a covering g that ``gcert`` certifies."""
+    # The result, and every byte of the reports written from it, is that of
+    # the pr1 of fibre_product(u, g).  Those reports hold object names, block
+    # dimensions, ranks and components (covering_failure_to_json,
+    # triviality_to_json), and none depends on a basis: the objects and
+    # their fibres are the same, and each hom space here is the image of
+    # fibre_product's under its injective pr1, so every block has the same
+    # column count and rank and the same homs are non-zero.
+    # P's composition table is not built, but P is a category and pr1 a
+    # functor: the componentwise composite of two P-homs is a P-hom, as
+    # u(φ'∘φ) = u(φ')u(φ) = g(ψ')g(ψ) = g(ψ'∘ψ), and so is (1_x, 1_y).
+    pr1 = _pullback_pr1(u, g, gcert)
     cert = check_covering(pr1)
     if isinstance(cert, CoveringFailure):
         return cert
     return is_trivial_covering(pr1, cert)
+
 
 
 def is_galois(fun: LinearFunctor, method: str = "direct") -> GaloisVerdict:
@@ -318,7 +425,7 @@ def is_galois(fun: LinearFunctor, method: str = "direct") -> GaloisVerdict:
         return GaloisVerdict(status, method, certificate=cert, deck=deck,
                              fibre=fibre, unreachable=unreachable)
 
-    triviality = _pullback_triviality(fun, fun)
+    triviality = _pullback_triviality(fun, fun, cert)
     if isinstance(triviality, CoveringFailure):
         return GaloisVerdict(GaloisStatus.NON_GALOIS, method, certificate=cert,
                              covering_failure=triviality)
@@ -468,7 +575,7 @@ def check_universal_against(u: LinearFunctor,
             raise ConstructionError(
                 f"family member {idx} is not a Galois covering "
                 f"({verdict.status.value})")
-        triviality = _pullback_triviality(u, member)
+        triviality = _pullback_triviality(u, member, verdict.certificate)
         if isinstance(triviality, CoveringFailure):
             checks.append(UniversalityCheck(
                 idx, False,

@@ -12,6 +12,7 @@ import covcat
 from covcat import cli, documents as docs
 from covcat.cli import main
 from covcat.lincat import PATH_BUDGET, Quiver, product_with_set
+from covcat.linfun import identity_functor
 from covcat.fibprod import fibre_product
 from covcat.galois import deck_group, quotient_by_group
 from covcat.exactalg import GF
@@ -644,6 +645,18 @@ def test_check_universal_refuses_a_family_member_that_is_not_a_functor(
     _write_fx(workspace)
     done = _run_cli(workspace, "check", "universal", "F1", "--family", "FX")
     assert _assert_one_input_error(done, "check") == "functor FX is invalid"
+
+
+def test_check_universal_refuses_a_member_over_another_base(workspace, capsys):
+    # KI is Galois, so the check reaches the fibre-product criterion, which
+    # must refuse a member whose target is another base document
+    kb = kronecker_cover_twisted().target
+    (workspace / "KI.json").write_text(docs.dumps(docs.functor_to_json(
+        identity_functor(kb), "KI", "KB", "KB")))
+    code, report = run(capsys, "check", "universal", "F1",
+                       "--dir", str(workspace), "--family", "KI")
+    assert code == 2
+    assert report["error"] == "functors do not share a base category"
 
 
 @pytest.mark.parametrize("argv", [

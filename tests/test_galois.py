@@ -2,7 +2,7 @@
 
 import pytest
 
-from covcat import galois
+from covcat import fibprod, galois, lincat
 from covcat.errors import ConstructionError, CovcatError, NotConnectedError
 from covcat.exactalg import GF, QQ, Matrix
 from covcat.lincat import LinearCategory, Quiver, connected_components, \
@@ -23,11 +23,11 @@ from covcat.galois import (
     quotient_by_group,
     structure_iso,
 )
-from covcat.examples import base_category, cyclic_cover, standard_bases, \
-    triangle_base, triangle_cover
+from covcat.examples import base_category, cyclic_cover, kronecker, \
+    standard_bases, triangle_base, triangle_cover
 
 from oracles import exhaustive_lifts, full_subcategory, functor_axioms_hold, \
-    product_iso, sections_by_restriction
+    naive_fibre_dims, naive_rank, product_iso, sections_by_restriction
 
 
 # lifts -----------------------------------------------------------------------
@@ -149,16 +149,30 @@ def test_deck_group_rejects_lifts_that_are_not_closed(monkeypatch):
     # without the lift to one sheet of the anchor's fibre, the other lifts
     # of the Z/3 cover are not closed under composition
     missing = check_covering(cover).fibres[cover.target.objects[0]][1]
-    real_lift = galois.lift_endofunctor
+    real_lift = galois._lift
 
-    def lift_missing_one_sheet(fun, x, x_prime, cert=None):
+    def lift_missing_one_sheet(fun, x, x_prime, cert):
         if x_prime == missing:
             return None
         return real_lift(fun, x, x_prime, cert)
 
-    monkeypatch.setattr(galois, "lift_endofunctor", lift_missing_one_sheet)
+    monkeypatch.setattr(galois, "_lift", lift_missing_one_sheet)
     with pytest.raises(CovcatError):
         deck_group(cover)
+
+
+def test_deck_group_checks_connectivity_once(monkeypatch):
+    cover = triangle_cover(4)
+    calls = []
+    real = galois.connected_components
+
+    def counting(cat):
+        calls.append(cat)
+        return real(cat)
+
+    monkeypatch.setattr(galois, "connected_components", counting)
+    assert deck_group(cover).order == 4
+    assert len(calls) == 1
 
 
 def test_galois_stability(f1, f2):
@@ -357,6 +371,92 @@ def test_galois_gating_verdicts():
     verdict = is_galois(incl, "direct")
     assert verdict.status is GaloisStatus.NOT_COVERING
     assert verdict.covering_failure.kind == "not-surjective"
+
+
+def _assert_pullback_dims_match_oracle(u, g, name):
+    pr1 = galois._pullback_pr1(u, g, check_covering(g))
+    dims = naive_fibre_dims(u, g)
+    assert set(pr1.source.objects) == {p for p, _ in dims}, name
+    for (p, p2), dim in dims.items():
+        assert pr1.source.dim(p, p2) == dim, (name, p, p2)
+    # pr1 is injective on each hom space
+    for m in pr1.hom_matrices.values():
+        assert naive_rank([list(r) for r in m.entries], m.field) == m.ncols, name
+
+
+def test_pullback_hom_dims_match_oracle(galois_corpus, gf7_corpus,
+                                        pullback_pairs):
+    """The hom spaces the fibre method reads through the covering
+    certificate, against textbook elimination of [u | −g]."""
+    for name, fun in galois_corpus + gf7_corpus:
+        _assert_pullback_dims_match_oracle(fun, fun, name)
+    for name, cover, incl in pullback_pairs:
+        _assert_pullback_dims_match_oracle(incl, cover, name)
+
+
+def test_fibre_method_agrees_with_exhaustive_lifts(small_corpus):
+    """Galois by the fibre method iff every object of the anchor's fibre is
+    reached by a lift that the backtracking search finds."""
+    for name, fun in small_corpus:
+        fibre = check_covering(fun).fibres[fun.target.objects[0]]
+        lifted = all(exhaustive_lifts(fun, fibre[0], x) for x in fibre)
+        assert is_galois(fun, "fibre").is_galois == lifted, name
+
+
+def _kronecker_arrow_functors():
+    """Functors from the free Kronecker quiver x ⇉ y (arrows a, b) onto the
+    Kronecker base, one per matrix on hom(x, y); with the double cover of
+    the base, [[1, 0], [1, 0]] gives a source block of the right size but
+    rank 1, and [[1, 0], [0, 0]] one with a column too many."""
+    base = cyclic_cover(kronecker(), 1).target
+    b, c = base.objects
+    cat = path_category(Quiver(("x", "y"), (("a", "x", "y"), ("b", "x", "y"))),
+                        [], QQ)
+    one = Matrix.identity(QQ, 1)
+    return [LinearFunctor(cat, base, {"x": b, "y": c},
+                          {("x", "x"): one, ("y", "y"): one,
+                           ("x", "y"): Matrix.from_rows(QQ, rows)})
+            for rows in ([[1, 0], [1, 0]], [[1, 0], [0, 0]], [[0, 1], [1, 0]])]
+
+
+def test_pullback_decision_matches_fibre_product(f1, f2, kron_twisted,
+                                                 triangle_half_twisted):
+    """The fibre-product criterion read through g's certificate gives the
+    witness, or the triviality result, of the built fibre product's pr1:
+    on a singular block, a block with a column too many, several owners
+    of one transported matrix, and trivial and non-trivial projections."""
+    kronecker_cover = cyclic_cover(kronecker(), 2)
+    pairs = [(u, kronecker_cover) for u in _kronecker_arrow_functors()]
+    pairs += [(f1, f2), (f2, f1), (f1, f1), (kron_twisted, kron_twisted),
+              (triangle_half_twisted, f1), (f1, triangle_half_twisted),
+              (triangle_half_twisted, triangle_half_twisted)]
+    kinds = set()
+    for u, g in pairs:
+        pr1 = fibre_product(u, g).pr1
+        built = check_covering(pr1)
+        if isinstance(built, CoveringCertificate):
+            built = is_trivial_covering(pr1, built)
+        got = galois._pullback_triviality(u, g, check_covering(g))
+        assert got == built
+        kinds.add(getattr(got, "kind", None) or got.trivial)
+    assert kinds == {"block-singular", "block-dimension", True, False}
+
+
+def test_fibre_decisions_build_no_fibre_product(monkeypatch, f1, f2,
+                                                kron_twisted):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decision built a fibre product")
+
+    for module, attr in ((fibprod, "fibre_product"),
+                         (fibprod, "category_from_model"),
+                         (lincat, "category_from_model"),
+                         (galois, "category_from_model"),
+                         (galois, "fibre_product")):
+        monkeypatch.setattr(module, attr, refuse, raising=False)
+    assert is_galois(f1, "fibre").is_galois
+    assert not is_galois(kron_twisted, "fibre").is_galois
+    report = check_universal_against(f1, [f1, f2])
+    assert [c.passed for c in report.checks] == [True, False]
 
 
 def test_twisted_kronecker_square_has_an_alien_component(kron_twisted):

@@ -4,6 +4,8 @@ A category is stored by its ordered hom bases and composition structure
 constants.  Zero hom spaces are represented by absence; the graph of
 non-zero homs is indexed once per category (``out_of``, ``into``), and every
 walk over composable pairs, connectivity pass and fibre block reads it there.
+The non-zero structure constants are indexed once too (``_after``): every
+composite, the validators included, is summed over that table.
 Object identifiers are strings and every enumeration is in lexicographic
 order, which keeps all downstream outputs deterministic.
 """
@@ -111,6 +113,18 @@ class LinearCategory:
         """The non-zero hom pairs (x, y) as (y, x), sorted, grouped by y."""
         return by_source((y, x) for x, y in sorted(self.hom_basis))
 
+    @cached_property
+    def _after(self) -> dict[str, dict[str, tuple]]:
+        """The non-zero structure constants: ``_after[f][g]`` holds the
+        non-zero coordinates of g∘f as (index, coefficient) pairs, for each
+        g with g∘f ≠ 0; an f with no such g is absent."""
+        zero = self.field.zero
+        table: dict[str, dict[str, tuple]] = {}
+        for (f, g), coords in self.composition.items():
+            table.setdefault(f, {})[g] = tuple(
+                (t, c) for t, c in enumerate(coords) if c != zero)
+        return table
+
     # queries --------------------------------------------------------------
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
@@ -132,32 +146,24 @@ class LinearCategory:
 
     # composition ----------------------------------------------------------
 
-    def compose_basis(self, f: str, g: str) -> tuple:
-        """Coordinates of g∘f in hom(src f, dst g); zero when unrecorded."""
-        got = self.composition.get((f, g))
-        if got is not None:
-            return got
-        xf, _, _ = self.basis_location[f]
-        _, yg, _ = self.basis_location[g]
-        return self.zero_vector(xf, yg)
-
     def compose_vectors(self, x: str, y: str, z: str, fvec, gvec) -> tuple:
         """Bilinear composite of f: x→y and g: y→z given by coordinates."""
         k = self.field
-        out = list(self.zero_vector(x, z))
-        fbasis, gbasis = self.hom(x, y), self.hom(y, z)
-        for i, fc in enumerate(fvec):
-            if fc == k.zero:
+        zero, add, mul = k.zero, k.add, k.mul
+        out = [zero] * self.dim(x, z)
+        after = self._after
+        gterms = [(g, gc) for g, gc in zip(self.hom(y, z), gvec) if gc != zero]
+        for f, fc in zip(self.hom(x, y), fvec):
+            row = after.get(f)
+            if row is None or fc == zero:
                 continue
-            for j, gc in enumerate(gvec):
-                if gc == k.zero:
-                    continue
-                coords = self.composition.get((fbasis[i], gbasis[j]))
+            for g, gc in gterms:
+                coords = row.get(g)
                 if coords is None:
                     continue
-                s = k.mul(fc, gc)
-                for t, c in enumerate(coords):
-                    out[t] = k.add(out[t], k.mul(s, c))
+                s = mul(fc, gc)
+                for t, c in coords:
+                    out[t] = add(out[t], mul(s, c))
         return tuple(out)
 
 
@@ -236,57 +242,101 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
+def _sparse_sum(field: FieldSpec, terms: list) -> tuple:
+    """Σ s·v over (s, v) in ``terms``, each s non-zero and each v given by
+    its non-zero (index, coefficient) pairs in index order, or None for
+    zero.  The sum is given the same way, so two sums are equal exactly
+    when their vectors are.  A product of non-zero scalars is non-zero, so
+    a single term needs no check for zeros."""
+    if len(terms) == 1:
+        s, coords = terms[0]
+        if not coords:
+            return ()
+        if s == field.one:
+            return coords
+        return tuple((t, field.mul(s, c)) for t, c in coords)
+    zero, add, mul = field.zero, field.add, field.mul
+    acc: dict = {}
+    for s, coords in terms:
+        if coords:
+            for t, c in coords:
+                acc[t] = add(acc.get(t, zero), mul(s, c))
+    return tuple(sorted((t, c) for t, c in acc.items() if c != zero))
+
+
 def validate_category(cat: LinearCategory) -> ValidationReport:
     """Check associativity, two-sided units and centrality of identities.
 
     Structural problems are rejected at construction time; this reports the
     semantic axioms, listing every violation with its witnessing basis tuple.
+    Units come first, in sorted hom order, then centrality per object, then
+    associativity in (x, y, z, w, f, g, h) order.  Every composite is summed
+    over the table of non-zero structure constants.
     """
     problems = []
     k = cat.field
+    after = cat._after
+    no_composites: dict = {}
+    units = {x: [(e, c) for e, c in zip(cat.hom(x, x), coords) if c != k.zero]
+             for x, coords in cat.identity.items()}
 
+    # 1_y∘f and f∘1_x, summed over the non-zero coordinates of the identities
+    left, right = {}, {}
     for (x, y), basis in sorted(cat.hom_basis.items()):
-        idx = cat.identity[x]
-        idy = cat.identity[y]
         for i, f in enumerate(basis):
-            fvec = cat.basis_vector(f)
-            left = cat.compose_vectors(x, y, y, fvec, idy)
-            if left != fvec:
+            frow = after.get(f, no_composites)
+            left[f] = _sparse_sum(k, [(c, frow.get(e)) for e, c in units[y]])
+            right[f] = _sparse_sum(k, [(c, after.get(e, no_composites).get(f))
+                                       for e, c in units[x]])
+            unit = ((i, k.one),)
+            if left[f] != unit:
                 problems.append(Violation("left-unit", (f,),
                                           f"1_{y}∘{f} differs from {f}"))
-            right = cat.compose_vectors(x, x, y, idx, fvec)
-            if right != fvec:
+            if right[f] != unit:
                 problems.append(Violation("right-unit", (f,),
                                           f"{f}∘1_{x} differs from {f}"))
 
+    # For e in hom(x, x), 1_x∘e is e's left-unit value and e∘1_x its
+    # right-unit value, so centrality compares the two; it needs no product.
     for x in cat.objects:
-        idx = cat.identity[x]
         for e in cat.hom(x, x):
-            evec = cat.basis_vector(e)
-            lhs = cat.compose_vectors(x, x, x, evec, idx)
-            rhs = cat.compose_vectors(x, x, x, idx, evec)
-            if lhs != rhs:
+            if left[e] != right[e]:
                 problems.append(Violation("centrality", (e,),
                                           f"1_{x} does not commute with {e}"))
 
-    out_of = cat.out_of
-    for x in cat.objects:
-        for (_, y) in out_of[x]:
-            for (_, z) in out_of[y]:
-                for (_, w) in out_of[z]:
-                    for f in cat.hom(x, y):
-                        fvec = cat.basis_vector(f)
-                        for g in cat.hom(y, z):
-                            gf = cat.compose_basis(f, g)
-                            for h in cat.hom(z, w):
-                                hvec = cat.basis_vector(h)
-                                hg = cat.compose_basis(g, h)
-                                lhs = cat.compose_vectors(x, z, w, gf, hvec)
-                                rhs = cat.compose_vectors(x, y, w, fvec, hg)
-                                if lhs != rhs:
-                                    problems.append(Violation(
-                                        "associativity", (f, g, h),
-                                        f"(h∘g)∘f ≠ h∘(g∘f) for ({f},{g},{h})"))
+    # A triple (f, g, h) with g∘f = 0 and h∘g = 0 has h∘(g∘f) = 0 and
+    # (h∘g)∘f = 0, so it cannot break associativity.  The walk over the
+    # composable pairs (f, g) checks every h out of z when g∘f ≠ 0, and
+    # otherwise only the h with h∘g ≠ 0.  Violations are sorted back into
+    # the order of a scan over (x, y, z, w, f, g, h).
+    out_of, hom, location = cat.out_of, cat.hom_basis, cat.basis_location
+    leaving = {z: [h for pair in out_of[z] for h in hom[pair]]
+               for z in cat.objects}
+    broken = []
+    for (x, y), fbasis in hom.items():
+        for _, z in out_of[y]:
+            gbasis, xz = hom[(y, z)], hom.get((x, z), ())
+            for f in fbasis:
+                frow = after.get(f, no_composites)
+                for g in gbasis:
+                    grow = after.get(g, no_composites)
+                    gf = frow.get(g)
+                    for h in (grow if gf is None else leaving[z]):
+                        hg = grow.get(h)
+                        lhs = () if gf is None else _sparse_sum(k, [
+                            (c, after.get(xz[t], no_composites).get(h))
+                            for t, c in gf])
+                        rhs = () if hg is None else _sparse_sum(k, [
+                            (c, frow.get(hom[(y, location[h][1])][s]))
+                            for s, c in hg])
+                        if lhs != rhs:
+                            key = (x, y, z, location[h][1], location[f][2],
+                                   location[g][2], location[h][2])
+                            broken.append((key, Violation(
+                                "associativity", (f, g, h),
+                                f"(h∘g)∘f ≠ h∘(g∘f) for ({f},{g},{h})")))
+    broken.sort(key=lambda item: item[0])
+    problems.extend(v for _, v in broken)
     return ValidationReport(not problems, tuple(problems))
 
 

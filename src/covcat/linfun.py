@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import ConstructionError
 from .exactalg import Matrix, rank_and_inverse
-from .lincat import LinearCategory, ValidationReport, Violation
+from .lincat import LinearCategory, ValidationReport, Violation, _sparse_sum
 
 __all__ = [
     "LinearFunctor",
@@ -87,28 +87,48 @@ def identity_functor(cat: LinearCategory) -> LinearFunctor:
 
 
 def validate_functor(fun: LinearFunctor) -> ValidationReport:
-    """Check the two functor axioms: units map to units, composition is preserved."""
+    """Check the two functor axioms: units map to units, composition is preserved.
+
+    Every composable pair is checked, g∘f = 0 included: F(g)∘F(f) may still
+    be non-zero.  F(g∘f) is summed over the source's non-zero structure
+    constants and the sparse image columns, F(g)∘F(f) over the target's.
+    """
     problems = []
     src, dst = fun.source, fun.target
+    k, om = src.field, fun.object_map
 
     for x in src.objects:
-        fx = fun.object_map[x]
+        fx = om[x]
         image = fun.apply(x, x, src.identity[x])
         if image != dst.identity[fx]:
             problems.append(Violation("unit", (x,),
                                       f"image of 1_{x} is not 1_{fx}"))
 
-    out_of = src.out_of
+    # the non-zero (row, entry) pairs of each basis morphism's image column
+    column = {}
+    for (x, y), m in fun.hom_matrices.items():
+        for i, f in enumerate(src.hom(x, y)):
+            column[f] = tuple((r, row[i]) for r, row in enumerate(m.entries)
+                              if row[i] != k.zero)
+
+    src_after, dst_after, no_composites = src._after, dst._after, {}
+    out_of, hom = src.out_of, src.hom_basis
     for x in src.objects:
         for (_, y) in out_of[x]:
             for (_, z) in out_of[y]:
-                fx, fy, fz = fun.object_map[x], fun.object_map[y], fun.object_map[z]
-                for f in src.hom(x, y):
-                    ff = fun.apply(x, y, src.basis_vector(f))
-                    for g in src.hom(y, z):
-                        lhs = fun.apply(x, z, src.compose_basis(f, g))
-                        fg = fun.apply(y, z, src.basis_vector(g))
-                        rhs = dst.compose_vectors(fx, fy, fz, ff, fg)
+                fx, fy, fz = om[x], om[y], om[z]
+                xz, fxfy, fyfz = hom.get((x, z), ()), dst.hom(fx, fy), dst.hom(fy, fz)
+                for f in hom[(x, y)]:
+                    frow = src_after.get(f, no_composites)
+                    # (entry, composites) for each non-zero entry of F(f)
+                    image_rows = [(u, dst_after.get(fxfy[a], no_composites))
+                                  for a, u in column[f]]
+                    for g in hom[(y, z)]:
+                        gf = frow.get(g, ())
+                        lhs = _sparse_sum(k, [(c, column[xz[t]]) for t, c in gf])
+                        rhs = _sparse_sum(k, [(k.mul(u, v), row.get(fyfz[b]))
+                                              for u, row in image_rows
+                                              for b, v in column[g]])
                         if lhs != rhs:
                             problems.append(Violation(
                                 "composition", (f, g),

@@ -7,6 +7,9 @@ straight off the hom bases, path classes are checked against the relation
 ideal closed over a fresh path walk, lifts are found by exhaustive
 backtracking over fibre-constrained object maps with per-hom linear solves,
 and mediating functors are found by brute-force coordinate solving.
+Category and functor axioms are checked by a dense scan over every basis
+tuple, composing straight from the composition table, never through
+``compose_vectors`` or the validators' own index of non-zero composites.
 Sections of a trivial covering are built per component from the full
 subcategory and ``is_isomorphism``, not from the object count that
 ``is_trivial_covering`` decides by.
@@ -257,11 +260,80 @@ def star_dim(cat: LinearCategory, b: str) -> int:
     return out_of + into
 
 
-# functor axioms, checked directly against the structure constants ---------------
+# category and functor axioms, checked directly against the structure constants
 
 
-def functor_axioms_hold(source: LinearCategory, target: LinearCategory,
-                        object_map, matrices) -> bool:
+def _unit_vector(cat: LinearCategory, x: str, y: str, i: int) -> tuple:
+    return tuple(cat.field.one if j == i else cat.field.zero
+                 for j in range(cat.dim(x, y)))
+
+
+def _dense_compose(cat: LinearCategory, x, y, z, fvec, gvec) -> tuple:
+    """g∘f for f in hom(x, y) and g in hom(y, z), summed over every pair of
+    basis coordinates straight from the composition table."""
+    field = cat.field
+    out = [field.zero] * cat.dim(x, z)
+    for fname, fc in zip(cat.hom(x, y), fvec):
+        for gname, gc in zip(cat.hom(y, z), gvec):
+            for t, c in enumerate(cat.composition.get((fname, gname), ())):
+                out[t] = field.add(out[t], field.mul(field.mul(fc, gc), c))
+    return tuple(out)
+
+
+def _hom_pairs_by_source(cat: LinearCategory) -> dict:
+    outgoing = {}
+    for (x, y) in sorted(cat.hom_basis):
+        outgoing.setdefault(x, []).append(y)
+    return outgoing
+
+
+def category_axiom_violations(cat: LinearCategory) -> list:
+    """(kind, witness, message) for every unit, centrality and associativity
+    failure of ``cat``, by a dense scan over every basis tuple: units per
+    hom pair (x, y) in sorted order, centrality per object, then
+    associativity per (x, y, z, w, f, g, h)."""
+    found = []
+    outgoing = _hom_pairs_by_source(cat)
+    for (x, y) in sorted(cat.hom_basis):
+        for i, f in enumerate(cat.hom(x, y)):
+            fvec = _unit_vector(cat, x, y, i)
+            if _dense_compose(cat, x, y, y, fvec, cat.identity[y]) != fvec:
+                found.append(("left-unit", (f,), f"1_{y}∘{f} differs from {f}"))
+            if _dense_compose(cat, x, x, y, cat.identity[x], fvec) != fvec:
+                found.append(("right-unit", (f,), f"{f}∘1_{x} differs from {f}"))
+    for x in sorted(cat.objects):
+        idx = cat.identity[x]
+        for i, e in enumerate(cat.hom(x, x)):
+            evec = _unit_vector(cat, x, x, i)
+            if _dense_compose(cat, x, x, x, evec, idx) != \
+                    _dense_compose(cat, x, x, x, idx, evec):
+                found.append(("centrality", (e,),
+                              f"1_{x} does not commute with {e}"))
+    for (x, y) in sorted(cat.hom_basis):
+        for z in outgoing[y]:
+            for w in outgoing[z]:
+                for i, f in enumerate(cat.hom(x, y)):
+                    fvec = _unit_vector(cat, x, y, i)
+                    for j, g in enumerate(cat.hom(y, z)):
+                        gvec = _unit_vector(cat, y, z, j)
+                        gf = _dense_compose(cat, x, y, z, fvec, gvec)
+                        for l, h in enumerate(cat.hom(z, w)):
+                            hvec = _unit_vector(cat, z, w, l)
+                            hg = _dense_compose(cat, y, z, w, gvec, hvec)
+                            if _dense_compose(cat, x, z, w, gf, hvec) != \
+                                    _dense_compose(cat, x, y, w, fvec, hg):
+                                found.append((
+                                    "associativity", (f, g, h),
+                                    f"(h∘g)∘f ≠ h∘(g∘f) for ({f},{g},{h})"))
+    return found
+
+
+def _functor_violations(source: LinearCategory, target: LinearCategory,
+                        object_map, matrices):
+    """Yield (kind, witness, message) for each failed functor axiom of the
+    functor given by ``object_map`` and ``matrices`` (row tuples per
+    non-zero source hom): units per object, then composition per
+    (x, y, z, f, g), all in sorted order."""
     field = source.field
 
     def image(x, y, vec):
@@ -276,23 +348,38 @@ def functor_axioms_hold(source: LinearCategory, target: LinearCategory,
             out[row_idx] = acc
         return tuple(out)
 
-    for x in source.objects:
-        if image(x, x, source.identity[x]) != target.identity[object_map[x]]:
-            return False
-    for (x, y) in source.hom_basis:
-        for (y2, z) in source.hom_basis:
-            if y2 != y:
-                continue
+    for x in sorted(source.objects):
+        fx = object_map[x]
+        if image(x, x, source.identity[x]) != target.identity[fx]:
+            yield ("unit", (x,), f"image of 1_{x} is not 1_{fx}")
+    outgoing = _hom_pairs_by_source(source)
+    for (x, y) in sorted(source.hom_basis):
+        for z in outgoing[y]:
             fx, fy, fz = object_map[x], object_map[y], object_map[z]
-            for f in source.hom(x, y):
-                ff = image(x, y, source.basis_vector(f))
-                for g in source.hom(y, z):
-                    lhs = image(x, z, source.compose_basis(f, g))
-                    gg = image(y, z, source.basis_vector(g))
-                    rhs = target.compose_vectors(fx, fy, fz, ff, gg)
+            for i, f in enumerate(source.hom(x, y)):
+                fvec = _unit_vector(source, x, y, i)
+                ff = image(x, y, fvec)
+                for j, g in enumerate(source.hom(y, z)):
+                    gvec = _unit_vector(source, y, z, j)
+                    lhs = image(x, z, _dense_compose(source, x, y, z, fvec, gvec))
+                    rhs = _dense_compose(target, fx, fy, fz, ff,
+                                         image(y, z, gvec))
                     if lhs != rhs:
-                        return False
-    return True
+                        yield ("composition", (f, g),
+                               f"F({g}∘{f}) differs from F({g})∘F({f})")
+
+
+def functor_axiom_violations(fun: LinearFunctor) -> list:
+    """(kind, witness, message) for every failed functor axiom of ``fun``."""
+    return list(_functor_violations(
+        fun.source, fun.target, fun.object_map,
+        {pair: m.entries for pair, m in fun.hom_matrices.items()}))
+
+
+def functor_axioms_hold(source: LinearCategory, target: LinearCategory,
+                        object_map, matrices) -> bool:
+    return next(_functor_violations(source, target, object_map, matrices),
+                None) is None
 
 
 # exhaustive lift search ----------------------------------------------------------

@@ -11,11 +11,12 @@ import pytest
 import covcat
 from covcat import cli, documents as docs
 from covcat.cli import main
-from covcat.lincat import PATH_BUDGET, Quiver, product_with_set
+from covcat.lincat import PATH_BUDGET, LinearCategory, Quiver, product_with_set, \
+    validate_category
 from covcat.linfun import identity_functor
 from covcat.fibprod import fibre_product
 from covcat.galois import deck_group, quotient_by_group
-from covcat.exactalg import GF
+from covcat.exactalg import GF, QQ
 from covcat.examples import (
     cyclic_cover,
     kronecker_cover_twisted,
@@ -780,3 +781,85 @@ def test_hom_list_order_changes_no_report_or_built_byte(
     assert [code for code, _ in outputs["sorted"][:4]] == \
         ([0, 0, 0, 1] if galois else [0, 1, 1, 1])
     assert outputs["reversed"] == outputs["sorted"]
+
+
+# pinned report bytes ------------------------------------------------------------
+
+
+def _dual_number_category():
+    """x carries Q[e]/(e²); a: x→y, b: y→z, and ae = a∘e, ba, bae = b∘a∘e."""
+    homs = {("x", "x"): ("1_x", "e"), ("x", "y"): ("a", "ae"),
+            ("x", "z"): ("ba", "bae"), ("y", "y"): ("1_y",),
+            ("y", "z"): ("b",), ("z", "z"): ("1_z",)}
+    first, second = (1, 0), (0, 1)
+    comp = {("1_x", "1_x"): first, ("1_x", "e"): second, ("e", "1_x"): second,
+            ("1_x", "a"): first, ("e", "a"): second, ("1_x", "ae"): second,
+            ("1_x", "ba"): first, ("e", "ba"): second, ("1_x", "bae"): second,
+            ("a", "1_y"): first, ("ae", "1_y"): second, ("1_y", "1_y"): (1,),
+            ("a", "b"): first, ("ae", "b"): second, ("1_y", "b"): (1,),
+            ("ba", "1_z"): first, ("bae", "1_z"): second, ("b", "1_z"): (1,),
+            ("1_z", "1_z"): (1,)}
+    identity = {"x": first, "y": (1,), "z": (1,)}
+    return LinearCategory(QQ, ("x", "y", "z"), homs, identity, comp)
+
+
+def _broken_dual_number_document() -> dict:
+    """Unit, centrality and associativity violations spread over several
+    hom spaces: e∘1_x = 2e, e∘e = 1_x, b∘a = bae, 1_z∘ba = 0 and
+    1_z = 2·1_z."""
+    doc = docs.category_to_json(_dual_number_category(), "D")
+    for entry in doc["composition"]:
+        if (entry["f"], entry["g"]) == ("1_x", "e"):
+            entry["result"] = [{"basis": "e", "coeff": "2"}]
+        if (entry["f"], entry["g"]) == ("a", "b"):
+            entry["result"] = [{"basis": "bae", "coeff": "1"}]
+    doc["composition"].append({"f": "e", "g": "e",
+                               "result": [{"basis": "1_x", "coeff": "1"}]})
+    doc["composition"] = [entry for entry in doc["composition"]
+                          if (entry["f"], entry["g"]) != ("ba", "1_z")]
+    doc["identity"]["z"] = ["2"]
+    return doc
+
+
+def _golden(name: str) -> str:
+    return (Path(__file__).parent / "golden" / name).read_text()
+
+
+def test_validate_category_report_matches_golden_file(capsys, tmp_path):
+    assert validate_category(_dual_number_category()).ok
+    (tmp_path / "D.json").write_text(docs.dumps(_broken_dual_number_document()))
+    code = main(["validate", str(tmp_path / "D.json")])
+    assert code == 1
+    assert capsys.readouterr().out == _golden("validate-category.json")
+
+
+def _broken_f1_document(workspace) -> dict:
+    """F1 with c_i*b_i sent to a, b0 sent to 2b and 1_u1 sent to 2·1_u."""
+    doc = json.loads((workspace / "F1.json").read_text())
+    for entry in doc["hom_matrices"]:
+        key = (entry["src"], entry["dst"])
+        if key in (("t0", "s0"), ("t1", "s1")):
+            entry["matrix"] = ["1", "0"]
+        elif key in (("t0", "u0"), ("u1", "u1")):
+            entry["matrix"] = ["2"]
+    return doc
+
+
+def test_validate_functor_report_matches_golden_file(workspace, capsys):
+    (workspace / "F1.json").write_text(docs.dumps(_broken_f1_document(workspace)))
+    code = main(["validate", *(str(workspace / f"{name}.json")
+                               for name in ("B", "C2", "F1"))])
+    assert code == 1
+    assert capsys.readouterr().out == _golden("validate-functor.json")
+
+
+def test_check_covering_on_a_broken_source_matches_pinned_bytes(workspace,
+                                                                capsys):
+    doc = json.loads((workspace / "C2.json").read_text())
+    doc["identity"]["t0"] = ["2"]
+    (workspace / "C2.json").write_text(docs.dumps(doc))
+    code = main(["check", "covering", str(workspace / "F1.json")])
+    assert code == 2
+    assert capsys.readouterr().out == (
+        '{\n  "command": "check",\n'
+        '  "error": "source category of F1 is invalid"\n}\n')

@@ -26,7 +26,7 @@ def test_double_cover_functor_is_valid_and_respects_composites(f1):
     assert validate_functor(f1).ok
     # the composite c0∘b0 is forced onto c*b
     src, dst = f1.source, f1.target
-    composite = src.compose_basis("b0", "c0")
+    composite = src.composition[("b0", "c0")]
     image = f1.apply("t0", "s0", composite)
     assert image == dst.basis_vector("c*b")
     assert dst.hom("t", "s") == ("a", "c*b")

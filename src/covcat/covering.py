@@ -6,6 +6,9 @@ every lift x of b, the restriction of the functor to the morphisms from x
 into the whole fibre of c must be a bijection onto hom(b, c), and dually
 for lifts of c.  This is equivalent to the star condition but yields small
 matrices and a precise first-failure witness.
+
+``LinearFunctor.covering`` caches ``check_covering``; a certificate holds
+no reference to its functor, so that cache makes no reference cycle.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ class FibreBlock:
 
 @dataclass(frozen=True)
 class CoveringCertificate:
-    functor: LinearFunctor
     fibres: dict[str, tuple[str, ...]]
     blocks: dict[tuple[str, str, str, str], FibreBlock]
 
@@ -127,5 +129,5 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
                     b, c, lift, direction, tuple(layout), matrix, inverse)
 
     fibres = {b: fun.fibre(b) for b in base.objects}
-    return CoveringCertificate(fun, fibres, blocks)
+    return CoveringCertificate(fibres, blocks)
 

@@ -66,6 +66,13 @@ def _name(value, what: str, path=None) -> str:
     return value
 
 
+def _array(value, what: str, path=None) -> list:
+    """``value``, refused unless a JSON array: a string reads as its characters."""
+    if not isinstance(value, list):
+        raise DocumentError(f"{what} {value!r} is not a JSON array", path)
+    return value
+
+
 def _parse_coeff(field: FieldSpec, text, path=None):
     if not isinstance(text, str):
         raise DocumentError(f"coefficient {text!r} must be a string", path)
@@ -108,16 +115,17 @@ def category_from_json(doc: dict, path=None) -> tuple[str, LinearCategory]:
         raise DocumentError(f"not a {FORMAT_LINCAT} document", path)
     name = _need(doc, "name", path)
     field = field_from_json(_need(doc, "field", path), path)
-    objects = tuple(_need(doc, "objects", path))
+    objects = tuple(_array(_need(doc, "objects", path), "objects", path))
     hom_basis = {}
     for entry in _need(doc, "homs", path):
         key = (_need(entry, "src", path), _need(entry, "dst", path))
         if key in hom_basis:
             raise DocumentError(f"duplicate hom entry {key}", path)
-        hom_basis[key] = tuple(_need(entry, "basis", path))
+        hom_basis[key] = tuple(_array(_need(entry, "basis", path), "basis", path))
     identity = {}
     for x, coords in _need(doc, "identity", path).items():
-        identity[x] = tuple(_parse_coeff(field, c, path) for c in coords)
+        identity[x] = tuple(_parse_coeff(field, c, path)
+                            for c in _array(coords, "identity", path))
     location = {}
     for (x, y), basis in hom_basis.items():
         for i, b in enumerate(basis):
@@ -129,18 +137,16 @@ def category_from_json(doc: dict, path=None) -> tuple[str, LinearCategory]:
         f, g = _need(entry, "f", path), _need(entry, "g", path)
         if f not in location or g not in location:
             raise DocumentError(f"composition ({f},{g}) references unknown basis", path)
-        xf = location[f][0]
-        yg = location[g][1]
-        names = hom_basis.get((xf, yg), ())
-        coords = [field.zero] * len(names)
-        index = {b: i for i, b in enumerate(names)}
+        xf, yg = location[f][0], location[g][1]
+        coords = [field.zero] * len(hom_basis.get((xf, yg), ()))
         for term in _need(entry, "result", path):
             b = _need(term, "basis", path)
-            if b not in index:
+            x, y, i = location.get(b, (None, None, None))
+            if (x, y) != (xf, yg):
                 raise DocumentError(
                     f"composition ({f},{g}) result uses foreign basis {b!r}", path)
-            coords[index[b]] = field.add(
-                coords[index[b]], _parse_coeff(field, _need(term, "coeff", path), path))
+            coords[i] = field.add(
+                coords[i], _parse_coeff(field, _need(term, "coeff", path), path))
         composition[(f, g)] = tuple(coords)
     try:
         cat = LinearCategory(field, objects, hom_basis, identity, composition)
@@ -192,7 +198,8 @@ def functor_from_json(doc: dict, categories: Mapping[str, LinearCategory],
         if fx is None or fy is None:
             raise DocumentError(f"object map misses {x} or {y}", path)
         rows = target.dim(fx, fy)
-        flat = [_parse_coeff(field, c, path) for c in _need(entry, "matrix", path)]
+        flat = [_parse_coeff(field, c, path)
+                for c in _array(_need(entry, "matrix", path), "matrix", path)]
         if len(flat) != rows * cols:
             raise DocumentError(
                 f"matrix at ({x},{y}) has {len(flat)} entries, "
@@ -232,7 +239,8 @@ def quiver_from_json(doc: dict, path=None):
     field = field_from_json(doc.get("field", {"kind": "Q"}), path)
     try:
         quiver = Quiver(tuple(_name(v, "vertex", path)
-                              for v in _need(doc, "vertices", path)),
+                              for v in _array(_need(doc, "vertices", path),
+                                              "vertices", path)),
                         tuple((_name(_need(a, "name", path), "arrow", path),
                                _need(a, "src", path), _need(a, "dst", path))
                               for a in _need(doc, "arrows", path)))
@@ -241,8 +249,9 @@ def quiver_from_json(doc: dict, path=None):
     relations = []
     for rel in doc.get("relations", []):
         relations.append([(_parse_coeff(field, _need(t, "coeff", path), path),
-                           [_name(a, "relation path arrow", path)
-                            for a in _need(t, "path", path)]) for t in rel])
+                           [_name(a, "relation path arrow", path) for a in
+                            _array(_need(t, "path", path), "path", path)])
+                          for t in rel])
     return name, quiver, relations, field
 
 
@@ -257,7 +266,8 @@ def algebra_from_json(doc: dict, path=None):
         raise DocumentError(f"not a {FORMAT_ALGEBRA} document", path)
     name = _need(doc, "name", path)
     field = field_from_json(_need(doc, "field", path), path)
-    basis = [_name(b, "basis", path) for b in _need(doc, "basis", path)]
+    basis = [_name(b, "basis", path)
+             for b in _array(_need(doc, "basis", path), "basis", path)]
     mult = {}
     for entry in _need(doc, "table", path):
         a, b = _need(entry, "a", path), _need(entry, "b", path)
@@ -269,7 +279,7 @@ def algebra_from_json(doc: dict, path=None):
     idems = []
     for entry in _need(doc, "idempotents", path):
         coords = [_parse_coeff(field, c, path)
-                  for c in _need(entry, "coords", path)]
+                  for c in _array(_need(entry, "coords", path), "coords", path)]
         idems.append((_name(_need(entry, "name", path), "idempotent", path),
                       coords))
     return name, field, basis, mult, idems
@@ -279,10 +289,10 @@ def algebra_from_json(doc: dict, path=None):
 
 
 def certificate_to_json(cert: CoveringCertificate, functor_name: str) -> dict:
-    fmt = cert.functor.source.field.format
     blocks = []
     for key in sorted(cert.blocks):
         block = cert.blocks[key]
+        fmt = block.matrix.field.format
         blocks.append({
             "base_src": block.base_src,
             "base_dst": block.base_dst,

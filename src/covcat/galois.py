@@ -1,7 +1,9 @@
 """Deck transformations and the Galois / trivial / universal decision procedures.
 
+Every decision reads a functor's covering certificate off its one cached
+check, ``LinearFunctor.covering``, and none takes a certificate or a verdict.
 A lift of one object to an endofunctor H with FH = F is read off the
-inverse fibre blocks of a covering certificate in one breadth-first pass;
+inverse fibre blocks of that certificate in one breadth-first pass;
 uniqueness of lifts makes the pass deterministic and makes the x0-anchored
 lifts exhaust the whole deck group.
 
@@ -21,8 +23,7 @@ from .errors import ConstructionError, CovcatError, NotConnectedError, \
 from .exactalg import Matrix, express_in_echelon, kernel_basis
 from .lincat import LinearCategory, category_from_model, connected_components
 from .linfun import LinearFunctor, compose, functor_equal, is_isomorphism
-from .covering import CoveringCertificate, CoveringFailure, FibreBlock, \
-    check_covering
+from .covering import CoveringCertificate, CoveringFailure, FibreBlock
 from .fibprod import _pair_name
 
 __all__ = [
@@ -44,14 +45,10 @@ __all__ = [
 ]
 
 
-def _ensure_certificate(fun: LinearFunctor,
-                        cert: Optional[CoveringCertificate]) -> CoveringCertificate:
-    if cert is not None:
-        return cert
-    got = check_covering(fun)
-    if isinstance(got, CoveringFailure):
-        raise NotCoveringError(got.message())
-    return got
+def _ensure_certificate(fun: LinearFunctor) -> CoveringCertificate:
+    if isinstance(fun.covering, CoveringFailure):
+        raise NotCoveringError(fun.covering.message())
+    return fun.covering
 
 
 def _ensure_connected(cat: LinearCategory, which: str) -> None:
@@ -63,9 +60,8 @@ def _ensure_connected(cat: LinearCategory, which: str) -> None:
 # deck transformations -------------------------------------------------------
 
 
-def lift_endofunctor(fun: LinearFunctor, x: str, x_prime: str,
-                     cert: Optional[CoveringCertificate] = None,
-                     ) -> Optional[LinearFunctor]:
+def lift_endofunctor(fun: LinearFunctor, x: str,
+                     x_prime: str) -> Optional[LinearFunctor]:
     """The unique endofunctor H with FH = F and H(x) = x', if one exists.
 
     Breadth-first from x: F's matrix on each hom(u, v) at a reached u,
@@ -75,7 +71,7 @@ def lift_endofunctor(fun: LinearFunctor, x: str, x_prime: str,
     H(u).  None when this fails, as at most one H exists.  ``fun`` must be
     a functor.
     """
-    cert = _ensure_certificate(fun, cert)
+    cert = _ensure_certificate(fun)
     _ensure_connected(fun.source, "source")
     if fun.object_map[x] != fun.object_map[x_prime]:
         raise ConstructionError(f"{x} and {x_prime} are not in the same fibre")
@@ -175,16 +171,14 @@ def _check_free(objects: Sequence[str],
             raise ConstructionError("group action is not free on objects")
 
 
-def deck_group(fun: LinearFunctor,
-               cert: Optional[CoveringCertificate] = None) -> DeckGroup:
+def deck_group(fun: LinearFunctor) -> DeckGroup:
     """Aut_1(F) for a connected covering, built from lifts anchored at the
     least object of the least-named base fibre; verified to be a group
     acting freely."""
-    cert = _ensure_certificate(fun, cert)
+    cert = _ensure_certificate(fun)
     _ensure_connected(fun.source, "source")
 
-    base_obj = fun.target.objects[0]
-    fibre = cert.fibres[base_obj]
+    fibre = cert.fibres[fun.target.objects[0]]
     anchor = fibre[0]
     # the source is connected (checked once above) and every x' shares the
     # anchor's fibre, so each lift skips lift_endofunctor's checks
@@ -235,13 +229,11 @@ class TrivialityResult:
     failing_component: Optional[tuple[str, ...]] = None
 
 
-def is_trivial_covering(fun: LinearFunctor,
-                        cert: Optional[CoveringCertificate] = None,
-                        ) -> TrivialityResult:
+def is_trivial_covering(fun: LinearFunctor) -> TrivialityResult:
     """True iff every connected component of the source maps isomorphically
     onto the (connected) base; ``fun`` must be a functor.  The failing
     component is the first with more objects than the base."""
-    _ensure_certificate(fun, cert)
+    _ensure_certificate(fun)
     _ensure_connected(fun.target, "target")
     parts, _ = connected_components(fun.source)
     # For a covering, K maps isomorphically onto B iff |K| = |B|.  K maps
@@ -273,7 +265,6 @@ class GaloisVerdict:
     method: str
     components: Optional[tuple[tuple[str, ...], ...]] = None
     covering_failure: Optional[CoveringFailure] = None
-    certificate: Optional[CoveringCertificate] = None
     deck: Optional[DeckGroup] = None
     fibre: Optional[tuple[str, ...]] = None
     unreachable: Optional[tuple[str, ...]] = None
@@ -291,10 +282,9 @@ def _kernel_inclusion(m: Matrix) -> tuple:
     return rows, pivots, Matrix.from_columns(m.field, rows, m.ncols)
 
 
-def _pullback_pr1(u: LinearFunctor, g: LinearFunctor,
-                  gcert: CoveringCertificate) -> LinearFunctor:
-    """The first projection of P = source(u) ×_B source(g), for a covering g
-    that ``gcert`` certifies, with P's hom spaces read through ``gcert``.
+def _pullback_pr1(u: LinearFunctor, g: LinearFunctor) -> LinearFunctor:
+    """The first projection of P = source(u) ×_B source(g), for a covering g,
+    with P's hom spaces read through g's certificate.
 
     Only P's objects, hom bases and identities, and pr1's object map and
     matrices, are meaningful: P's composition table is left empty, as
@@ -304,6 +294,7 @@ def _pullback_pr1(u: LinearFunctor, g: LinearFunctor,
     """
     if u.target != g.target:
         raise ConstructionError("functors do not share a base category")
+    gcert = _ensure_certificate(g)
     cat_c, field, fibres = u.source, u.target.field, gcert.fibres
     # A zero C-hom gives no P-hom: u(0) = 0 = g(ψ) forces ψ = 0, as g is
     # injective on each hom space (its columns sit in an invertible block).
@@ -372,12 +363,11 @@ def _pullback_pr1(u: LinearFunctor, g: LinearFunctor,
 
 
 def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
-                         gcert: CoveringCertificate,
                          ) -> Union[TrivialityResult, CoveringFailure]:
     """Whether the first projection u ×_B g → source(u) is a trivial
     covering; the covering failure when it is not a covering at all.  This
     is the fibre-product criterion of both the Galois fibre method and
-    universality, for a covering g that ``gcert`` certifies."""
+    universality, for a covering g."""
     # The result, and every byte of the reports written from it, is that of
     # the pr1 of fibre_product(u, g).  Those reports hold object names, block
     # dimensions, ranks and components (covering_failure_to_json,
@@ -388,11 +378,10 @@ def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
     # P's composition table is not built, but P is a category and pr1 a
     # functor: the componentwise composite of two P-homs is a P-hom, as
     # u(φ'∘φ) = u(φ')u(φ) = g(ψ')g(ψ) = g(ψ'∘ψ), and so is (1_x, 1_y).
-    pr1 = _pullback_pr1(u, g, gcert)
-    cert = check_covering(pr1)
-    if isinstance(cert, CoveringFailure):
-        return cert
-    return is_trivial_covering(pr1, cert)
+    pr1 = _pullback_pr1(u, g)
+    if isinstance(pr1.covering, CoveringFailure):
+        return pr1.covering
+    return is_trivial_covering(pr1)
 
 
 
@@ -409,28 +398,26 @@ def is_galois(fun: LinearFunctor, method: str = "direct") -> GaloisVerdict:
     parts, connected = connected_components(fun.source)
     if not connected:
         return GaloisVerdict(GaloisStatus.NOT_CONNECTED, method, components=parts)
-    cert = check_covering(fun)
+    cert = fun.covering
     if isinstance(cert, CoveringFailure):
         return GaloisVerdict(GaloisStatus.NOT_COVERING, method,
                              covering_failure=cert)
 
     if method == "direct":
-        deck = deck_group(fun, cert)
-        base_obj = fun.target.objects[0]
-        fibre = cert.fibres[base_obj]
-        anchor = fibre[0]
-        orbit = deck.orbit(anchor)
+        deck = deck_group(fun)
+        fibre = cert.fibres[fun.target.objects[0]]
+        orbit = deck.orbit(fibre[0])
         unreachable = tuple(x for x in fibre if x not in orbit)
         status = GaloisStatus.GALOIS if not unreachable else GaloisStatus.NON_GALOIS
-        return GaloisVerdict(status, method, certificate=cert, deck=deck,
-                             fibre=fibre, unreachable=unreachable)
+        return GaloisVerdict(status, method, deck=deck, fibre=fibre,
+                             unreachable=unreachable)
 
-    triviality = _pullback_triviality(fun, fun, cert)
+    triviality = _pullback_triviality(fun, fun)
     if isinstance(triviality, CoveringFailure):
-        return GaloisVerdict(GaloisStatus.NON_GALOIS, method, certificate=cert,
+        return GaloisVerdict(GaloisStatus.NON_GALOIS, method,
                              covering_failure=triviality)
     status = GaloisStatus.GALOIS if triviality.trivial else GaloisStatus.NON_GALOIS
-    return GaloisVerdict(status, method, certificate=cert, triviality=triviality)
+    return GaloisVerdict(status, method, triviality=triviality)
 
 
 def is_galois_both(fun: LinearFunctor) -> GaloisVerdict:
@@ -515,12 +502,10 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
     return quotient, projection
 
 
-def structure_iso(fun: LinearFunctor,
-                  verdict: Optional[GaloisVerdict] = None) -> LinearFunctor:
+def structure_iso(fun: LinearFunctor) -> LinearFunctor:
     """The unique isomorphism F' from the quotient by the deck group to the
     base with F'∘P = F, for a Galois covering."""
-    if verdict is None or verdict.deck is None:
-        verdict = is_galois(fun, "direct")
+    verdict = is_galois(fun, "direct")
     if not verdict.is_galois:
         raise ConstructionError("functor is not a Galois covering")
     quotient, projection = quotient_by_group(fun.source, verdict.deck)
@@ -566,7 +551,7 @@ def check_universal_against(u: LinearFunctor,
     """PASS for a family member F iff the fibre product of u with F projects
     onto the source of u as a trivial covering.  Certifies universality only
     relative to the supplied family."""
-    _ensure_certificate(u, None)
+    _ensure_certificate(u)
     _ensure_connected(u.source, "source")
     checks = []
     for idx, member in enumerate(family):
@@ -575,7 +560,7 @@ def check_universal_against(u: LinearFunctor,
             raise ConstructionError(
                 f"family member {idx} is not a Galois covering "
                 f"({verdict.status.value})")
-        triviality = _pullback_triviality(u, member, verdict.certificate)
+        triviality = _pullback_triviality(u, member)
         if isinstance(triviality, CoveringFailure):
             checks.append(UniversalityCheck(
                 idx, False,

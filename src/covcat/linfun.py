@@ -72,6 +72,12 @@ class LinearFunctor:
                 over.setdefault((om[x], om[y]), []).append((x, y))
         return over
 
+    @cached_property
+    def covering(self):
+        """``check_covering(self)``, looked up in its module at call time."""
+        from . import covering  # covering imports this module
+        return covering.check_covering(self)
+
     def apply(self, x: str, y: str, coords) -> tuple:
         """Image coordinates of a morphism given by coordinates in hom(x, y)."""
         m = self.hom_matrices.get((x, y))

@@ -115,7 +115,7 @@ def test_criterion_06_structure_theorem_over_corpus(galois_corpus):
         if verdict.status is not GaloisStatus.GALOIS:
             continue
         checked += 1
-        prime = structure_iso(fun, verdict)
+        prime = structure_iso(fun)
         quotient, projection = quotient_by_group(fun.source, verdict.deck)
         if is_isomorphism(prime) is None:
             failures.append(f"{name}: not iso")
@@ -146,7 +146,7 @@ def test_criterion_07_lift_uniqueness_by_exhaustion(small_corpus):
         anchor = fibre[0]
         for x_prime in fibre:
             found = exhaustive_lifts(fun, anchor, x_prime)
-            lift = lift_endofunctor(fun, anchor, x_prime, cert)
+            lift = lift_endofunctor(fun, anchor, x_prime)
             checked_pairs += 1
             if len(found) > 1:
                 failures.append(f"{name}: {len(found)} lifts to {x_prime}")
@@ -164,7 +164,7 @@ def test_criterion_08_freeness_and_transitivity(galois_corpus):
     failures = []
     for name, fun in galois_corpus:
         cert = check_covering(fun)
-        deck = deck_group(fun, cert)
+        deck = deck_group(fun)
         identity = identity_functor(fun.source)
         for i, h in enumerate(deck.elements):
             if functor_equal(h, identity):

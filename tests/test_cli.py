@@ -604,6 +604,53 @@ def test_build_from_malformed_quiver_or_algebra_is_an_input_error(
     assert not (tmp_path / "out").exists()
 
 
+def _functor_with_a_string_matrix(doc: dict) -> None:
+    """Write F1's first one-entry matrix as a string."""
+    entry = next(e for e in doc["hom_matrices"] if len(e["matrix"]) == 1)
+    entry["matrix"] = "".join(entry["matrix"])
+
+
+_BASE = docs.category_to_json(triangle_base(), "B")
+# the diagonal algebra with one-letter basis names, so that the string "ab"
+# would read as the basis ["a", "b"]
+_LETTER_ALGEBRA = json.loads(docs.dumps(DIAGONAL_ALGEBRA)
+                             .replace('"e1"', '"a"').replace('"e2"', '"b"'))
+
+
+# a string where the format has a JSON array; each string's characters
+# spell the array it replaces, which an unchecked reader would accept
+@pytest.mark.parametrize("name, doc, refused", [
+    pytest.param("B", _with(_BASE, lambda d: d.update(objects="stu")),
+                 "objects 'stu'", id="category-objects"),
+    pytest.param("B", _with(_BASE, lambda d: next(
+        h for h in d["homs"] if h["basis"] == ["b"]).update(basis="b")),
+                 "basis 'b'", id="category-hom-basis"),
+    pytest.param("B", _with(_BASE, lambda d: d["identity"].update(t="1")),
+                 "identity '1'", id="category-identity"),
+    pytest.param("F1", _with(docs.functor_to_json(triangle_cover(2), "F1",
+                                                  "C2", "B"),
+                             _functor_with_a_string_matrix),
+                 "matrix '1'", id="functor-matrix"),
+    pytest.param("q", _with(_QUIVER, lambda d: d.update(vertices="xyz")),
+                 "vertices 'xyz'", id="quiver-vertices"),
+    pytest.param("q", _with(_QUIVER, lambda d: d["relations"][0][0].update(
+        path="ba")), "path 'ba'", id="quiver-relation-path"),
+    pytest.param("diag", _with(_LETTER_ALGEBRA, lambda d: d.update(
+        basis="ab")), "basis 'ab'", id="algebra-basis"),
+    pytest.param("diag", _with(DIAGONAL_ALGEBRA, lambda d: d["idempotents"][0]
+                               .update(coords="10")),
+                 "coords '10'", id="algebra-idempotent-coords")])
+def test_a_string_where_the_format_has_an_array_is_an_input_error(
+        workspace, capsys, name, doc, refused):
+    path = workspace / f"{name}.json"
+    path.write_text(docs.dumps(doc))
+    code, report = run(capsys, "validate",
+                       *sorted(str(p) for p in workspace.glob("*.json")))
+    assert code == 2
+    assert report == {"command": "validate",
+                      "error": f"{path}: {refused} is not a JSON array"}
+
+
 @pytest.mark.parametrize("doc, kind, error", [
     pytest.param(_with(_QUIVER, lambda d: d["relations"][0][0].update(
         path=["zz"])), "path-category", "relation references unknown arrow zz",

@@ -1,5 +1,7 @@
 """Deck groups, sections, triviality, Galois verdicts, quotients, universality."""
 
+import sys
+
 import pytest
 
 from covcat import fibprod, galois, lincat
@@ -24,7 +26,7 @@ from covcat.galois import (
     structure_iso,
 )
 from covcat.examples import base_category, cyclic_cover, kronecker, \
-    standard_bases, triangle_base, triangle_cover
+    kronecker_cover_twisted, standard_bases, triangle_base, triangle_cover
 
 from oracles import exhaustive_lifts, full_subcategory, functor_axioms_hold, \
     naive_fibre_dims, naive_rank, product_iso, sections_by_restriction
@@ -373,8 +375,33 @@ def test_galois_gating_verdicts():
     assert verdict.covering_failure.kind == "not-surjective"
 
 
+@pytest.mark.parametrize("make, galois_status", [
+    pytest.param(lambda: triangle_cover(3), GaloisStatus.GALOIS, id="galois"),
+    pytest.param(kronecker_cover_twisted, GaloisStatus.NON_GALOIS,
+                 id="non-galois")])
+def test_both_methods_share_one_covering_check(monkeypatch, make,
+                                               galois_status):
+    """Every decision reads F.covering, the one cached check_covering(F):
+    is_galois_both checks F once, whatever name it is called through."""
+    fun, real, checked = make(), check_covering, []
+
+    def counting(f):
+        checked.append(f)
+        return real(f)
+
+    for name, module in list(sys.modules.items()):
+        if name == "covcat" or name.startswith("covcat."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    assert is_galois_both(fun).status is galois_status
+    assert sum(f is fun for f in checked) == 1
+    assert fun.covering is fun.covering
+    assert fun.covering == real(fun)
+
+
 def _assert_pullback_dims_match_oracle(u, g, name):
-    pr1 = galois._pullback_pr1(u, g, check_covering(g))
+    pr1 = galois._pullback_pr1(u, g)
     dims = naive_fibre_dims(u, g)
     assert set(pr1.source.objects) == {p for p, _ in dims}, name
     for (p, p2), dim in dims.items():
@@ -435,8 +462,8 @@ def test_pullback_decision_matches_fibre_product(f1, f2, kron_twisted,
         pr1 = fibre_product(u, g).pr1
         built = check_covering(pr1)
         if isinstance(built, CoveringCertificate):
-            built = is_trivial_covering(pr1, built)
-        got = galois._pullback_triviality(u, g, check_covering(g))
+            built = is_trivial_covering(pr1)
+        got = galois._pullback_triviality(u, g)
         assert got == built
         kinds.add(getattr(got, "kind", None) or got.trivial)
     assert kinds == {"block-singular", "block-dimension", True, False}

@@ -7,6 +7,12 @@ inverse fibre blocks of that certificate in one breadth-first pass;
 uniqueness of lifts makes the pass deterministic and makes the x0-anchored
 lifts exhaust the whole deck group.
 
+The fibre method and universality decide whether the first projection of
+u ×_B g is a trivial covering.  They read its hom spaces through g's
+certificate and decide its blocks where they are built, from column
+counts and, for a block stacking several hom spaces, a rank: the
+projection gets no covering check and no inverse.
+
 Every procedure here takes functors as input; the CLI validates each
 functor document before it decides.
 """
@@ -20,7 +26,8 @@ from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError, CovcatError, NotConnectedError, \
     NotCoveringError
-from .exactalg import Matrix, express_in_echelon, kernel_basis
+from .exactalg import Matrix, echelon_basis, express_in_echelon, \
+    kernel_basis
 from .lincat import LinearCategory, category_from_model, connected_components
 from .linfun import LinearFunctor, compose, functor_equal, is_isomorphism
 from .covering import CoveringCertificate, CoveringFailure, FibreBlock
@@ -71,6 +78,9 @@ def lift_endofunctor(fun: LinearFunctor, x: str,
     H(u).  None when this fails, as at most one H exists.  ``fun`` must be
     a functor.
     """
+    for name in (x, x_prime):
+        if name not in fun.object_map:
+            raise ConstructionError(f"{name} is not an object of the source")
     cert = _ensure_certificate(fun)
     _ensure_connected(fun.source, "source")
     if fun.object_map[x] != fun.object_map[x_prime]:
@@ -234,6 +244,11 @@ def is_trivial_covering(fun: LinearFunctor) -> TrivialityResult:
     onto the (connected) base; ``fun`` must be a functor.  The failing
     component is the first with more objects than the base."""
     _ensure_certificate(fun)
+    return _component_triviality(fun)
+
+
+def _component_triviality(fun: LinearFunctor) -> TrivialityResult:
+    """``is_trivial_covering`` for a functor known to be a covering."""
     _ensure_connected(fun.target, "target")
     parts, _ = connected_components(fun.source)
     # For a covering, K maps isomorphically onto B iff |K| = |B|.  K maps
@@ -379,10 +394,43 @@ def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
     # functor: the componentwise composite of two P-homs is a P-hom, as
     # u(φ'∘φ) = u(φ')u(φ) = g(ψ')g(ψ) = g(ψ'∘ψ), and so is (1_x, 1_y).
     pr1 = _pullback_pr1(u, g)
-    if isinstance(pr1.covering, CoveringFailure):
-        return pr1.covering
-    return is_trivial_covering(pr1)
-
+    cat_c, cat_p = pr1.target, pr1.source
+    # This is check_covering(pr1), then is_trivial_covering(pr1), without
+    # the inverses that only a certificate holds.
+    # - No object of C is missed: g covers, so the fibre of u(x) is not
+    #   empty and (x, y) lies over x for each y in it.
+    # - Base pairs and lifts run in check_covering's order.  It skips a zero
+    #   C(b, c) with no P-hom over it, and no P-hom lies over a zero C(b, c)
+    #   (each is a subspace of it).
+    # - pr1 includes each P-hom into C(b, c), so a block's columns are the
+    #   bases of the P-homs it stacks.  With as many columns as dim C(b, c),
+    #   a block of one P-hom has full rank: a whole C(b, c) (one owner and
+    #   a zero kernel) is included by the identity.  Only a block stacking
+    #   several P-homs needs a rank, which equals the check's, as the
+    #   column order does not change it.
+    for b, c in sorted(cat_c.hom_basis):
+        dim = cat_c.dim(b, c)
+        stacked = {}  # (lift, direction) -> the P-homs of its block
+        for p, p2 in pr1.homs_over.get((b, c), ()):
+            stacked.setdefault((p, "source"), []).append((p, p2))
+            stacked.setdefault((p2, "target"), []).append((p, p2))
+        for direction, lifts in (("source", pr1.fibre(b)),
+                                 ("target", pr1.fibre(c))):
+            for lift in lifts:
+                homs = stacked.get((lift, direction), ())
+                ncols = sum(cat_p.dim(*pair) for pair in homs)
+                if ncols != dim:
+                    return CoveringFailure("block-dimension", b, c, lift,
+                                           direction, dim, ncols)
+                if len(homs) < 2:
+                    continue
+                columns = [col for pair in homs
+                           for col in zip(*pr1.hom_matrices[pair].entries)]
+                rank = len(echelon_basis(cat_c.field, columns)[1])
+                if rank < dim:
+                    return CoveringFailure("block-singular", b, c, lift,
+                                           direction, dim, rank)
+    return _component_triviality(pr1)
 
 
 def is_galois(fun: LinearFunctor, method: str = "direct") -> GaloisVerdict:

@@ -3,10 +3,11 @@
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covcat import fibprod, galois, lincat
 from covcat.errors import ConstructionError, CovcatError, NotConnectedError
-from covcat.exactalg import GF, QQ, Matrix
+from covcat.exactalg import GF, QQ, Matrix, rank_and_inverse
 from covcat.lincat import LinearCategory, Quiver, connected_components, \
     path_category, product_with_set, validate_category
 from covcat.linfun import LinearFunctor, compose, functor_equal, \
@@ -25,8 +26,9 @@ from covcat.galois import (
     quotient_by_group,
     structure_iso,
 )
-from covcat.examples import base_category, cyclic_cover, kronecker, \
-    kronecker_cover_twisted, standard_bases, triangle_base, triangle_cover
+from covcat.examples import WeightedQuiver, base_category, cyclic_cover, \
+    kronecker, kronecker_cover_twisted, rel_square, standard_bases, \
+    triangle_base, triangle_cover
 
 from oracles import exhaustive_lifts, full_subcategory, functor_axioms_hold, \
     naive_fibre_dims, naive_rank, product_iso, sections_by_restriction
@@ -104,6 +106,12 @@ def test_lift_precondition_errors(f1):
     _, projection = product_with_set(triangle_base(), ["0", "1"])
     with pytest.raises(NotConnectedError):
         lift_endofunctor(projection, "(t,0)", "(t,1)")
+
+
+@pytest.mark.parametrize("x, x_prime", [("nope", "t0"), ("t0", "nope")])
+def test_lift_of_an_unknown_object_names_it(f1, x, x_prime):
+    with pytest.raises(ConstructionError, match="nope is not an object"):
+        lift_endofunctor(f1, x, x_prime)
 
 
 # deck groups -------------------------------------------------------------------
@@ -375,6 +383,23 @@ def test_galois_gating_verdicts():
     assert verdict.covering_failure.kind == "not-surjective"
 
 
+def _record_calls(monkeypatch, real) -> list:
+    """The first argument of every call of ``real``, whatever covcat name
+    it is called through."""
+    calls = []
+
+    def recording(first, *args):
+        calls.append(first)
+        return real(first, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "covcat" or name.startswith("covcat."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, recording)
+    return calls
+
+
 @pytest.mark.parametrize("make, galois_status", [
     pytest.param(lambda: triangle_cover(3), GaloisStatus.GALOIS, id="galois"),
     pytest.param(kronecker_cover_twisted, GaloisStatus.NON_GALOIS,
@@ -383,21 +408,33 @@ def test_both_methods_share_one_covering_check(monkeypatch, make,
                                                galois_status):
     """Every decision reads F.covering, the one cached check_covering(F):
     is_galois_both checks F once, whatever name it is called through."""
-    fun, real, checked = make(), check_covering, []
-
-    def counting(f):
-        checked.append(f)
-        return real(f)
-
-    for name, module in list(sys.modules.items()):
-        if name == "covcat" or name.startswith("covcat."):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, counting)
+    fun = make()
+    checked = _record_calls(monkeypatch, check_covering)
     assert is_galois_both(fun).status is galois_status
     assert sum(f is fun for f in checked) == 1
     assert fun.covering is fun.covering
-    assert fun.covering == real(fun)
+    assert fun.covering == check_covering(fun)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_fibre_method_inverts_only_the_covering_blocks(monkeypatch, field):
+    """The fibre method checks F once, and decides the pullback projection
+    without a covering check or an inverse of its own."""
+    fun = cyclic_cover(rel_square(), 8, field)
+    checked = _record_calls(monkeypatch, check_covering)
+    inverted = _record_calls(monkeypatch, rank_and_inverse)
+    assert is_galois(fun, "fibre").is_galois
+    assert [f is fun for f in checked] == [True]
+    assert inverted == [block.matrix for block in fun.covering.blocks.values()]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_universality_checks_each_functor_once(monkeypatch, field):
+    u = cyclic_cover(rel_square(), 4, field)
+    g = cyclic_cover(rel_square(), 2, field)
+    checked = _record_calls(monkeypatch, check_covering)
+    assert check_universal_against(u, [g]).universal_relative_to_family
+    assert sorted(map(id, checked)) == sorted([id(u), id(g)])
 
 
 def _assert_pullback_dims_match_oracle(u, g, name):
@@ -430,43 +467,93 @@ def test_fibre_method_agrees_with_exhaustive_lifts(small_corpus):
         assert is_galois(fun, "fibre").is_galois == lifted, name
 
 
-def _kronecker_arrow_functors():
-    """Functors from the free Kronecker quiver x ⇉ y (arrows a, b) onto the
-    Kronecker base, one per matrix on hom(x, y); with the double cover of
-    the base, [[1, 0], [1, 0]] gives a source block of the right size but
-    rank 1, and [[1, 0], [0, 0]] one with a column too many."""
-    base = cyclic_cover(kronecker(), 1).target
-    b, c = base.objects
-    cat = path_category(Quiver(("x", "y"), (("a", "x", "y"), ("b", "x", "y"))),
-                        [], QQ)
-    one = Matrix.identity(QQ, 1)
-    return [LinearFunctor(cat, base, {"x": b, "y": c},
-                          {("x", "x"): one, ("y", "y"): one,
-                           ("x", "y"): Matrix.from_rows(QQ, rows)})
-            for rows in ([[1, 0], [1, 0]], [[1, 0], [0, 0]], [[0, 1], [1, 0]])]
+def _kronecker(arrows: int) -> WeightedQuiver:
+    """x ⇉ y with ``arrows`` arrows, the last two of weight 1."""
+    names = [f"k{i}" for i in range(arrows)]
+    return WeightedQuiver(
+        f"kronecker{arrows}", Quiver(("x", "y"), tuple((a, "x", "y")
+                                                       for a in names)),
+        {a: int(i >= arrows - 2) for i, a in enumerate(names)})
 
 
-def test_pullback_decision_matches_fibre_product(f1, f2, kron_twisted,
-                                                 triangle_half_twisted):
+def _onto_kronecker(g: LinearFunctor, rows) -> LinearFunctor:
+    """The functor from the free quiver x ⇉ y, with one arrow per column of
+    ``rows``, onto g's Kronecker base that is ``rows`` on hom(x, y)."""
+    field, (b, c) = g.target.field, g.target.objects
+    arrows = tuple((f"a{i}", "x", "y") for i in range(len(rows[0])))
+    one = Matrix.identity(field, 1)
+    return LinearFunctor(path_category(Quiver(("x", "y"), arrows), [], field),
+                         g.target, {"x": b, "y": c},
+                         {("x", "x"): one, ("y", "y"): one,
+                          ("x", "y"): Matrix.from_rows(field, rows)})
+
+
+def _built_pullback_decision(u, g):
+    """check_covering, then is_trivial_covering, of the built fibre
+    product's pr1."""
+    pr1 = fibre_product(u, g).pr1
+    built = check_covering(pr1)
+    if isinstance(built, CoveringCertificate):
+        built = is_trivial_covering(pr1)
+    return built
+
+
+def test_pullback_decision_matches_fibre_product(
+        f1, f2, kron_twisted, triangle_half_twisted, galois_corpus, gf7_corpus,
+        pullback_pairs):
     """The fibre-product criterion read through g's certificate gives the
     witness, or the triviality result, of the built fibre product's pr1:
     on a singular block, a block with a column too many, several owners
-    of one transported matrix, and trivial and non-trivial projections."""
+    of one transported matrix, and trivial and non-trivial projections;
+    on the square of every corpus covering and on every pullback pair."""
+    # over the double cover of the Kronecker base, [[1, 0], [1, 0]] gives
+    # a source block of the right size but rank 1, and [[1, 0], [0, 0]] one
+    # with a column too many; over the double cover of x ⇉ y with arrows of
+    # weights 0, 0, 1, 1, the last matrix gives a source block stacking
+    # ker u twice, of size 4 and rank 2
     kronecker_cover = cyclic_cover(kronecker(), 2)
-    pairs = [(u, kronecker_cover) for u in _kronecker_arrow_functors()]
+    pairs = [(_onto_kronecker(kronecker_cover, rows), kronecker_cover)
+             for rows in ([[1, 0], [1, 0]], [[1, 0], [0, 0]], [[0, 1], [1, 0]])]
+    four_arrows = cyclic_cover(_kronecker(4), 2)
+    rank_two = (_onto_kronecker(four_arrows, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                              [1, 0, 0, 0], [0, 1, 0, 0]]),
+                four_arrows)
+    pairs.append(rank_two)
     pairs += [(f1, f2), (f2, f1), (f1, f1), (kron_twisted, kron_twisted),
               (triangle_half_twisted, f1), (f1, triangle_half_twisted),
               (triangle_half_twisted, triangle_half_twisted)]
+    pairs += [(fun, fun) for _, fun in galois_corpus + gf7_corpus]
+    pairs += [(incl, cover) for _, cover, incl in pullback_pairs]
     kinds = set()
     for u, g in pairs:
-        pr1 = fibre_product(u, g).pr1
-        built = check_covering(pr1)
-        if isinstance(built, CoveringCertificate):
-            built = is_trivial_covering(pr1)
         got = galois._pullback_triviality(u, g)
-        assert got == built
+        assert got == _built_pullback_decision(u, g)
         kinds.add(getattr(got, "kind", None) or got.trivial)
     assert kinds == {"block-singular", "block-dimension", True, False}
+    assert galois._pullback_triviality(*rank_two).actual_dim == 2
+
+
+_KRONECKER_COVERS = [cyclic_cover(wq, d, field) for field in (QQ, GF(7))
+                     for wq in (kronecker(), _kronecker(3))
+                     for d in (1, 2, 3)]
+
+
+# derandomized, so that the suite's verdict depends only on the code
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pullback_decision_matches_fibre_product_on_random_functors(data):
+    """Functors from a free quiver x ⇉ y onto the two- or three-arrow
+    Kronecker base, with a random matrix on hom(x, y), against Z/d covers
+    of the base: their pullbacks reach blocks of several P-homs, blocks
+    with too few or too many columns, and singular blocks."""
+    g = data.draw(st.sampled_from(_KRONECKER_COVERS))
+    field, k = g.target.field, g.target.dim(*g.target.objects)
+    entries = st.integers(-1, 2) if field is QQ else st.integers(0, 6)
+    m = data.draw(st.integers(1, k + 1))
+    rows = data.draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                              min_size=k, max_size=k))
+    u = _onto_kronecker(g, rows)
+    assert galois._pullback_triviality(u, g) == _built_pullback_decision(u, g)
 
 
 def test_fibre_decisions_build_no_fibre_product(monkeypatch, f1, f2,

@@ -14,6 +14,7 @@ no reference to its functor, so that cache makes no reference cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .exactalg import Matrix, rank_and_inverse
@@ -39,6 +40,19 @@ class FibreBlock:
     column_layout: tuple[tuple[str, str], ...]  # (fibre object, basis name)
     matrix: Matrix
     inverse: Matrix
+
+    @cached_property
+    def _sparse_inverse(self) -> dict[str, tuple]:
+        """The inverse's rows as their non-zero (column, entry) pairs, grouped
+        by the fibre object that owns each row in ``column_layout``, in
+        layout order.  Built on the first read, by a deck lift or a pullback
+        hom space; a block is read about once per lift, so the entries are
+        found once, not once per product."""
+        zero, grouped = self.inverse.field.zero, {}
+        for (w, _), row in zip(self.column_layout, self.inverse.entries):
+            grouped.setdefault(w, []).append(
+                tuple((j, e) for j, e in enumerate(row) if e != zero))
+        return {w: tuple(rows) for w, rows in grouped.items()}
 
 
 @dataclass(frozen=True)

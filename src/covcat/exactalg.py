@@ -203,6 +203,18 @@ class Matrix:
 
     # construction -------------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, field: FieldSpec, nrows: int, ncols: int,
+                 entries: tuple) -> Matrix:
+        """A Matrix built without ``__post_init__``, for library code that
+        has just derived ``entries`` as ``nrows`` tuples of ``ncols`` field
+        scalars.  Each call site argues that shape; the public constructor
+        and documents keep every check."""
+        m = object.__new__(cls)
+        m.__dict__.update(field=field, nrows=nrows, ncols=ncols,
+                          entries=entries)
+        return m
+
     @staticmethod
     def from_rows(field: FieldSpec, rows) -> Matrix:
         data = tuple(tuple(field.scalar(x) for x in row) for row in rows)

@@ -5,13 +5,18 @@ check, ``LinearFunctor.covering``, and none takes a certificate or a verdict.
 A lift of one object to an endofunctor H with FH = F is read off the
 inverse fibre blocks of that certificate in one breadth-first pass;
 uniqueness of lifts makes the pass deterministic and makes the x0-anchored
-lifts exhaust the whole deck group.
+lifts exhaust the whole deck group, which is built once per functor
+(``LinearFunctor._deck_elements``).  Each block's inverse is read once, as
+the non-zero entries of its rows grouped by fibre object, and every hom is
+transported through those sparse rows; the lifts are built without
+re-checking the shapes that the transport fixes.
 
 The fibre method and universality decide whether the first projection of
 u ×_B g is a trivial covering.  They read its hom spaces through g's
-certificate and decide its blocks where they are built, from column
-counts and, for a block stacking several hom spaces, a rank: the
-projection gets no covering check and no inverse.
+certificate, by the same sparse transport as the lifts, and decide its
+blocks where they are built, from column counts and, for a block stacking
+several hom spaces, a rank: the projection gets no covering check and no
+inverse.
 
 Every procedure here takes functors as input; the CLI validates each
 functor document before it decides.
@@ -22,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter, mul
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError, CovcatError, NotConnectedError, \
@@ -95,17 +101,21 @@ def _lift(fun: LinearFunctor, x: str, x_prime: str,
     # The visiting order does not change the result: at most one H exists,
     # every step is forced by assign[u], and a pass that ends has built an H
     # (see below).
-    src, om = fun.source, fun.object_map
+    src, om, field = fun.source, fun.object_map, fun.source.field
     assign, matrices = {x: x_prime}, {}
     queue = deque([x])
     while queue:
         u = queue.popleft()
         for _, v in src.out_of[u]:
-            lifted = _transport(cert.block(om[u], om[v], assign[u], "source"),
-                                fun.hom_matrices[(u, v)])
+            m = fun.hom_matrices[(u, v)]
+            lifted = _sole_owner(_transport(
+                cert.block(om[u], om[v], assign[u], "source"), m))
             if lifted is None:
                 return None
-            w, matrices[(u, v)] = lifted
+            w, rows = lifted
+            # w's rows of the source block at H(u) are a basis of
+            # hom(H(u), w), one row each, and m has dim hom(u, v) columns
+            matrices[(u, v)] = Matrix._trusted(field, len(rows), m.ncols, rows)
             if v not in assign:
                 assign[v] = w
                 queue.append(v)
@@ -114,8 +124,9 @@ def _lift(fun: LinearFunctor, x: str, x_prime: str,
         for _, v in src.into[u]:
             if v in assign:
                 continue
-            lifted = _transport(cert.block(om[v], om[u], assign[u], "target"),
-                                fun.hom_matrices[(v, u)])
+            lifted = _sole_owner(_transport(
+                cert.block(om[v], om[u], assign[u], "target"),
+                fun.hom_matrices[(v, u)]))
             if lifted is None:
                 return None
             assign[v] = lifted[0]
@@ -136,21 +147,49 @@ def _lift(fun: LinearFunctor, x: str, x_prime: str,
     #   blocks.  So the image of H is closed under non-zero homs, hence is
     #   the whole connected, finite source: H is bijective on objects, then
     #   on each hom(u, v) → hom(Hu, Hv), and so an isomorphism.
-    return LinearFunctor(src, src, assign, matrices)
+    # Nor are its shapes re-checked: the pass over the connected source
+    # reaches every object and transports every non-zero hom, each into a
+    # matrix of the shape argued above.
+    return LinearFunctor._trusted(src, src, assign, matrices)
 
 
-def _transport(block: FibreBlock, matrix: Matrix,
-               ) -> Optional[tuple[str, Matrix]]:
-    """The fibre object w owning every non-zero row of block⁻¹·matrix, with
-    w's rows; None when the non-zero rows belong to several objects."""
-    layout = block.column_layout
-    transported = (block.inverse @ matrix).entries
-    owners = {w for (w, _), row in zip(layout, transported) if any(row)}
-    if len(owners) != 1:
-        return None
-    [w] = owners
-    rows = tuple(row for (obj, _), row in zip(layout, transported) if obj == w)
-    return w, Matrix(matrix.field, len(rows), matrix.ncols, rows)
+def _transport(block: FibreBlock, matrix: Matrix) -> dict[str, tuple]:
+    """The rows of block⁻¹·matrix, zero rows included, grouped by the fibre
+    object that owns each row, in layout order.
+
+    Each row is the sum of ``matrix``'s rows weighted by the non-zero
+    entries of one row of the inverse (``FibreBlock._sparse_inverse``),
+    reduced mod p over F_p: the exact values of ``block.inverse @ matrix``.
+    A row whose one entry is 1 is ``matrix``'s row itself, whose F_p
+    scalars already lie in range(p).
+    """
+    rows_of, p = matrix.entries, matrix.field.p
+    transported = {}
+    for w, sparse_rows in block._sparse_inverse.items():
+        rows = []
+        for pairs in sparse_rows:
+            if len(pairs) == 1:
+                [(j, e)] = pairs
+                if e == 1:
+                    rows.append(rows_of[j])
+                    continue
+                sums = (e * a for a in rows_of[j])
+            else:
+                coeffs = [e for _, e in pairs]
+                sums = (sum(map(mul, coeffs, column))
+                        for column in zip(*[rows_of[j] for j, _ in pairs]))
+            rows.append(tuple(sums) if p is None else
+                        tuple(a % p for a in sums))
+        transported[w] = tuple(rows)
+    return transported
+
+
+def _sole_owner(transported: dict[str, tuple]) -> Optional[tuple[str, tuple]]:
+    """The one object owning every non-zero transported row, with all of its
+    rows; None when zero objects or several own one."""
+    owners = [(w, rows) for w, rows in transported.items()
+              if any(map(any, rows))]
+    return owners[0] if len(owners) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -172,19 +211,33 @@ class DeckGroup:
         return tuple(sorted({h.object_map[x] for h in self.elements}))
 
 
-def _check_free(objects: Sequence[str],
-                elements: Sequence[LinearFunctor]) -> None:
-    """Raise unless each element fixes either every object or none."""
-    for h in elements:
-        moved = [x for x in objects if h.object_map[x] != x]
-        if moved and len(moved) != len(objects):
+def _index_maps(objects: Sequence[str],
+                elements: Sequence[LinearFunctor]) -> list[tuple[int, ...]]:
+    """Each element's object map as the tuple of its images' indices in
+    ``objects``."""
+    index = {x: i for i, x in enumerate(objects)}
+    return [tuple(index[h.object_map[x]] for x in objects) for h in elements]
+
+
+def _check_free(maps: Sequence[tuple[int, ...]]) -> None:
+    """Raise unless each object map (as index tuples) fixes either every
+    object or none."""
+    for m in maps:
+        moved = sum(1 for i, j in enumerate(m) if i != j)
+        if moved and moved != len(m):
             raise ConstructionError("group action is not free on objects")
 
 
 def deck_group(fun: LinearFunctor) -> DeckGroup:
     """Aut_1(F) for a connected covering, built from lifts anchored at the
     least object of the least-named base fibre; verified to be a group
-    acting freely."""
+    acting freely.  Built once per functor and cached on it."""
+    return DeckGroup(fun, fun._deck_elements)
+
+
+def _deck_elements(fun: LinearFunctor) -> tuple[LinearFunctor, ...]:
+    """``deck_group(fun).elements``, built and checked; read it through the
+    cache, ``LinearFunctor._deck_elements``."""
     cert = _ensure_certificate(fun)
     _ensure_connected(fun.source, "source")
 
@@ -204,20 +257,23 @@ def deck_group(fun: LinearFunctor) -> DeckGroup:
     # h(g(anchor)), and that element must agree with h∘g on every object.
     # A finite set of invertible maps that is closed under composition
     # contains the inverse of each member, so with the identity it is a
-    # group.
+    # group.  The maps are index tuples into the source's objects, so h∘g
+    # is one itemgetter call: the images of g's entries under h.
     objects = fun.source.objects
-    by_anchor = {h.object_map[anchor]: h for h in elements}
-    unit = by_anchor.get(anchor)
-    if unit is None or any(unit.object_map[x] != x for x in objects):
+    maps = _index_maps(objects, elements)
+    a = objects.index(anchor)
+    by_anchor = {m[a]: m for m in maps}
+    unit = by_anchor.get(a)
+    if unit is None or unit != tuple(range(len(objects))):
         raise CovcatError("deck group lost its identity element")
-    for h in elements:
-        for g in elements:
-            hg = by_anchor.get(h.object_map[g.object_map[anchor]])
-            if hg is None or any(hg.object_map[x] != h.object_map[g.object_map[x]]
-                                 for x in objects):
+    # a one-object source has one map, the identity: h∘g is h
+    after = [itemgetter(*g) if len(g) > 1 else tuple for g in maps]
+    for h in maps:
+        for g, after_g in zip(maps, after):
+            if by_anchor.get(h[g[a]]) != after_g(h):
                 raise CovcatError("deck lifts are not closed under composition")
-    _check_free(objects, elements)
-    return DeckGroup(fun, elements)
+    _check_free(maps)
+    return elements
 
 
 # trivial coverings ----------------------------------------------------------
@@ -319,8 +375,9 @@ def _pullback_pr1(u: LinearFunctor, g: LinearFunctor) -> LinearFunctor:
         b, b2, d = u.object_map[x], u.object_map[x2], m.ncols
         # (φ, ψ) in C(x, x2) ⊕ D(y, y2) is a P-hom iff u(φ) = g(ψ).  g on
         # ⊕_{y2 over b2} D(y, y2) is the invertible source block M at y, so
-        # with T = M⁻¹·u(x, x2) (lift_endofunctor's _transport product) this
-        # says that Tφ is ψ in y2's rows and vanishes in every other row.
+        # with T = M⁻¹·u(x, x2) (read by _transport, as a deck lift reads
+        # it) this says that Tφ is ψ in y2's rows and vanishes in every
+        # other row.
         # So P((x, y), (x2, y2)) ≅ V_y2 = {φ : Tφ vanishes outside y2's
         # rows}, ψ being the y2 part of Tφ, and pr1 on it is the inclusion
         # V_y2 ⊆ C(x, x2).
@@ -336,11 +393,11 @@ def _pullback_pr1(u: LinearFunctor, g: LinearFunctor) -> LinearFunctor:
         for y in fibres[b]:
             owned = {}  # fibre object -> its non-zero rows of T
             if m.nrows:
-                block = gcert.block(b, b2, y, "source")
-                for (w, _), row in zip(block.column_layout,
-                                       (block.inverse @ m).entries):
-                    if any(row):
-                        owned.setdefault(w, []).append(row)
+                transported = _transport(gcert.block(b, b2, y, "source"), m)
+                for w, rows in transported.items():
+                    nonzero = [row for row in rows if any(row)]
+                    if nonzero:
+                        owned[w] = nonzero
             for y2 in fibres[b2] if kernel[0] else owned:
                 if y2 not in owned:
                     space = kernel
@@ -491,7 +548,7 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
     member of the other orbit, and composition is transported through the
     unique aligning group element.
     """
-    _check_free(cat.objects, group.elements)
+    _check_free(_index_maps(cat.objects, group.elements))
 
     orbit_of = {x: group.orbit(x) for x in cat.objects}
     reps = sorted({orbit[0] for orbit in orbit_of.values()})

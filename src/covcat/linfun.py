@@ -53,6 +53,19 @@ class LinearFunctor:
                     f"matrix at ({x},{y}) has shape {m.nrows}x{m.ncols}, "
                     f"expected {want_rows}x{want_cols}")
 
+    @classmethod
+    def _trusted(cls, source: LinearCategory, target: LinearCategory,
+                 object_map: dict[str, str],
+                 hom_matrices: dict[tuple[str, str], Matrix]) -> LinearFunctor:
+        """A LinearFunctor built without ``__post_init__``, for library code
+        that has just derived an object map of every source object and one
+        matrix of the right shape per non-zero source hom.  Each call site
+        argues that; the public constructor and documents keep every check."""
+        fun = object.__new__(cls)
+        fun.__dict__.update(source=source, target=target,
+                            object_map=object_map, hom_matrices=hom_matrices)
+        return fun
+
     @cached_property
     def _fibres(self) -> dict[str, tuple[str, ...]]:
         fib: dict[str, list[str]] = {b: [] for b in self.target.objects}
@@ -77,6 +90,14 @@ class LinearFunctor:
         """``check_covering(self)``, looked up in its module at call time."""
         from . import covering  # covering imports this module
         return covering.check_covering(self)
+
+    @cached_property
+    def _deck_elements(self):
+        """The elements of ``deck_group(self)``, built once.  The tuple holds
+        no reference to this functor, so the cache makes no reference cycle
+        (a cached ``DeckGroup`` would point back here)."""
+        from . import galois  # galois imports this module
+        return galois._deck_elements(self)
 
     def apply(self, x: str, y: str, coords) -> tuple:
         """Image coordinates of a morphism given by coordinates in hom(x, y)."""

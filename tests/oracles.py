@@ -5,8 +5,10 @@ the lift construction being tested: row reduction is a separate textbook
 implementation, connectivity is a fresh BFS, star dimensions are summed
 straight off the hom bases, path classes are checked against the relation
 ideal closed over a fresh path walk, lifts are found by exhaustive
-backtracking over fibre-constrained object maps with per-hom linear solves,
-and mediating functors are found by brute-force coordinate solving.
+backtracking over fibre-constrained object maps with per-hom linear solves
+(and by the deck-lift rule, with dense products through fibre blocks
+inverted by textbook solves), and mediating functors are found by
+brute-force coordinate solving.
 Category and functor axioms are checked by a dense scan over every basis
 tuple, composing straight from the composition table, never through
 ``compose_vectors`` or the validators' own index of non-zero composites.
@@ -472,6 +474,90 @@ def exhaustive_lifts(fun: LinearFunctor, x: str, x_prime: str):
 def _matrix_rows(fun: LinearFunctor, hu: str, hv: str):
     m = fun.hom_matrices.get((hu, hv))
     return m.entries if m is not None else ()
+
+
+# dense lift transport ---------------------------------------------------------------
+
+
+def _dense_inverse_block(fun: LinearFunctor, lift: str, far: str,
+                         direction: str):
+    """F's fibre block at ``lift`` over the base object ``far``, F on
+    ⊕ hom(lift, w) ("source") or ⊕ hom(w, lift) ("target") over the w above
+    ``far`` in sorted order: the object owning each column, and the
+    block's inverse as rows, each column solved against a unit vector."""
+    field = fun.source.field
+    owners, columns = [], []
+    for w in sorted(o for o in fun.source.objects if fun.object_map[o] == far):
+        key = (lift, w) if direction == "source" else (w, lift)
+        for j in range(fun.source.dim(*key)):
+            owners.append(w)
+            columns.append([row[j] for row in _matrix_rows(fun, *key)])
+    block = [list(row) for row in zip(*columns)]
+    unit = [[field.one if i == j else field.zero for j in range(len(owners))]
+            for i in range(len(owners))]
+    solved = [naive_solve_unique(block, e, field) for e in unit]
+    return owners, [[col[i] for col in solved] for i in range(len(owners))]
+
+
+def _dense_transport(fun: LinearFunctor, lift: str, far: str, direction: str,
+                     rows):
+    """The inverse block times ``rows`` by a dense sum over every entry; the
+    one object owning every non-zero row, with its rows, else None."""
+    field = fun.source.field
+    owners, inverse = _dense_inverse_block(fun, lift, far, direction)
+    columns = list(zip(*rows))
+    product = []
+    for inv_row in inverse:
+        out = []
+        for col in columns:
+            acc = field.zero
+            for a, b in zip(inv_row, col):
+                acc = field.add(acc, field.mul(a, b))
+            out.append(acc)
+        product.append(tuple(out))
+    nonzero = {w for w, row in zip(owners, product)
+               if any(a != field.zero for a in row)}
+    if len(nonzero) != 1:
+        return None
+    [w] = nonzero
+    return w, tuple(row for o, row in zip(owners, product) if o == w)
+
+
+def dense_lift(fun: LinearFunctor, x: str, x_prime: str):
+    """The deck lift rule with dense products: breadth-first from x with
+    H(x) = x', each hom(u, v) out of a reached u is F's matrix times the
+    inverse source block at H(u), whose non-zero rows must belong to one
+    object, H(v), and are H's matrix; a hom(v, u) into a reached u from an
+    unreached v names H(v) through the inverse target block at H(u).
+    Returns (object map, {hom pair: rows}), or None.  ``fun`` must be a
+    covering with a connected source."""
+    src, om = fun.source, fun.object_map
+    assign, matrices, queue = {x: x_prime}, {}, [x]
+    while queue:
+        u = queue.pop(0)
+        for (a, v) in sorted(src.hom_basis):
+            if a != u:
+                continue
+            lifted = _dense_transport(fun, assign[u], om[v], "source",
+                                      _matrix_rows(fun, u, v))
+            if lifted is None:
+                return None
+            w, matrices[(u, v)] = lifted
+            if v not in assign:
+                assign[v] = w
+                queue.append(v)
+            elif assign[v] != w:
+                return None
+        for (v, b) in sorted(src.hom_basis):
+            if b != u or v in assign:
+                continue
+            lifted = _dense_transport(fun, assign[u], om[v], "target",
+                                      _matrix_rows(fun, v, u))
+            if lifted is None:
+                return None
+            assign[v] = lifted[0]
+            queue.append(v)
+    return assign, matrices
 
 
 # fibre product dimensions ----------------------------------------------------------

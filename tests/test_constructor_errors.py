@@ -1,0 +1,111 @@
+"""Every error that the public Matrix and LinearFunctor constructors raise,
+raised through the constructor and, where a document can carry the fault,
+through ``documents.functor_from_json``.
+
+Deck lifts and their matrices are built by private trusted constructors
+that skip these checks; the public paths must keep every one of them.
+"""
+
+import pytest
+
+from covcat import documents as docs
+from covcat.errors import ConstructionError, DocumentError
+from covcat.exactalg import GF, QQ, Matrix
+from covcat.examples import triangle_base, triangle_cover
+from covcat.linfun import LinearFunctor
+
+
+# Matrix.__post_init__: a document never reaches these, as functor_from_json
+# builds each matrix in the shape the categories give, after its own count
+MATRIX_ERRORS = [
+    ("dimensions must be non-negative", (QQ, -1, 0, ())),
+    ("dimensions must be non-negative", (QQ, 0, -1, ())),
+    ("row count mismatch", (QQ, 2, 1, ((1,),))),
+    ("ragged matrix", (QQ, 2, 2, ((1, 0), (1,)))),
+]
+
+
+@pytest.mark.parametrize("message, args", MATRIX_ERRORS)
+def test_matrix_constructor_keeps_each_check(message, args):
+    with pytest.raises(ValueError, match=message):
+        Matrix(*args)
+
+
+def test_a_document_matrix_of_the_wrong_size_is_refused_before_it_is_built():
+    fun = triangle_cover(2)
+    doc = docs.functor_to_json(fun, "F", "C", "B")
+    doc["hom_matrices"][0]["matrix"] = doc["hom_matrices"][0]["matrix"] + ["0"]
+    with pytest.raises(DocumentError, match="entries, expected"):
+        docs.functor_from_json(doc, {"C": fun.source, "B": fun.target})
+
+
+def _other_target_field(fun, doc):
+    return triangle_base(GF(7)), fun.object_map, fun.hom_matrices
+
+
+def _extra_object(fun, doc):
+    doc["object_map"]["zz"] = "t"
+    return fun.target, {**fun.object_map, "zz": "t"}, fun.hom_matrices
+
+
+def _outside_the_target(fun, doc):
+    """s0 sent to an object the target lacks; its homs then have no rows."""
+    doc["object_map"]["s0"] = "nope"
+    for entry in doc["hom_matrices"]:
+        if "s0" in (entry["src"], entry["dst"]):
+            entry["matrix"] = []
+    return (fun.target, {**fun.object_map, "s0": "nope"},
+            {pair: Matrix.zeros(QQ, 0, m.ncols) if "s0" in pair else m
+             for pair, m in fun.hom_matrices.items()})
+
+
+def _missing_hom(fun, doc):
+    dropped = doc["hom_matrices"].pop()
+    pair = (dropped["src"], dropped["dst"])
+    return fun.target, fun.object_map, {
+        p: m for p, m in fun.hom_matrices.items() if p != pair}
+
+
+def _other_matrix_field(fun, doc):
+    pair = sorted(fun.hom_matrices)[0]
+    m = fun.hom_matrices[pair]
+    return fun.target, fun.object_map, {
+        **fun.hom_matrices, pair: Matrix.zeros(GF(7), m.nrows, m.ncols)}
+
+
+def _wrong_shape(fun, doc):
+    pair = ("t0", "s0")
+    m = fun.hom_matrices[pair]
+    return fun.target, fun.object_map, {
+        **fun.hom_matrices, pair: Matrix.zeros(QQ, m.nrows + 1, m.ncols)}
+
+
+# LinearFunctor.__post_init__: (message, a fault put into the target, object
+# map or matrices, and into the functor document in step, and whether a
+# document can carry it: one cannot carry the last two, as functor_from_json
+# parses every coefficient in the source's field and counts every matrix
+# against the categories' dimensions first)
+FUNCTOR_ERRORS = [
+    ("source and target live over different fields", _other_target_field,
+     True),
+    ("object map does not cover the source objects", _extra_object, True),
+    ("object map sends s0 outside the target", _outside_the_target, True),
+    ("hom matrices must match the non-zero source homs", _missing_hom, True),
+    ("matrix field mismatch", _other_matrix_field, False),
+    (r"matrix at \(t0,s0\) has shape 3x1, expected 2x1", _wrong_shape, False),
+]
+
+
+@pytest.mark.parametrize(
+    "message, fault, in_documents", FUNCTOR_ERRORS,
+    ids=[fault.__name__.lstrip("_") for _, fault, _ in FUNCTOR_ERRORS])
+def test_functor_constructor_and_documents_keep_each_check(message, fault,
+                                                           in_documents):
+    fun = triangle_cover(2)
+    doc = docs.functor_to_json(fun, "F", "C", "B")
+    target, object_map, matrices = fault(fun, doc)
+    with pytest.raises(ConstructionError, match=message):
+        LinearFunctor(fun.source, target, dict(object_map), dict(matrices))
+    if in_documents:
+        with pytest.raises(DocumentError, match=message):
+            docs.functor_from_json(doc, {"C": fun.source, "B": target})

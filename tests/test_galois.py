@@ -1,6 +1,9 @@
 """Deck groups, sections, triviality, Galois verdicts, quotients, universality."""
 
+import gc
 import sys
+import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +33,9 @@ from covcat.examples import WeightedQuiver, base_category, cyclic_cover, \
     kronecker, kronecker_cover_twisted, rel_square, standard_bases, \
     triangle_base, triangle_cover
 
-from oracles import exhaustive_lifts, full_subcategory, functor_axioms_hold, \
-    naive_fibre_dims, naive_rank, product_iso, sections_by_restriction
+from oracles import dense_lift, exhaustive_lifts, full_subcategory, \
+    functor_axioms_hold, naive_fibre_dims, naive_rank, product_iso, \
+    sections_by_restriction
 
 
 # lifts -----------------------------------------------------------------------
@@ -154,6 +158,11 @@ def test_deck_group_is_a_group_acting_freely(galois_corpus, gf7_corpus):
                     assert deck.act(i, x) != x, name
 
 
+def test_deck_group_of_a_one_object_source():
+    point = path_category(Quiver(("v",), ()), [], QQ)
+    assert deck_group(identity_functor(point)).order == 1
+
+
 def test_deck_group_rejects_lifts_that_are_not_closed(monkeypatch):
     cover = triangle_cover(3)
     # without the lift to one sheet of the anchor's fibre, the other lifts
@@ -183,6 +192,54 @@ def test_deck_group_checks_connectivity_once(monkeypatch):
     monkeypatch.setattr(galois, "connected_components", counting)
     assert deck_group(cover).order == 4
     assert len(calls) == 1
+
+
+def test_structure_iso_after_a_galois_check_lifts_once_per_sheet(monkeypatch):
+    """One deck group per functor: is_galois then structure_iso lift each
+    sheet of the anchor's fibre once between them, n lifts and not 2n."""
+    cover = triangle_cover(4)
+    lifted = []
+    real_lift = galois._lift
+
+    def counting(fun, x, x_prime, cert):
+        lifted.append(x_prime)
+        return real_lift(fun, x, x_prime, cert)
+
+    monkeypatch.setattr(galois, "_lift", counting)
+    assert is_galois(cover, "direct").is_galois
+    assert is_isomorphism(structure_iso(cover)) is not None
+    assert deck_group(cover).order == 4
+    assert lifted == list(cover.fibre(cover.target.objects[0]))
+
+
+def test_the_cached_deck_group_makes_no_reference_cycle():
+    cover = triangle_cover(3)
+    assert deck_group(cover).order == 3
+    gone = weakref.ref(cover)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del cover
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_trusted_lifts_rebuild_through_the_public_constructors(
+        galois_corpus, gf7_corpus):
+    """Deck elements and their matrices skip the constructors' checks; each
+    passes them, and the functor axioms, when rebuilt."""
+    for name, fun in galois_corpus + gf7_corpus:
+        for h in deck_group(fun).elements:
+            matrices = {pair: Matrix(m.field, m.nrows, m.ncols, m.entries)
+                        for pair, m in h.hom_matrices.items()}
+            rebuilt = LinearFunctor(h.source, h.target, dict(h.object_map),
+                                    matrices)
+            assert functor_equal(rebuilt, h), name
+            assert validate_functor(h).ok, name
+            assert all(type(row) is tuple for m in h.hom_matrices.values()
+                       for row in m.entries), name
 
 
 def test_galois_stability(f1, f2):
@@ -554,6 +611,96 @@ def test_pullback_decision_matches_fibre_product_on_random_functors(data):
                               min_size=k, max_size=k))
     u = _onto_kronecker(g, rows)
     assert galois._pullback_triviality(u, g) == _built_pullback_decision(u, g)
+
+
+# the dense transport oracle --------------------------------------------------------
+
+
+def _assert_lifts_match_dense(fun, name=""):
+    """lift_endofunctor against the dense lift rule, for every x' in the
+    anchor's fibre: the same object map and matrices, or both None."""
+    fibre = fun.fibre(fun.target.objects[0])
+    for x_prime in fibre:
+        h = lift_endofunctor(fun, fibre[0], x_prime)
+        dense = dense_lift(fun, fibre[0], x_prime)
+        got = None if h is None else (
+            h.object_map, {pair: m.entries for pair, m in h.hom_matrices.items()})
+        assert got == dense, (name, x_prime)
+
+
+def test_deck_lifts_match_the_dense_transport(galois_corpus, gf7_corpus):
+    for name, fun in galois_corpus + gf7_corpus:
+        _assert_lifts_match_dense(fun, name)
+
+
+def _with_arrow_images(plain: LinearFunctor, images) -> LinearFunctor:
+    """A Kronecker cover ``plain`` with each arrow out of sheet s sent to
+    images[s][i], where e_i is the base basis vector it went to."""
+    (x, _), field = plain.target.objects, plain.target.field
+    sheet = {u: s for s, u in enumerate(plain.fibre(x))}
+    matrices = dict(plain.hom_matrices)
+    for (u, v), m in plain.hom_matrices.items():
+        if u != v:
+            cols = [images[sheet[u]][m.column(j).index(1)]
+                    for j in range(m.ncols)]
+            matrices[(u, v)] = Matrix.from_columns(field, cols, m.nrows)
+    return LinearFunctor(plain.source, plain.target, plain.object_map, matrices)
+
+
+def _inverse_entries(fun) -> set:
+    return {a for block in fun.covering.blocks.values()
+            for row in block.inverse.entries for a in row}
+
+
+def test_deck_lifts_match_the_dense_transport_through_non_unit_inverses():
+    """Fibre blocks whose inverses hold a Fraction over Q and entries other
+    than 0 and 1 over GF(7): on one image for every sheet (Galois), and
+    with one sheet twisted (not)."""
+    for field, shared in ((QQ, [(2, 0), (1, Fraction(1, 2))]),
+                          (GF(7), [(3, 0), (1, 2)])):
+        plain = cyclic_cover(kronecker(), 2, field)
+        galois_cover = _with_arrow_images(plain, [shared, shared])
+        twisted = _with_arrow_images(plain, [shared, [(1, 0), (0, 1)]])
+        entries = _inverse_entries(galois_cover)
+        if field == QQ:
+            assert any(isinstance(a, Fraction) for a in entries)
+        else:
+            assert entries - {0, 1}
+        assert deck_group(galois_cover).order == 2
+        assert deck_group(twisted).order == 1
+        for fun in (galois_cover, twisted):
+            _assert_lifts_match_dense(fun, field.kind)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_deck_lifts_match_the_dense_transport_on_random_covers(data):
+    """Z/d covers of the two- or three-arrow Kronecker quiver onto its base,
+    each arrow sent to λ·e_i plus a combination of the e_j before e_i
+    (λ ≠ 0), where e_i is its unit image: every fibre block is triangular
+    up to its column order, so the functor covers.  One image per arrow is
+    shared by every sheet but a drawn set of twisted sheets."""
+    plain = data.draw(st.sampled_from(_KRONECKER_COVERS))
+    field, (x, y) = plain.target.field, plain.target.objects
+    k = plain.target.dim(x, y)
+    if field == QQ:
+        units = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+        scalars = st.sampled_from([0, 1, -1, Fraction(1, 3)])
+    else:
+        units, scalars = st.integers(1, 6), st.integers(0, 6)
+
+    def images():
+        return [tuple(data.draw(units) if j == i else
+                      data.draw(scalars) if j < i else 0 for j in range(k))
+                for i in range(k)]
+
+    sheets = len(plain.fibre(x))
+    shared = images()
+    twisted = data.draw(st.sets(st.integers(0, sheets - 1)))
+    fun = _with_arrow_images(plain, [images() if s in twisted else shared
+                                     for s in range(sheets)])
+    assert isinstance(fun.covering, CoveringCertificate)
+    _assert_lifts_match_dense(fun)
 
 
 def test_fibre_decisions_build_no_fibre_product(monkeypatch, f1, f2,

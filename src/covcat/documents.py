@@ -73,6 +73,14 @@ def _array(value, what: str, path=None) -> list:
     return value
 
 
+def _object(value, what: str, path=None) -> dict:
+    """``value``, refused unless a JSON object: ``dict`` would read an array
+    of pairs, or of two-character strings, as a mapping."""
+    if not isinstance(value, dict):
+        raise DocumentError(f"{what} {value!r} is not a JSON object", path)
+    return value
+
+
 def _parse_coeff(field: FieldSpec, text, path=None):
     if not isinstance(text, str):
         raise DocumentError(f"coefficient {text!r} must be a string", path)
@@ -186,7 +194,8 @@ def functor_from_json(doc: dict, categories: Mapping[str, LinearCategory],
     if dst_name not in categories:
         raise DocumentError(f"unresolved target category {dst_name!r}", path)
     source, target = categories[src_name], categories[dst_name]
-    object_map = dict(_need(doc, "object_map", path))
+    object_map = dict(_object(_need(doc, "object_map", path), "object_map",
+                              path))
     field = source.field
     hom_matrices = {}
     for entry in _need(doc, "hom_matrices", path):

@@ -12,11 +12,10 @@ transported through those sparse rows; the lifts are built without
 re-checking the shapes that the transport fixes.
 
 The fibre method and universality decide whether the first projection of
-u ×_B g is a trivial covering.  They read its hom spaces through g's
-certificate, by the same sparse transport as the lifts, and decide its
-blocks where they are built, from column counts and, for a block stacking
-several hom spaces, a rank: the projection gets no covering check and no
-inverse.
+P = u ×_B g is a trivial covering, on a table of P's hom spaces read
+through g's certificate by the same sparse transport as the lifts: each
+entry is a hom space's image under the projection.  The projection's
+blocks and P's components are decided on that table; neither is built.
 
 Every procedure here takes functors as input; the CLI validates each
 functor document before it decides.
@@ -32,12 +31,12 @@ from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError, CovcatError, NotConnectedError, \
     NotCoveringError
-from .exactalg import Matrix, echelon_basis, express_in_echelon, \
-    kernel_basis
-from .lincat import LinearCategory, category_from_model, connected_components
+from .exactalg import Matrix, echelon_basis, kernel_basis
+from .lincat import LinearCategory, _walk_components, category_from_model, \
+    connected_components
 from .linfun import LinearFunctor, compose, functor_equal, is_isomorphism
 from .covering import CoveringCertificate, CoveringFailure, FibreBlock
-from .fibprod import _pair_name
+from .fibprod import _pair_name, fibre_product
 
 __all__ = [
     "DeckGroup",
@@ -300,13 +299,14 @@ def is_trivial_covering(fun: LinearFunctor) -> TrivialityResult:
     onto the (connected) base; ``fun`` must be a functor.  The failing
     component is the first with more objects than the base."""
     _ensure_certificate(fun)
-    return _component_triviality(fun)
+    return _component_triviality(connected_components(fun.source)[0],
+                                 fun.target)
 
 
-def _component_triviality(fun: LinearFunctor) -> TrivialityResult:
-    """``is_trivial_covering`` for a functor known to be a covering."""
-    _ensure_connected(fun.target, "target")
-    parts, _ = connected_components(fun.source)
+def _component_triviality(parts: tuple[tuple[str, ...], ...],
+                          base: LinearCategory) -> TrivialityResult:
+    """Triviality of a covering onto ``base`` from its source's components."""
+    _ensure_connected(base, "target")
     # For a covering, K maps isomorphically onto B iff |K| = |B|.  K maps
     # onto B: a non-zero base hom into or out of Fx has a non-empty block at
     # x, so a neighbour of x in K lies over its far end, and B is connected.
@@ -314,7 +314,7 @@ def _component_triviality(fun: LinearFunctor) -> TrivialityResult:
     # hom(x, y') = 0 and the invertible (or empty) source block at x over
     # (Fx, Fy) is F on hom(x, y) alone.
     for component in parts:
-        if len(component) != len(fun.target.objects):
+        if len(component) != len(base.objects):
             return TrivialityResult(False, failing_component=component)
     return TrivialityResult(True, TrivialityWitness(
         tuple(p[0] for p in parts), parts))
@@ -346,31 +346,25 @@ class GaloisVerdict:
         return self.status is GaloisStatus.GALOIS
 
 
-def _kernel_inclusion(m: Matrix) -> tuple:
-    """ker m as its reduced echelon basis, its pivots, and the matrix that
-    includes it (the basis as columns)."""
-    rows, pivots = kernel_basis(m)
-    return rows, pivots, Matrix.from_columns(m.field, rows, m.ncols)
+# The entry of a pullback table whose space is all of C(x, x2)
+_WHOLE = "whole"
 
 
-def _pullback_pr1(u: LinearFunctor, g: LinearFunctor) -> LinearFunctor:
-    """The first projection of P = source(u) ×_B source(g), for a covering g,
-    with P's hom spaces read through g's certificate.
-
-    Only P's objects, hom bases and identities, and pr1's object map and
-    matrices, are meaningful: P's composition table is left empty, as
-    nothing that decides on pr1 reads it, and this functor must not leave
-    ``_pullback_triviality``.  Objects and basis names are those of
-    ``fibre_product``; each hom space has another basis.
+def _pullback_spaces(u: LinearFunctor, g: LinearFunctor) -> dict:
+    """The hom spaces of P = source(u) ×_B source(g), for a covering g, read
+    through g's certificate: ((x, y), (x2, y2)) -> V_y2, the image of
+    P((x, y), (x2, y2)) under the first projection, as its reduced echelon
+    rows in C(x, x2), or ``_WHOLE`` for all of C(x, x2).  Zero spaces are
+    absent.
     """
     if u.target != g.target:
         raise ConstructionError("functors do not share a base category")
     gcert = _ensure_certificate(g)
-    cat_c, field, fibres = u.source, u.target.field, gcert.fibres
+    field, fibres = u.target.field, gcert.fibres
     # A zero C-hom gives no P-hom: u(0) = 0 = g(ψ) forces ψ = 0, as g is
     # injective on each hom space (its columns sit in an invertible block).
     # So only the non-zero C-homs, those in u.hom_matrices, are scanned.
-    spaces = {}  # ((x, y), (x2, y2)) -> V_y2 as _kernel_inclusion gives it
+    spaces = {}
     for (x, x2), m in u.hom_matrices.items():
         b, b2, d = u.object_map[x], u.object_map[x2], m.ncols
         # (φ, ψ) in C(x, x2) ⊕ D(y, y2) is a P-hom iff u(φ) = g(ψ).  g on
@@ -378,18 +372,16 @@ def _pullback_pr1(u: LinearFunctor, g: LinearFunctor) -> LinearFunctor:
         # with T = M⁻¹·u(x, x2) (read by _transport, as a deck lift reads
         # it) this says that Tφ is ψ in y2's rows and vanishes in every
         # other row.
-        # So P((x, y), (x2, y2)) ≅ V_y2 = {φ : Tφ vanishes outside y2's
-        # rows}, ψ being the y2 part of Tφ, and pr1 on it is the inclusion
-        # V_y2 ⊆ C(x, x2).
+        # So the first projection maps P((x, y), (x2, y2)) isomorphically
+        # onto V_y2 = {φ : Tφ vanishes outside y2's rows}, ψ being the y2
+        # part of Tφ.
         # - ker T = ker u(x, x2) for every y, and it is V_y2 for each y2
         #   that owns no non-zero row of T: one kernel per C-hom.
         # - When B(b, b2) = 0, u(x, x2) has no rows, so that kernel is all of
         #   C(x, x2); and it is every V_y2, because the covering g has
         #   D(y, y2) = 0 (its blocks over a zero base hom are empty), so ψ = 0
         #   and there is no block to transport through.
-        kernel = _kernel_inclusion(m)
-        eye = Matrix.identity(field, d)
-        whole = (eye.entries, tuple(range(d)), eye)
+        kernel, _ = kernel_basis(m)
         for y in fibres[b]:
             owned = {}  # fibre object -> its non-zero rows of T
             if m.nrows:
@@ -398,60 +390,62 @@ def _pullback_pr1(u: LinearFunctor, g: LinearFunctor) -> LinearFunctor:
                     nonzero = [row for row in rows if any(row)]
                     if nonzero:
                         owned[w] = nonzero
-            for y2 in fibres[b2] if kernel[0] else owned:
+            for y2 in fibres[b2] if kernel else owned:
                 if y2 not in owned:
                     space = kernel
                 elif len(owned) == 1:
                     # T's non-zero rows belong to y2 alone: V_y2 = C(x, x2)
-                    space = whole
+                    space = _WHOLE
                 else:
-                    # several owners: V_y2 is the kernel of T without y2's rows
+                    # several owners: V_y2 is the kernel of T's other rows
                     rest = tuple(row for w, rows in owned.items() if w != y2
                                  for row in rows)
-                    space = _kernel_inclusion(Matrix(field, len(rest), d, rest))
-                if space[0]:
+                    space, _ = kernel_basis(
+                        Matrix._trusted(field, len(rest), d, rest))
+                if space:
                     spaces[((x, y), (x2, y2))] = space
-
-    names = {(x, y): _pair_name(x, y)
-             for x in cat_c.objects for y in fibres[u.object_map[x]]}
-    hom_basis, matrices = {}, {}
-    # in fibre_product's order, so that a clash of names is reported alike
-    for q, q2 in sorted(spaces):
-        p, p2 = names[q], names[q2]
-        rows, _, inclusion = spaces[(q, q2)]
-        hom_basis[(p, p2)] = tuple(f"{p}>{p2}#{i}" for i in range(len(rows)))
-        matrices[(p, p2)] = inclusion
-    # 1_x lies in V_y at (x, y): u(1_x) = 1_b = g(1_y), so T·1_x is 1_y's
-    # coordinates, which vanish outside y's rows
-    identity = {}
-    for q, p in names.items():
-        rows, pivots, _ = spaces[(q, q)]
-        identity[p] = express_in_echelon(rows, pivots, cat_c.identity[q[0]],
-                                         field)
-    category = LinearCategory(field, tuple(names.values()), hom_basis,
-                              identity, {})
-    return LinearFunctor(category, cat_c, {p: q[0] for q, p in names.items()},
-                         matrices)
+    return spaces
 
 
 def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
                          ) -> Union[TrivialityResult, CoveringFailure]:
-    """Whether the first projection u ×_B g → source(u) is a trivial
+    """Whether the first projection pr1: u ×_B g → source(u) is a trivial
     covering; the covering failure when it is not a covering at all.  This
     is the fibre-product criterion of both the Galois fibre method and
-    universality, for a covering g."""
+    universality, for a covering g, decided on ``_pullback_spaces``."""
     # The result, and every byte of the reports written from it, is that of
     # the pr1 of fibre_product(u, g).  Those reports hold object names, block
     # dimensions, ranks and components (covering_failure_to_json,
     # triviality_to_json), and none depends on a basis: the objects and
-    # their fibres are the same, and each hom space here is the image of
-    # fibre_product's under its injective pr1, so every block has the same
-    # column count and rank and the same homs are non-zero.
-    # P's composition table is not built, but P is a category and pr1 a
-    # functor: the componentwise composite of two P-homs is a P-hom, as
-    # u(φ'∘φ) = u(φ')u(φ) = g(ψ')g(ψ) = g(ψ'∘ψ), and so is (1_x, 1_y).
-    pr1 = _pullback_pr1(u, g)
-    cat_c, cat_p = pr1.target, pr1.source
+    # their fibres are the same, and each V_y2 is the image of
+    # fibre_product's P-hom under its injective pr1, so every block has the
+    # same column count and rank and the same homs are non-zero.  P is a
+    # category and pr1 a functor: the componentwise composite of two P-homs
+    # is a P-hom, as u(φ'∘φ) = u(φ')u(φ) = g(ψ')g(ψ) = g(ψ'∘ψ), and so is
+    # (1_x, 1_y).
+    spaces = _pullback_spaces(u, g)
+    cat_c, fibres = u.source, g.covering.fibres
+    names = {(x, y): _pair_name(x, y)
+             for x in cat_c.objects for y in fibres[u.object_map[x]]}
+    # P's constructor is not run, so what it checks is argued or checked
+    # here.  Each (x, y) has a non-zero endomorphism space holding 1_x:
+    # u(1_x) = 1_b = g(1_y), so T·1_x is 1_y's coordinates, which vanish
+    # outside y's rows.  Its names must be distinct, and its basis names,
+    # "{p}>{p2}#{i}" for P(p, p2), are unless a name holds ")>(": every p
+    # is "(x,y)", so in p>p2 = q>q2 with q shorter, the ")>(" at q's end
+    # lies inside p.  Then fibre_product(u, g) raises as P's constructor
+    # would, if they clash.
+    if len(set(names.values())) != len(names):
+        raise ConstructionError("duplicate object names")
+    if any(")>(" in p for p in names.values()):
+        fibre_product(u, g)
+    # pr1's fibre over x: its lifts (x, y), in name order
+    lifts = {x: sorted((names[(x, y)], y) for y in fibres[u.object_map[x]])
+             for x in cat_c.objects}
+    over = {}  # (x, x2) -> (y, y2, V_y2) for each P-hom over C(x, x2)
+    for ((x, y), (x2, y2)), space in spaces.items():
+        over.setdefault((x, x2), []).append((y, y2, space))
+
     # This is check_covering(pr1), then is_trivial_covering(pr1), without
     # the inverses that only a certificate holds.
     # - No object of C is missed: g covers, so the fibre of u(x) is not
@@ -459,35 +453,41 @@ def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
     # - Base pairs and lifts run in check_covering's order.  It skips a zero
     #   C(b, c) with no P-hom over it, and no P-hom lies over a zero C(b, c)
     #   (each is a subspace of it).
-    # - pr1 includes each P-hom into C(b, c), so a block's columns are the
-    #   bases of the P-homs it stacks.  With as many columns as dim C(b, c),
-    #   a block of one P-hom has full rank: a whole C(b, c) (one owner and
-    #   a zero kernel) is included by the identity.  Only a block stacking
-    #   several P-homs needs a rank, which equals the check's, as the
-    #   column order does not change it.
+    # - pr1 includes each P-hom into C(b, c) as V_y2, so a block's columns
+    #   are the bases of the V_y2 it stacks.  With as many columns as
+    #   dim C(b, c), a block of one space has full rank: a whole C(b, c)
+    #   (one owner and a zero kernel) is included by the identity.  A whole
+    #   C(b, c) beside another non-zero space makes too many columns, so
+    #   only a block stacking several echelon bases needs a rank, which
+    #   equals the check's, as the column order does not change it.
     for b, c in sorted(cat_c.hom_basis):
         dim = cat_c.dim(b, c)
-        stacked = {}  # (lift, direction) -> the P-homs of its block
-        for p, p2 in pr1.homs_over.get((b, c), ()):
-            stacked.setdefault((p, "source"), []).append((p, p2))
-            stacked.setdefault((p2, "target"), []).append((p, p2))
-        for direction, lifts in (("source", pr1.fibre(b)),
-                                 ("target", pr1.fibre(c))):
-            for lift in lifts:
-                homs = stacked.get((lift, direction), ())
-                ncols = sum(cat_p.dim(*pair) for pair in homs)
+        stacked = {}  # (direction, lift's D-object) -> the V_y2 of its block
+        for y, y2, space in over.get((b, c), ()):
+            stacked.setdefault(("source", y), []).append(space)
+            stacked.setdefault(("target", y2), []).append(space)
+        for direction, x in (("source", b), ("target", c)):
+            for lift, y in lifts[x]:
+                block = stacked.get((direction, y), ())
+                ncols = sum(dim if space is _WHOLE else len(space)
+                            for space in block)
                 if ncols != dim:
                     return CoveringFailure("block-dimension", b, c, lift,
                                            direction, dim, ncols)
-                if len(homs) < 2:
+                if len(block) < 2:
                     continue
-                columns = [col for pair in homs
-                           for col in zip(*pr1.hom_matrices[pair].entries)]
-                rank = len(echelon_basis(cat_c.field, columns)[1])
+                rank = len(echelon_basis(
+                    cat_c.field, [row for space in block for row in space])[1])
                 if rank < dim:
                     return CoveringFailure("block-singular", b, c, lift,
                                            direction, dim, rank)
-    return _component_triviality(pr1)
+
+    adjacent = {p: [] for p in names.values()}
+    for q, q2 in spaces:
+        adjacent[names[q]].append(names[q2])
+        adjacent[names[q2]].append(names[q])
+    return _component_triviality(
+        _walk_components(names.values(), adjacent.__getitem__), cat_c)
 
 
 def is_galois(fun: LinearFunctor, method: str = "direct") -> GaloisVerdict:

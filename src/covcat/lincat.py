@@ -4,6 +4,7 @@ A category is stored by its ordered hom bases and composition structure
 constants.  Zero hom spaces are represented by absence; the graph of
 non-zero homs is indexed once per category (``out_of``, ``into``), and every
 walk over composable pairs, connectivity pass and fibre block reads it there.
+Its connected components are walked once per category (``_components``).
 The non-zero structure constants are indexed once too (``_after``): every
 composite, the validators included, is summed over that table.
 Object identifiers are strings and every enumeration is in lexicographic
@@ -112,6 +113,13 @@ class LinearCategory:
     def into(self) -> dict[str, list[tuple[str, str]]]:
         """The non-zero hom pairs (x, y) as (y, x), sorted, grouped by y."""
         return by_source((y, x) for x, y in sorted(self.hom_basis))
+
+    @cached_property
+    def _components(self) -> tuple[tuple[str, ...], ...]:
+        """``connected_components(self)``'s partition, walked once."""
+        out_of, into = self.out_of, self.into
+        return _walk_components(self.objects, lambda v: [
+            w for _, w in out_of[v] + into[v]])
 
     @cached_property
     def _after(self) -> dict[str, dict[str, tuple]]:
@@ -649,10 +657,20 @@ def category_from_algebra(field: FieldSpec, basis: Sequence[str],
 
 
 def connected_components(cat: LinearCategory) -> tuple[tuple[tuple[str, ...], ...], bool]:
-    """Partition of objects by non-zero-walk reachability, plus a connected flag."""
+    """Partition of objects by non-zero-walk reachability, plus a connected
+    flag; read off the category's cached walk."""
+    parts = cat._components
+    return parts, len(parts) == 1
+
+
+def _walk_components(objects: Iterable[str],
+                     neighbours: Callable[[str], Iterable[str]],
+                     ) -> tuple[tuple[str, ...], ...]:
+    """The classes of ``objects`` under reachability along ``neighbours``,
+    each sorted, ordered by their least members."""
     seen = set()
     parts = []
-    for start in cat.objects:
+    for start in objects:
         if start in seen:
             continue
         comp = []
@@ -661,13 +679,13 @@ def connected_components(cat: LinearCategory) -> tuple[tuple[tuple[str, ...], ..
         while queue:
             v = queue.popleft()
             comp.append(v)
-            for _, w in cat.out_of[v] + cat.into[v]:
+            for w in neighbours(v):
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
         parts.append(tuple(sorted(comp)))
     parts.sort(key=lambda part: part[0])
-    return tuple(parts), len(parts) == 1
+    return tuple(parts)
 
 
 # product with a set ---------------------------------------------------------

@@ -19,6 +19,7 @@ from covcat.galois import deck_group, quotient_by_group
 from covcat.exactalg import GF, QQ
 from covcat.examples import (
     cyclic_cover,
+    kronecker,
     kronecker_cover_twisted,
     rel_square,
     triangle_base,
@@ -651,6 +652,25 @@ def test_a_string_where_the_format_has_an_array_is_an_input_error(
                       "error": f"{path}: {refused} is not a JSON array"}
 
 
+# B's identity functor, whose object names have one letter each
+_IDENTITY_B = docs.functor_to_json(identity_functor(triangle_base()), "IB",
+                                   "B", "B")
+
+
+@pytest.mark.parametrize("object_map", [
+    pytest.param([["s", "s"], ["t", "t"], ["u", "u"]], id="pairs"),
+    pytest.param(["ss", "tt", "uu"], id="strings")])
+def test_an_object_map_that_is_not_a_json_object_is_an_input_error(
+        workspace, object_map):
+    """``dict`` would read either array as B's identity object map."""
+    (workspace / "IB.json").write_text(docs.dumps(
+        {**_IDENTITY_B, "object_map": object_map}))
+    for argv in (("validate", "B.json", "IB.json"),
+                 ("check", "covering", "IB.json")):
+        error = _assert_one_input_error(_run_cli(workspace, *argv), argv[0])
+        assert error.endswith(f"object_map {object_map!r} is not a JSON object")
+
+
 @pytest.mark.parametrize("doc, kind, error", [
     pytest.param(_with(_QUIVER, lambda d: d["relations"][0][0].update(
         path=["zz"])), "path-category", "relation references unknown arrow zz",
@@ -670,6 +690,34 @@ def test_validate_refuses_a_quiver_or_algebra_that_build_refuses(
                        "--out", str(tmp_path / "out"))
     assert code == 2
     assert report["error"] == error
+
+
+def _renamed(value, rename: dict):
+    """A document with every string that is a key of ``rename``, dict keys
+    included, replaced by its value."""
+    if isinstance(value, dict):
+        return {_renamed(k, rename): _renamed(v, rename)
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [_renamed(v, rename) for v in value]
+    return rename.get(value, value) if isinstance(value, str) else value
+
+
+def test_check_galois_refuses_clashing_pair_names(tmp_path):
+    """With x0, x1 named "a", "a,a", the Kronecker double cover's square has
+    two pairs named "(a,a,a)": the fibre method refuses it as fibre_product
+    does, while the direct method decides it."""
+    cover = cyclic_cover(kronecker(), 2)
+    for doc in (docs.category_to_json(cover.source, "KXC"),
+                docs.category_to_json(cover.target, "KXB"),
+                docs.functor_to_json(cover, "KX", "KXC", "KXB")):
+        (tmp_path / f"{doc['name']}.json").write_text(docs.dumps(
+            _renamed(doc, {"x0": "a", "x1": "a,a"})))
+    done = _run_cli(tmp_path, "check", "galois", "KX.json", "--method", "fibre")
+    assert _assert_one_input_error(done, "check") == "duplicate object names"
+    done = _run_cli(tmp_path, "check", "galois", "KX.json", "--method", "direct")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["status"] == "Galois"
 
 
 def test_build_quotient_of_disconnected_source_exits_3(workspace, capsys, tmp_path):

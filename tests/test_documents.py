@@ -6,6 +6,7 @@ from covcat import documents as docs
 from covcat.errors import DocumentError
 from covcat.exactalg import GF, QQ
 from covcat.lincat import path_category
+from covcat.linfun import identity_functor
 from covcat.covering import check_covering
 from covcat.fibprod import fibre_product
 from covcat.galois import is_galois
@@ -79,6 +80,20 @@ def test_malformed_documents_are_rejected(f1):
     wrong["hom_matrices"][0]["matrix"] = ["1", "2", "3"]
     with pytest.raises(DocumentError):
         docs.functor_from_json(wrong, cats)
+
+
+@pytest.mark.parametrize("as_array", [
+    pytest.param(lambda m: [[x, fx] for x, fx in m.items()], id="pairs"),
+    pytest.param(lambda m: [x + fx for x, fx in m.items()], id="strings")])
+def test_an_object_map_that_is_not_a_json_object_is_refused(as_array):
+    """``dict`` reads an array of [source, target] pairs, or of two-letter
+    strings such as "ss", as a mapping; neither is a functor document."""
+    fun = identity_functor(triangle_base())
+    doc = docs.functor_to_json(fun, "F", "B", "B")
+    doc["object_map"] = as_array(doc["object_map"])
+    assert dict(doc["object_map"]) == fun.object_map
+    with pytest.raises(DocumentError, match="is not a JSON object"):
+        docs.functor_from_json(doc, {"B": fun.source})
 
 
 def test_duplicate_basis_names_rejected():

@@ -31,7 +31,7 @@ from covcat.galois import (
 )
 from covcat.examples import WeightedQuiver, base_category, cyclic_cover, \
     kronecker, kronecker_cover_twisted, rel_square, standard_bases, \
-    triangle_base, triangle_cover
+    triangle, triangle_base, triangle_cover
 
 from oracles import dense_lift, exhaustive_lifts, full_subcategory, \
     functor_axioms_hold, naive_fibre_dims, naive_rank, product_iso, \
@@ -495,14 +495,23 @@ def test_universality_checks_each_functor_once(monkeypatch, field):
 
 
 def _assert_pullback_dims_match_oracle(u, g, name):
-    pr1 = galois._pullback_pr1(u, g)
+    table = galois._pullback_spaces(u, g)
     dims = naive_fibre_dims(u, g)
-    assert set(pr1.source.objects) == {p for p, _ in dims}, name
+    field = u.target.field
+    rows_of = {}
+    for (q, q2), space in table.items():
+        d = u.source.dim(q[0], q2[0])
+        if space == galois._WHOLE:
+            space = [tuple(field.one if i == j else field.zero
+                           for j in range(d)) for i in range(d)]
+        # each V is a subspace of C(x, x2), given by independent rows
+        assert all(len(row) == d for row in space), name
+        assert naive_rank([list(r) for r in space], field) == len(space), name
+        rows_of[(fibprod._pair_name(*q), fibprod._pair_name(*q2))] = space
+    # every object of P has a non-zero endomorphism space
+    assert {p for p, p2 in rows_of if p == p2} == {p for p, _ in dims}, name
     for (p, p2), dim in dims.items():
-        assert pr1.source.dim(p, p2) == dim, (name, p, p2)
-    # pr1 is injective on each hom space
-    for m in pr1.hom_matrices.values():
-        assert naive_rank([list(r) for r in m.entries], m.field) == m.ncols, name
+        assert len(rows_of.get((p, p2), ())) == dim, (name, p, p2)
 
 
 def test_pullback_hom_dims_match_oracle(galois_corpus, gf7_corpus,
@@ -611,6 +620,96 @@ def test_pullback_decision_matches_fibre_product_on_random_functors(data):
                               min_size=k, max_size=k))
     u = _onto_kronecker(g, rows)
     assert galois._pullback_triviality(u, g) == _built_pullback_decision(u, g)
+
+
+def _renamed(fun: LinearFunctor, rename: dict) -> LinearFunctor:
+    """``fun`` with its source objects renamed; basis names are kept."""
+    src, r = fun.source, (lambda x: rename.get(x, x))
+    cat = LinearCategory(
+        src.field, tuple(map(r, src.objects)),
+        {(r(x), r(y)): basis for (x, y), basis in src.hom_basis.items()},
+        {r(x): coords for x, coords in src.identity.items()}, src.composition)
+    return LinearFunctor(
+        cat, fun.target, {r(x): b for x, b in fun.object_map.items()},
+        {(r(x), r(y)): m for (x, y), m in fun.hom_matrices.items()})
+
+
+def _name_clash_cover() -> LinearFunctor:
+    """The Kronecker double cover with x0, x1 renamed "a", "a,a": its square
+    has the pairs (a, a,a) and (a,a, a), both named "(a,a,a)"."""
+    return _renamed(cyclic_cover(kronecker(), 2), {"x0": "a", "x1": "a,a"})
+
+
+def test_clashing_pair_names_are_refused_before_deciding():
+    f = _name_clash_cover()
+    assert is_galois(f, "direct").is_galois
+    for decide in (lambda: is_galois(f, "fibre"),
+                   lambda: check_universal_against(f, [f]),
+                   lambda: fibre_product(f, f)):
+        with pytest.raises(ConstructionError, match="^duplicate object names$"):
+            decide()
+
+
+def test_clashing_pullback_basis_names_are_refused_as_fibre_product_does():
+    """P-homs ((s,t), (u,v)>(u,v)) and ((s,t)>(u,v), (u,v)) would both name
+    their basis "(s,t)>(u,v)>(u,v)#0"; the object names are all distinct."""
+    plain = cyclic_cover(kronecker(), 2)
+    u = _renamed(plain, {"x0": "s", "x1": "s1", "y0": "u", "y1": "u1"})
+    g = _renamed(plain, {"x0": "t", "x1": "t)>(u,v", "y0": "v)>(u,v",
+                         "y1": "v"})
+    with pytest.raises(ConstructionError) as built:
+        fibre_product(u, g)
+    assert str(built.value).startswith("basis name '(s,t)>(u,v)>(u,v)#0'")
+    for decide in (lambda: galois._pullback_triviality(u, g),
+                   lambda: check_universal_against(u, [g])):
+        with pytest.raises(ConstructionError) as decided:
+            decide()
+        assert str(decided.value) == str(built.value)
+
+
+def test_pullback_decision_builds_no_category_or_functor(monkeypatch):
+    """The fibre-product criterion decides on the table of hom spaces."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a category or functor was built")
+
+    for fun in (cyclic_cover(rel_square(), 4), kronecker_cover_twisted()):
+        with monkeypatch.context() as patch:
+            patch.setattr(LinearCategory, "__init__", refuse)
+            patch.setattr(LinearFunctor, "__init__", refuse)
+            patch.setattr(LinearFunctor, "_trusted", refuse)
+            result = galois._pullback_triviality(fun, fun)
+        assert result == _built_pullback_decision(fun, fun)
+
+
+def _record_walks(monkeypatch) -> list:
+    """The objects of every category whose components are walked."""
+    walked = []
+    real = lincat._walk_components
+
+    def recording(objects, neighbours):
+        walked.append(objects)
+        return real(objects, neighbours)
+
+    monkeypatch.setattr(lincat, "_walk_components", recording)
+    return walked
+
+
+def test_the_direct_method_walks_the_source_once(monkeypatch):
+    fun = cyclic_cover(triangle(), 8)
+    walked = _record_walks(monkeypatch)
+    assert is_galois(fun, "direct").is_galois
+    assert walked == [fun.source.objects]
+    assert is_galois(fun, "fibre").is_galois
+    assert walked == [fun.source.objects]
+
+
+def test_universality_walks_each_source_once(monkeypatch):
+    u = cyclic_cover(rel_square(), 4)
+    family = [cyclic_cover(rel_square(), 2), cyclic_cover(rel_square(), 4)]
+    walked = _record_walks(monkeypatch)
+    assert check_universal_against(u, family).universal_relative_to_family
+    assert [[o is f.source.objects for f in [u] + family] for o in walked] == [
+        [True, False, False], [False, True, False], [False, False, True]]
 
 
 # the dense transport oracle --------------------------------------------------------

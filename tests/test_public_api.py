@@ -35,7 +35,7 @@ def test_no_decision_takes_a_certificate_or_a_verdict():
               for param in inspect.signature(getattr(galois, name)).parameters
               if param in ("cert", "gcert", "verdict")]
     assert taking == []
-    for helper in (galois._pullback_pr1, galois._pullback_triviality):
+    for helper in (galois._pullback_spaces, galois._pullback_triviality):
         assert list(inspect.signature(helper).parameters) == ["u", "g"]
     fields = {f.name for cls in (galois.GaloisVerdict, CoveringCertificate)
               for f in dataclasses.fields(cls)}

@@ -7,6 +7,13 @@ into the whole fibre of c must be a bijection onto hom(b, c), and dually
 for lifts of c.  This is equivalent to the star condition but yields small
 matrices and a precise first-failure witness.
 
+A block is decided by its non-zero pattern first.  When every column has
+one non-zero entry and no two share a row (a monomial block, as every
+block of the standard bases' Z/n covers is), the block is invertible and
+its inverse is read off: 1/e at (j, i) for each e at (i, j).  Every other
+block is eliminated as ``[m | I]``, which gives its rank, its
+``block-singular`` witness and its inverse.
+
 ``LinearFunctor.covering`` caches ``check_covering``; a certificate holds
 no reference to its functor, so that cache makes no reference cycle.
 """
@@ -110,6 +117,33 @@ def _fibre_block(fun: LinearFunctor, direction: str, lift: str, far: str):
     return layout, cols
 
 
+def _monomial_block(field, cols, dim: int):
+    """The square block with columns ``cols`` and its inverse, when each
+    column has exactly one non-zero entry and no two of them share a row;
+    else None.  Entries are reduced by ``field.scalar`` before the zero
+    test, as ``Matrix.from_columns`` reduces them."""
+    scalar, zero, inv = field.scalar, field.zero, field.inv
+    rows = [[zero] * dim for _ in range(dim)]
+    inverse = [[zero] * dim for _ in range(dim)]
+    free = [True] * dim
+    for j, col in enumerate(cols):
+        hit = None
+        for i, e in enumerate(col):
+            e = scalar(e)
+            if e != zero:
+                if hit is not None:
+                    return None
+                hit = i
+                rows[i][j] = e
+        if hit is None or not free[hit]:
+            return None
+        free[hit] = False
+        inverse[j][hit] = inv(rows[hit][j])
+    # dim columns of dim entries, so both are dim × dim of field scalars
+    return (Matrix._trusted(field, dim, dim, tuple(map(tuple, rows))),
+            Matrix._trusted(field, dim, dim, tuple(map(tuple, inverse))))
+
+
 def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFailure]:
     """Decide the covering property, returning a certificate or the first
     offending witness (surjectivity, then blocks in lexicographic order)."""
@@ -134,11 +168,15 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
                                            direction, dim, len(cols))
                 if dim == 0:
                     continue
-                matrix = Matrix.from_columns(base.field, cols, dim)
-                rank, inverse = rank_and_inverse(matrix)
-                if inverse is None:
-                    return CoveringFailure("block-singular", b, c, lift,
-                                           direction, dim, rank)
+                read = _monomial_block(base.field, cols, dim)
+                if read is not None:
+                    matrix, inverse = read
+                else:
+                    matrix = Matrix.from_columns(base.field, cols, dim)
+                    rank, inverse = rank_and_inverse(matrix)
+                    if inverse is None:
+                        return CoveringFailure("block-singular", b, c, lift,
+                                               direction, dim, rank)
                 blocks[(b, c, lift, direction)] = FibreBlock(
                     b, c, lift, direction, tuple(layout), matrix, inverse)
 

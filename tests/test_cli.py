@@ -671,6 +671,20 @@ def test_an_object_map_that_is_not_a_json_object_is_an_input_error(
         assert error.endswith(f"object_map {object_map!r} is not a JSON object")
 
 
+@pytest.mark.parametrize("key, value", [
+    pytest.param("identity", [["t", ["1"]]], id="identity-pairs"),
+    pytest.param("field", "kind", id="field-string"),
+    pytest.param("field", ["kind"], id="field-array")])
+def test_an_identity_or_field_that_is_not_a_json_object_is_an_input_error(
+        tmp_path, key, value):
+    """A DocumentError naming the file, not an AttributeError or a
+    TypeError out of the library."""
+    (tmp_path / "bad.json").write_text(_malformed_category(**{key: value}))
+    error = _assert_one_input_error(_run_cli(tmp_path, "validate", "bad.json"),
+                                    "validate")
+    assert error == f"bad.json: {key} {value!r} is not a JSON object"
+
+
 @pytest.mark.parametrize("doc, kind, error", [
     pytest.param(_with(_QUIVER, lambda d: d["relations"][0][0].update(
         path=["zz"])), "path-category", "relation references unknown arrow zz",

@@ -1,11 +1,20 @@
 """Stars, fibre blocks, covering certificates and their witnesses."""
 
-from covcat.exactalg import QQ, Matrix
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from covcat import covering
+from covcat.exactalg import GF, QQ, Matrix, rank_and_inverse
 from covcat.lincat import Quiver, connected_components, path_category, \
     product_with_set
-from covcat.covering import CoveringCertificate, CoveringFailure, check_covering
+from covcat.linfun import LinearFunctor, identity_functor
+from covcat.covering import CoveringCertificate, CoveringFailure, \
+    FibreBlock, check_covering
 from covcat.fibprod import fibre_product
-from covcat.examples import triangle_base
+from covcat.examples import base_category, cyclic_cover, kronecker, \
+    triangle_base
 
 from oracles import count_paths, full_subcategory, naive_rank, star_dim
 
@@ -128,3 +137,133 @@ def test_product_projections_certify_for_all_bases():
         cert = check_covering(projection)
         assert isinstance(cert, CoveringCertificate)
         assert all(len(cert.fibres[b]) == 3 for b in base.objects)
+
+
+# monomial read-off against elimination ----------------------------------------
+
+
+def _by_elimination(fun):
+    """``check_covering`` with every block eliminated: each non-empty block
+    is ``Matrix.from_columns`` of its columns, and ``rank_and_inverse`` of
+    that gives its verdict, its rank and its inverse."""
+    base = fun.target
+    for b in base.objects:
+        if not fun.fibre(b):
+            return CoveringFailure("not-surjective", missing_object=b)
+    blocks = {}
+    for b in base.objects:
+        for c in base.objects:
+            dim = base.dim(b, c)
+            for direction, lift, far in (
+                    [("source", x, c) for x in fun.fibre(b)]
+                    + [("target", z, b) for z in fun.fibre(c)]):
+                layout, cols = covering._fibre_block(fun, direction, lift, far)
+                if len(cols) != dim:
+                    return CoveringFailure("block-dimension", b, c, lift,
+                                           direction, dim, len(cols))
+                if dim == 0:
+                    continue
+                matrix = Matrix.from_columns(base.field, cols, dim)
+                rank, inverse = rank_and_inverse(matrix)
+                if inverse is None:
+                    return CoveringFailure("block-singular", b, c, lift,
+                                           direction, dim, rank)
+                blocks[(b, c, lift, direction)] = FibreBlock(
+                    b, c, lift, direction, tuple(layout), matrix, inverse)
+    return CoveringCertificate({b: fun.fibre(b) for b in base.objects}, blocks)
+
+
+def _assert_read_off_agrees(fun, name=None):
+    """Same verdict; for a certificate the same blocks, each with the same
+    matrix and inverse; for a failure the same witness, kind and rank."""
+    assert check_covering(fun) == _by_elimination(fun), name
+
+
+def test_read_off_agrees_with_elimination_on_the_corpora(
+        galois_corpus, gf7_corpus, fibre_product_corpus):
+    for name, fun in galois_corpus + gf7_corpus:
+        _assert_read_off_agrees(fun, name)
+    # projections of fibre products: certificates and failure witnesses
+    for name, fp in fibre_product_corpus:
+        _assert_read_off_agrees(fp.pr1, name)
+        _assert_read_off_agrees(fp.pr2, name)
+
+
+def _kronecker_with(field, unit, columns):
+    """The identity functor of the Kronecker category, with 1_x and 1_y
+    sent to ``unit`` and hom(x, y) to the 2×2 matrix of ``columns``, all
+    entries given unreduced through the public constructors."""
+    cat = base_category(kronecker(), field)
+    matrices = dict(identity_functor(cat).hom_matrices)
+    for x in cat.objects:
+        matrices[(x, x)] = Matrix(field, 1, 1, ((unit,),))
+    matrices[("x", "y")] = Matrix(field, 2, 2, tuple(zip(*columns)))
+    return LinearFunctor(cat, cat, {x: x for x in cat.objects}, matrices)
+
+
+@pytest.mark.parametrize("field, unit, columns, rank, eliminated", [
+    pytest.param(QQ, 1, [(0, Fraction(1, 2)), (2, 0)], None, 0,
+                 id="Q-scaled-permuted"),
+    pytest.param(QQ, Fraction(4, 2), [(Fraction(2, 1), 0), (0, -1)], None, 0,
+                 id="Q-unreduced-fractions"),
+    pytest.param(GF(7), 3, [(0, 5), (3, 0)], None, 0,
+                 id="GF7-scaled-permuted"),
+    pytest.param(GF(7), 8, [(7, 8), (8, 7)], None, 0, id="GF7-unreduced"),
+    pytest.param(QQ, 1, [(1, 0), (2, 0)], 1, 1, id="Q-two-columns-one-row"),
+    pytest.param(QQ, 1, [(0, 0), (0, 1)], 1, 1, id="Q-zero-column"),
+    pytest.param(GF(7), 1, [(7, 0), (0, 8)], 1, 1, id="GF7-zero-column-as-7"),
+    pytest.param(GF(7), 1, [(5, 7), (3, 7)], 1, 1,
+                 id="GF7-one-row-after-reduction"),
+    pytest.param(GF(7), 7, [(1, 0), (0, 1)], 0, 1, id="GF7-unit-7-is-zero"),
+    pytest.param(QQ, 1, [(1, 1), (1, 2)], None, 2, id="Q-not-monomial"),
+])
+def test_read_off_agrees_with_elimination_on_kronecker_blocks(
+        monkeypatch, field, unit, columns, rank, eliminated):
+    """The blocks are 1_x's, then hom(x, y)'s as a source and as a target
+    block, then 1_y's; only those that are not monomial are eliminated."""
+    fun = _kronecker_with(field, unit, columns)
+    _assert_read_off_agrees(fun)
+    calls = []
+    monkeypatch.setattr(covering, "rank_and_inverse",
+                        lambda m: calls.append(m) or rank_and_inverse(m))
+    result = check_covering(fun)
+    assert len(calls) == eliminated
+    if rank is None:
+        assert isinstance(result, CoveringCertificate)
+    else:
+        assert (result.kind, result.actual_dim) == ("block-singular", rank)
+
+
+_SCALARS = {QQ: (1, -1, 2, Fraction(1, 2), Fraction(2, 1)),
+            GF(7): (1, 3, 5, 6, 8)}
+_ZEROS = {QQ: (0, Fraction(0)), GF(7): (0, 7)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), field=st.sampled_from([QQ, GF(7)]),
+       n=st.integers(1, 3))
+def test_read_off_agrees_with_elimination_on_small_covers(data, field, n):
+    """Every hom matrix of a Kronecker Z/n cover redrawn column by column:
+    mostly scaled unit columns (so blocks come out scaled and permuted, or
+    with two columns on one row), some zero and some dense columns."""
+    plain = cyclic_cover(kronecker(), n, field)
+    scalars, zeros = _SCALARS[field], _ZEROS[field]
+
+    def column(d):
+        kind = data.draw(st.sampled_from(("unit", "unit", "unit", "zero",
+                                          "dense")))
+        col = [data.draw(st.sampled_from(zeros)) for _ in range(d)]
+        if kind == "unit":
+            col[data.draw(st.integers(0, d - 1))] = \
+                data.draw(st.sampled_from(scalars))
+        elif kind == "dense":
+            col = [data.draw(st.sampled_from(scalars)) for _ in range(d)]
+        return col
+
+    matrices = {}
+    for key, m in plain.hom_matrices.items():
+        cols = [column(m.nrows) for _ in range(m.ncols)]
+        matrices[key] = Matrix(field, m.nrows, m.ncols, tuple(
+            tuple(col[i] for col in cols) for i in range(m.nrows)))
+    fun = LinearFunctor(plain.source, plain.target, plain.object_map, matrices)
+    _assert_read_off_agrees(fun)

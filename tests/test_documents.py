@@ -1,6 +1,10 @@
 """JSON document formats: round trips, rejection of malformed input, determinism."""
 
+import json
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covcat import documents as docs
 from covcat.errors import DocumentError
@@ -96,6 +100,31 @@ def test_an_object_map_that_is_not_a_json_object_is_refused(as_array):
         docs.functor_from_json(doc, {"B": fun.source})
 
 
+@pytest.mark.parametrize("key, value, refused", [
+    pytest.param("identity", [["t", ["1"]]], "identity [['t', ['1']]]",
+                 id="identity-pairs"),
+    pytest.param("field", "kind", "field 'kind'", id="field-string"),
+    pytest.param("field", ["kind"], "field ['kind']", id="field-array"),
+])
+def test_identity_and_field_must_be_json_objects(key, value, refused):
+    doc = {**docs.category_to_json(triangle_base(), "B"), key: value}
+    with pytest.raises(DocumentError, match=re.escape(
+            f"{refused} is not a JSON object")):
+        docs.category_from_json(doc)
+
+
+@pytest.mark.parametrize("parse, doc", [
+    pytest.param(docs.quiver_from_json,
+                 docs.quiver_to_json(triangle().quiver, "T", QQ, []),
+                 id="quiver"),
+    pytest.param(docs.algebra_from_json,
+                 {"format": docs.FORMAT_ALGEBRA, "name": "A", "basis": [],
+                  "table": [], "idempotents": []}, id="algebra")])
+def test_a_field_that_is_not_a_json_object_is_refused(parse, doc):
+    with pytest.raises(DocumentError, match="field 'Q' is not a JSON object"):
+        parse({**doc, "field": "Q"})
+
+
 def test_duplicate_basis_names_rejected():
     doc = docs.category_to_json(triangle_base(), "B")
     doc = dict(doc)
@@ -119,6 +148,16 @@ def test_certificate_matches_golden_file(f1):
     cert = check_covering(f1)
     rendered = docs.dumps(docs.certificate_to_json(cert, "F1"))
     golden = Path(__file__).parent / "golden" / "f1-covcert.json"
+    assert rendered == golden.read_text()
+
+
+def test_elimination_certificate_matches_golden_file(kron_twisted):
+    """The twisted Kronecker cover's certificate: 12 blocks, two of which
+    are not monomial and are eliminated rather than read off."""
+    from pathlib import Path
+    rendered = docs.dumps(docs.certificate_to_json(
+        check_covering(kron_twisted), "K"))
+    golden = Path(__file__).parent / "golden" / "k-covcert.json"
     assert rendered == golden.read_text()
 
 
@@ -146,3 +185,24 @@ def test_dumps_is_deterministic(f1):
     doc = docs.category_to_json(f1.source, "C2")
     assert docs.dumps(doc) == docs.dumps(
         docs.category_to_json(triangle_cover(2).source, "C2"))
+
+
+_TRICKY = st.sampled_from(['"', "\\", "/", "\n", "\r", "\t", "\b", "\f",
+                           "\x00", "\x1f", "\x7f", "é", "\u2028", "€",
+                           "\U0001f600"])
+_TEXT = st.text(st.characters() | _TRICKY, max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON)
+def test_dumps_matches_json_dumps(value):
+    """Escapes, non-ASCII and control characters, ints, bools, None,
+    tuples, nesting and empty containers, byte for byte."""
+    assert docs.dumps(value) == json.dumps(value, indent=2,
+                                           sort_keys=True) + "\n"

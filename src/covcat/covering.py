@@ -10,9 +10,10 @@ matrices and a precise first-failure witness.
 A block is decided by its non-zero pattern first.  When every column has
 one non-zero entry and no two share a row (a monomial block, as every
 block of the standard bases' Z/n covers is), the block is invertible and
-its inverse is read off: 1/e at (j, i) for each e at (i, j).  Every other
-block is eliminated as ``[m | I]``, which gives its rank, its
-``block-singular`` witness and its inverse.
+its inverse is read off: 1/e at (j, i) for each e at (i, j).  The block
+keeps that pattern, so the sparse rows of its inverse are read without a
+scan.  Every other block is eliminated as ``[m | I]``, which gives its
+rank, its ``block-singular`` witness and its inverse.
 
 ``LinearFunctor.covering`` caches ``check_covering``; a certificate holds
 no reference to its functor, so that cache makes no reference cycle.
@@ -20,6 +21,7 @@ no reference to its functor, so that cache makes no reference cycle.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -47,18 +49,30 @@ class FibreBlock:
     column_layout: tuple[tuple[str, str], ...]  # (fibre object, basis name)
     matrix: Matrix
     inverse: Matrix
+    # for a monomial block, the column of each row's one non-zero entry,
+    # as check_covering found it; None for an eliminated block
+    _pattern: Optional[list[int]] = dataclasses.field(
+        default=None, compare=False, repr=False)
 
     @cached_property
     def _sparse_inverse(self) -> dict[str, tuple]:
         """The inverse's rows as their non-zero (column, entry) pairs, grouped
         by the fibre object that owns each row in ``column_layout``, in
-        layout order.  Built on the first read, by a deck lift or a pullback
-        hom space; a block is read about once per lift, so the entries are
-        found once, not once per product."""
-        zero, grouped = self.inverse.field.zero, {}
-        for (w, _), row in zip(self.column_layout, self.inverse.entries):
-            grouped.setdefault(w, []).append(
-                tuple((j, e) for j, e in enumerate(row) if e != zero))
+        layout order.  Built on the first read, by a deck element or a
+        pullback hom space: a monomial block's rows are read at its
+        pattern, and only an eliminated block's inverse is scanned."""
+        rows, grouped = self.inverse.entries, {}
+        if self._pattern is None:
+            zero = self.inverse.field.zero
+            pairs = [tuple((j, e) for j, e in enumerate(row) if e != zero)
+                     for row in rows]
+        else:
+            # an entry at (i, j) of the block puts 1/e at (j, i) of the inverse
+            pairs = [None] * len(rows)
+            for i, j in enumerate(self._pattern):
+                pairs[j] = ((i, rows[j][i]),)
+        for (w, _), row in zip(self.column_layout, pairs):
+            grouped.setdefault(w, []).append(row)
         return {w: tuple(rows) for w, rows in grouped.items()}
 
 
@@ -118,14 +132,15 @@ def _fibre_block(fun: LinearFunctor, direction: str, lift: str, far: str):
 
 
 def _monomial_block(field, cols, dim: int):
-    """The square block with columns ``cols`` and its inverse, when each
-    column has exactly one non-zero entry and no two of them share a row;
-    else None.  Entries are reduced by ``field.scalar`` before the zero
-    test, as ``Matrix.from_columns`` reduces them."""
+    """The square block with columns ``cols``, its inverse and the column of
+    each row's one non-zero entry, when each column has exactly one
+    non-zero entry and no two of them share a row; else None.  Entries are
+    reduced by ``field.scalar`` before the zero test, as
+    ``Matrix.from_columns`` reduces them."""
     scalar, zero, inv = field.scalar, field.zero, field.inv
     rows = [[zero] * dim for _ in range(dim)]
     inverse = [[zero] * dim for _ in range(dim)]
-    free = [True] * dim
+    column = [None] * dim  # row -> the column of its entry
     for j, col in enumerate(cols):
         hit = None
         for i, e in enumerate(col):
@@ -135,13 +150,14 @@ def _monomial_block(field, cols, dim: int):
                     return None
                 hit = i
                 rows[i][j] = e
-        if hit is None or not free[hit]:
+        if hit is None or column[hit] is not None:
             return None
-        free[hit] = False
+        column[hit] = j
         inverse[j][hit] = inv(rows[hit][j])
     # dim columns of dim entries, so both are dim × dim of field scalars
     return (Matrix._trusted(field, dim, dim, tuple(map(tuple, rows))),
-            Matrix._trusted(field, dim, dim, tuple(map(tuple, inverse))))
+            Matrix._trusted(field, dim, dim, tuple(map(tuple, inverse))),
+            column)
 
 
 def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFailure]:
@@ -169,8 +185,9 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
                 if dim == 0:
                     continue
                 read = _monomial_block(base.field, cols, dim)
+                pattern = None
                 if read is not None:
-                    matrix, inverse = read
+                    matrix, inverse, pattern = read
                 else:
                     matrix = Matrix.from_columns(base.field, cols, dim)
                     rank, inverse = rank_and_inverse(matrix)
@@ -178,7 +195,8 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
                         return CoveringFailure("block-singular", b, c, lift,
                                                direction, dim, rank)
                 blocks[(b, c, lift, direction)] = FibreBlock(
-                    b, c, lift, direction, tuple(layout), matrix, inverse)
+                    b, c, lift, direction, tuple(layout), matrix, inverse,
+                    pattern)
 
     fibres = {b: fun.fibre(b) for b in base.objects}
     return CoveringCertificate(fibres, blocks)

@@ -3,13 +3,21 @@
 Every decision reads a functor's covering certificate off its one cached
 check, ``LinearFunctor.covering``, and none takes a certificate or a verdict.
 A lift of one object to an endofunctor H with FH = F is read off the
-inverse fibre blocks of that certificate in one breadth-first pass;
-uniqueness of lifts makes the pass deterministic and makes the x0-anchored
-lifts exhaust the whole deck group, which is built once per functor
-(``LinearFunctor._deck_elements``).  Each block's inverse is read once, as
-the non-zero entries of its rows grouped by fibre object, and every hom is
-transported through those sparse rows; the lifts are built without
-re-checking the shapes that the transport fixes.
+inverse fibre blocks of that certificate in one breadth-first pass.  Each
+block's inverse is read once, as the non-zero entries of its rows grouped
+by fibre object, and every hom is transported through those sparse rows;
+the lifts are built without re-checking the shapes that the transport
+fixes.
+
+A deck group is generated, once per functor (``LinearFunctor._deck``).
+Uniqueness of lifts fixes a deck transformation by the image of one anchor
+object, and a product of deck transformations is the lift to wherever it
+sends the anchor.  So only the anchor's fibre objects that no element found
+so far reaches are lifted, and after each lift the object maps are closed
+under composition; a refused lift that a product later reaches is an
+error.  An element's matrices are read only when something asks for them,
+by the same transport through the source block at its image, which must
+vanish outside one fibre object's rows.
 
 The fibre method and universality decide whether the first projection of
 P = u ×_B g is a trivial covering, on a table of P's hom spaces read
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from operator import itemgetter, mul
 from typing import Optional, Sequence, Union
@@ -191,31 +200,121 @@ def _sole_owner(transported: dict[str, tuple]) -> Optional[tuple[str, tuple]]:
     return owners[0] if len(owners) == 1 else None
 
 
-@dataclass(frozen=True)
 class DeckGroup:
-    """The group of invertible endofunctors H of the source with FH = F;
-    each element's object map is its action on objects."""
+    """The group of invertible endofunctors H of the source with FH = F,
+    read by element index: ``act`` gives an element's object map, its action
+    on objects, and ``elements`` the elements as functors.
 
-    covering: LinearFunctor
-    elements: tuple[LinearFunctor, ...]
+    ``deck_group`` generates the group and reads each element's matrices
+    only when something asks for them; ``DeckGroup(covering, elements)``
+    takes the elements as given.
+    """
+
+    def __init__(self, covering: LinearFunctor,
+                 elements: Sequence[LinearFunctor]):
+        self.covering = covering
+        self._table = _GivenElements(tuple(elements))
+
+    @classmethod
+    def _generated(cls, covering: LinearFunctor,
+                   table: _DeckTable) -> DeckGroup:
+        deck = object.__new__(cls)
+        deck.covering, deck._table = covering, table
+        return deck
+
+    @property
+    def elements(self) -> tuple[LinearFunctor, ...]:
+        return self._table.elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._table.maps)
 
     def act(self, i: int, x: str) -> str:
-        return self.elements[i].object_map[x]
+        return self._table.maps[i][x]
 
     def orbit(self, x: str) -> tuple[str, ...]:
-        return tuple(sorted({h.object_map[x] for h in self.elements}))
+        return tuple(sorted({h[x] for h in self._table.maps}))
+
+    def _apply(self, i: int, x: str, y: str, coords) -> tuple:
+        """Element i on the morphism of hom(x, y) with coordinates
+        ``coords``."""
+        m = self._table.matrix(i, x, y)
+        if m is None:
+            h = self._table.maps[i]
+            return self.covering.source.zero_vector(h[x], h[y])
+        return m.apply(coords)
+
+
+class _GivenElements:
+    """The elements of ``DeckGroup(covering, elements)``, as given."""
+
+    def __init__(self, elements: tuple[LinearFunctor, ...]):
+        self.elements = elements
+        self.maps = tuple(h.object_map for h in elements)
+
+    def matrix(self, i: int, x: str, y: str) -> Optional[Matrix]:
+        return self.elements[i].hom_matrices.get((x, y))
+
+
+class _DeckTable:
+    """A generated deck group's elements by index: each object map, and each
+    matrix once it has been read.  ``LinearFunctor._deck`` caches it, so it
+    holds the functor's parts and not the functor: the cache makes no
+    reference cycle."""
+
+    def __init__(self, fun: LinearFunctor, cert: CoveringCertificate,
+                 maps: tuple[dict[str, str], ...], read: list[dict]):
+        self.maps = maps
+        self._source, self._cert = fun.source, cert
+        self._object_map, self._homs = fun.object_map, fun.hom_matrices
+        self._read = read  # per element: (x, y) -> its matrix, once read
+
+    def matrix(self, i: int, x: str, y: str) -> Optional[Matrix]:
+        """Element i's matrix on hom(x, y); None when that hom is zero."""
+        read = self._read[i]
+        m = read.get((x, y))
+        if m is not None:
+            return m
+        f = self._homs.get((x, y))
+        if f is None:
+            return None
+        # With M the invertible source block at h(x) over (Fx, Fy), FH = F
+        # on hom(x, y) says M·T = F(x, y) for T = H(x, y) in h(y)'s rows and
+        # zero in every other row; so T is M⁻¹·F(x, y), read by _transport
+        # as _lift reads it.  An element composed from lifts is not re-proved
+        # to satisfy FH = F: the zero test checks it here.
+        h, om = self.maps[i], self._object_map
+        transported = _transport(
+            self._cert.block(om[x], om[y], h[x], "source"), f)
+        rows = transported.pop(h[y], None)
+        if rows is None or any(any(row) for others in transported.values()
+                               for row in others):
+            raise CovcatError(
+                f"deck element {i} does not lie over the covering "
+                f"on hom({x}, {y})")
+        # h(y)'s rows of that block are a basis of hom(h(x), h(y)), one row
+        # each, and F(x, y) has dim hom(x, y) columns
+        m = read[(x, y)] = Matrix._trusted(self._source.field, len(rows),
+                                           f.ncols, rows)
+        return m
+
+    @cached_property
+    def elements(self) -> tuple[LinearFunctor, ...]:
+        # each map sends every source object, and each element gets one
+        # matrix, of the shape argued in matrix(), per non-zero source hom
+        src = self._source
+        return tuple(LinearFunctor._trusted(
+            src, src, h,
+            {pair: self.matrix(i, *pair) for pair in src.hom_basis})
+            for i, h in enumerate(self.maps))
 
 
 def _index_maps(objects: Sequence[str],
-                elements: Sequence[LinearFunctor]) -> list[tuple[int, ...]]:
-    """Each element's object map as the tuple of its images' indices in
-    ``objects``."""
+                maps: Sequence[dict[str, str]]) -> list[tuple[int, ...]]:
+    """Each object map as the tuple of its images' indices in ``objects``."""
     index = {x: i for i, x in enumerate(objects)}
-    return [tuple(index[h.object_map[x]] for x in objects) for h in elements]
+    return [tuple(index[h[x]] for x in objects) for h in maps]
 
 
 def _check_free(maps: Sequence[tuple[int, ...]]) -> None:
@@ -228,51 +327,89 @@ def _check_free(maps: Sequence[tuple[int, ...]]) -> None:
 
 
 def deck_group(fun: LinearFunctor) -> DeckGroup:
-    """Aut_1(F) for a connected covering, built from lifts anchored at the
-    least object of the least-named base fibre; verified to be a group
-    acting freely.  Built once per functor and cached on it."""
-    return DeckGroup(fun, fun._deck_elements)
+    """Aut_1(F) for a connected covering, generated by lifts of the least
+    object of the least-named base fibre; verified to be a group acting
+    freely.  Built once per functor and cached on it."""
+    return DeckGroup._generated(fun, fun._deck)
 
 
-def _deck_elements(fun: LinearFunctor) -> tuple[LinearFunctor, ...]:
-    """``deck_group(fun).elements``, built and checked; read it through the
-    cache, ``LinearFunctor._deck_elements``."""
+def _after(g: tuple[int, ...]):
+    """h ↦ h∘g on index tuples: the images of g's entries under h.  A
+    one-object source has one map, the identity, and then h∘g is h."""
+    return itemgetter(*g) if len(g) > 1 else tuple
+
+
+def _deck_table(fun: LinearFunctor) -> _DeckTable:
+    """``deck_group(fun)``'s elements, generated and checked; read them
+    through the cache, ``LinearFunctor._deck``."""
     cert = _ensure_certificate(fun)
     _ensure_connected(fun.source, "source")
 
-    fibre = cert.fibres[fun.target.objects[0]]
-    anchor = fibre[0]
-    # the source is connected (checked once above) and every x' shares the
-    # anchor's fibre, so each lift skips lift_endofunctor's checks
-    lifts = (_lift(fun, anchor, x_prime, cert) for x_prime in fibre)
-    elements = tuple(h for h in lifts if h is not None)
-
-    # The group laws are checked on object maps.  Each element is an
-    # invertible functor with FH = F (see lift_endofunctor).  Over a
-    # connected source such a functor is fixed by the image of one object
-    # (uniqueness of lifts, acceptance criterion 07), so the lifts are
-    # indexed by where they send the anchor.  h∘g is again an invertible
+    # Each lift is an invertible functor with FH = F (see lift_endofunctor).
+    # Over a connected source such a functor is fixed by the image of one
+    # object (uniqueness of lifts, acceptance criterion 07), so the elements
+    # are indexed by where they send the anchor.  h∘g is again an invertible
     # functor with F(hg) = F, so it is the element sending the anchor to
-    # h(g(anchor)), and that element must agree with h∘g on every object.
-    # A finite set of invertible maps that is closed under composition
-    # contains the inverse of each member, so with the identity it is a
-    # group.  The maps are index tuples into the source's objects, so h∘g
-    # is one itemgetter call: the images of g's entries under h.
+    # h(g(anchor)): a fibre object that a product reaches needs no lift, and
+    # a refused lift that a product reaches is an error.  The identity needs
+    # no lift either.  A finite set of invertible maps that is closed under
+    # composition contains the inverse of each member, so with the identity
+    # it is a group.  The maps are index tuples into the source's objects.
     objects = fun.source.objects
-    maps = _index_maps(objects, elements)
-    a = objects.index(anchor)
-    by_anchor = {m[a]: m for m in maps}
-    unit = by_anchor.get(a)
-    if unit is None or unit != tuple(range(len(objects))):
-        raise CovcatError("deck group lost its identity element")
-    # a one-object source has one map, the identity: h∘g is h
-    after = [itemgetter(*g) if len(g) > 1 else tuple for g in maps]
-    for h in maps:
-        for g, after_g in zip(maps, after):
-            if by_anchor.get(h[g[a]]) != after_g(h):
-                raise CovcatError("deck lifts are not closed under composition")
+    index = {x: i for i, x in enumerate(objects)}
+    fibre = cert.fibres[fun.target.objects[0]]
+    anchor, a = fibre[0], index[fibre[0]]
+    unit = tuple(range(len(objects)))
+    maps, after, by_anchor = [unit], [_after(unit)], {a: unit}
+    lifted = {}  # anchor image -> the matrices its lift read
+    refused = set()
+    checked = 0  # the products of every two of maps[:checked] are compared
+
+    def include(p: tuple[int, ...]) -> None:
+        # The identity stays by_anchor[a]: a map is added only at an anchor
+        # image that none has yet, and every later product at a is compared
+        # with it, so no check for a lost identity is needed.
+        q = by_anchor.get(p[a])
+        if q is None and p[a] not in refused:
+            maps.append(p)
+            after.append(_after(p))
+            by_anchor[p[a]] = p
+        elif q != p:
+            raise CovcatError("deck lifts are not closed under composition")
+
+    def close() -> None:
+        # every pair of maps is composed both ways once, when the later of
+        # the two is checked: |G|² products in all
+        nonlocal checked
+        while checked < len(maps):
+            k, after_k = maps[checked], after[checked]
+            for g, after_g in zip(maps[:checked + 1], after):
+                include(after_g(k))
+                include(after_k(g))
+            checked += 1
+
+    close()
+    for y in fibre:
+        if index[y] in by_anchor:
+            continue
+        # the source is connected (checked once above) and y shares the
+        # anchor's fibre, so the lift skips lift_endofunctor's checks
+        h = _lift(fun, anchor, y, cert)
+        if h is None:
+            refused.add(index[y])
+            continue
+        m = tuple(index[h.object_map[x]] for x in objects)
+        include(m)
+        lifted[m[a]] = h.hom_matrices
+        close()
+
+    position = {index[y]: i for i, y in enumerate(fibre)}
+    maps.sort(key=lambda m: position[m[a]])
     _check_free(maps)
-    return elements
+    return _DeckTable(fun, cert,
+                      tuple(dict(zip(objects, map(objects.__getitem__, m)))
+                            for m in maps),
+                      [lifted.get(m[a], {}) for m in maps])
 
 
 # trivial coverings ----------------------------------------------------------
@@ -546,18 +683,20 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
     Orbits are named by their least member; the hom space from one orbit to
     another is the direct sum of the homs from the representative to every
     member of the other orbit, and composition is transported through the
-    unique aligning group element.
+    unique aligning group element.  It reads the group by element index, so
+    an element's matrix is read only where a hom is transported by it.
     """
-    _check_free(_index_maps(cat.objects, group.elements))
+    maps = group._table.maps
+    _check_free(_index_maps(cat.objects, maps))
 
     orbit_of = {x: group.orbit(x) for x in cat.objects}
     reps = sorted({orbit[0] for orbit in orbit_of.values()})
 
-    # the group element carrying x to h(x), unique by freeness
-    aligner: dict[tuple[str, str], LinearFunctor] = {}
-    for h in group.elements:
+    # the index of the group element carrying x to h(x), unique by freeness
+    aligner: dict[tuple[str, str], int] = {}
+    for i, h in enumerate(maps):
         for x in cat.objects:
-            aligner.setdefault((x, h.object_map[x]), h)
+            aligner.setdefault((x, h[x]), i)
 
     # quotient hom bases reuse the names of morphisms out of representatives;
     # a morphism is modelled by (orbit member it ends at, its coordinates)
@@ -575,9 +714,10 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
 
     def product(r, r2, r3, u, v) -> tuple:
         (y, phi), (z, psi) = u, v
-        h = aligner[(r2, y)]
-        hz = h.object_map[z]
-        return hz, cat.compose_vectors(r, y, hz, phi, h.apply(r2, z, psi))
+        i = aligner[(r2, y)]
+        hz = maps[i][z]
+        return hz, cat.compose_vectors(r, y, hz, phi,
+                                       group._apply(i, r2, z, psi))
 
     def coords(r, r3, member) -> tuple:
         # an empty vector is the zero of hom(r, y), which may be absent
@@ -597,9 +737,10 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
     hom_matrices = {}
     for (x, y) in cat.hom_basis:
         r, r2 = object_map[x], object_map[y]
-        g = aligner[(x, r)]
-        gy = g.object_map[y]
-        cols = [coords(r, r2, (gy, g.apply(x, y, cat.basis_vector(name))))
+        i = aligner[(x, r)]
+        gy = maps[i][y]
+        cols = [coords(r, r2,
+                       (gy, group._apply(i, x, y, cat.basis_vector(name))))
                 for name in cat.hom(x, y)]
         hom_matrices[(x, y)] = Matrix.from_columns(
             cat.field, cols, len(spaces[(r, r2)]))

@@ -92,12 +92,13 @@ class LinearFunctor:
         return covering.check_covering(self)
 
     @cached_property
-    def _deck_elements(self):
-        """The elements of ``deck_group(self)``, built once.  The tuple holds
-        no reference to this functor, so the cache makes no reference cycle
-        (a cached ``DeckGroup`` would point back here)."""
+    def _deck(self):
+        """The elements of ``deck_group(self)`` by index, generated once:
+        their object maps, and their matrices as they are read.  The table
+        holds no reference to this functor, so the cache makes no reference
+        cycle (a cached ``DeckGroup`` would point back here)."""
         from . import galois  # galois imports this module
-        return galois._deck_elements(self)
+        return galois._deck_table(self)
 
     def apply(self, x: str, y: str, coords) -> tuple:
         """Image coordinates of a morphism given by coordinates in hom(x, y)."""

@@ -14,7 +14,8 @@ tuple, composing straight from the composition table, never through
 ``compose_vectors`` or the validators' own index of non-zero composites.
 Sections of a trivial covering are built per component from the full
 subcategory and ``is_isomorphism``, not from the object count that
-``is_trivial_covering`` decides by.
+``is_trivial_covering`` decides by.  Group-graded covers, whose deck groups
+are known from group theory, are built over permutation tuples.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from covcat.errors import ConstructionError
-from covcat.exactalg import FieldSpec, Matrix
-from covcat.lincat import LinearCategory, Quiver, product_with_set
+from covcat.exactalg import QQ, FieldSpec, Matrix
+from covcat.lincat import LinearCategory, Quiver, _path_category_data, \
+    product_with_set
 from covcat.linfun import LinearFunctor, compose, is_isomorphism
 
 
@@ -636,3 +638,74 @@ def solve_mediating(fp, p: LinearFunctor, q: LinearFunctor):
     built = {key: Matrix(field, len(m), t.dim(*key), m)
              for key, m in matrices.items()}
     return [LinearFunctor(t, cat, object_map, built)]
+
+
+# group-graded covers ---------------------------------------------------------
+
+# S₃ as image tuples of range(3): the identity, (0 1) and (0 1 2)
+S3_UNIT, S3_SWAP, S3_CYCLE = (0, 1, 2), (1, 0, 2), (1, 2, 0)
+
+
+def perm_product(g: tuple, h: tuple) -> tuple:
+    """g∘h for permutations given as image tuples: h acts first."""
+    return tuple(g[i] for i in h)
+
+
+def perm_group(generators) -> set:
+    """The group of permutation tuples that ``generators`` generate."""
+    unit = tuple(range(len(generators[0])))
+    group, frontier = {unit}, [unit]
+    while frontier:
+        g = frontier.pop()
+        for s in generators:
+            gs = perm_product(g, s)
+            if gs not in group:
+                group.add(gs)
+                frontier.append(gs)
+    return group
+
+
+def graded_cover(q: Quiver, weights: dict, subgroup,
+                 field: FieldSpec = QQ) -> LinearFunctor:
+    """The cover of the path category of ``q`` (no relations) for arrow
+    weights in the permutation group G they generate, and a subgroup H of
+    G given as a set of tuples holding the identity.
+
+    Vertex v gets one sheet v{k} per right coset Hg, the k-th in the order
+    of the cosets' least members; an arrow a of weight w runs from the sheet
+    of Hg to that of Hgw as a{k}.  The functor forgets the sheet.  H = 1
+    gives the smash-product Galois cover, whose deck group is G; in general
+    the deck group is N_G(H)/H, and the cover is Galois iff H is normal.
+    """
+    group = perm_group(list(weights.values()))
+    least = {g: min(perm_product(h, g) for h in subgroup) for g in group}
+    reps = sorted(set(least.values()))
+    sheet = {g: reps.index(least[g]) for g in group}
+    vertices = tuple(f"{v}{k}" for v in q.vertices for k in range(len(reps)))
+    arrows, to_base = [], {}
+    for a, src, dst in q.arrows:
+        for k, g in enumerate(reps):
+            arrows.append((f"{a}{k}", f"{src}{k}",
+                           f"{dst}{sheet[perm_product(g, weights[a])]}"))
+            to_base[f"{a}{k}"] = a
+    base = _path_category_data(q, (), field)
+    cover = _path_category_data(Quiver(vertices, tuple(arrows)), (), field)
+    object_map = {f"{v}{k}": v for v in q.vertices for k in range(len(reps))}
+    hom_matrices = {}
+    for (x, y), paths in cover.survivors.items():
+        bx, by = object_map[x], object_map[y]
+        cols = [base.class_of_path(bx, by, tuple(to_base[a] for a in p))
+                for p in paths]
+        hom_matrices[(x, y)] = Matrix.from_columns(
+            field, cols, base.category.dim(bx, by))
+    return LinearFunctor(cover.category, base.category, object_map,
+                         hom_matrices)
+
+
+def s3_kronecker_cover(subgroup, field: FieldSpec = QQ) -> LinearFunctor:
+    """``graded_cover`` of the three-arrow Kronecker quiver x ⇉ y with
+    weights e, (0 1) and (0 1 2) in S₃, for the subgroup ``subgroup``."""
+    q = Quiver(("x", "y"), (("al", "x", "y"), ("be", "x", "y"),
+                            ("ga", "x", "y")))
+    return graded_cover(q, {"al": S3_UNIT, "be": S3_SWAP, "ga": S3_CYCLE},
+                        subgroup, field)

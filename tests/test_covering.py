@@ -14,7 +14,7 @@ from covcat.covering import CoveringCertificate, CoveringFailure, \
     FibreBlock, check_covering
 from covcat.fibprod import fibre_product
 from covcat.examples import base_category, cyclic_cover, kronecker, \
-    triangle_base
+    kronecker_cover_twisted, triangle_base
 
 from oracles import count_paths, full_subcategory, naive_rank, star_dim
 
@@ -187,6 +187,36 @@ def test_read_off_agrees_with_elimination_on_the_corpora(
     for name, fp in fibre_product_corpus:
         _assert_read_off_agrees(fp.pr1, name)
         _assert_read_off_agrees(fp.pr2, name)
+
+
+def _scanned_sparse_rows(block):
+    """The non-zero (column, entry) pairs of each row of ``block.inverse``,
+    found by a scan of every entry, grouped by the fibre object owning the
+    row."""
+    grouped = {}
+    for (w, _), row in zip(block.column_layout, block.inverse.entries):
+        grouped.setdefault(w, []).append(
+            tuple((j, e) for j, e in enumerate(row) if e != 0))
+    return {w: tuple(rows) for w, rows in grouped.items()}
+
+
+def test_sparse_inverse_rows_equal_a_scan_of_the_inverse(galois_corpus,
+                                                         gf7_corpus):
+    """A monomial block keeps the pattern check_covering read it by, and its
+    sparse rows come from that pattern; an eliminated block's come from a
+    scan.  Both equal a scan of the dense inverse."""
+    kinds = set()
+    for name, fun in galois_corpus + gf7_corpus + [
+            ("kronecker/twisted/GF7", kronecker_cover_twisted(GF(7)))]:
+        for key, block in check_covering(fun).blocks.items():
+            monomial = all(sum(1 for a in col if a != 0) == 1
+                           for col in zip(*block.matrix.entries))
+            assert (block._pattern is not None) == monomial, (name, key)
+            kinds.add(monomial)
+            assert block._sparse_inverse == _scanned_sparse_rows(block), \
+                (name, key)
+    # the twisted Kronecker covers have blocks of both kinds
+    assert kinds == {True, False}
 
 
 def _kronecker_with(field, unit, columns):

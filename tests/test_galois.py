@@ -31,11 +31,11 @@ from covcat.galois import (
 )
 from covcat.examples import WeightedQuiver, base_category, cyclic_cover, \
     kronecker, kronecker_cover_twisted, rel_square, standard_bases, \
-    triangle, triangle_base, triangle_cover
+    triangle, triangle_base, triangle_cover, triangle_cover_twisted
 
-from oracles import dense_lift, exhaustive_lifts, full_subcategory, \
-    functor_axioms_hold, naive_fibre_dims, naive_rank, product_iso, \
-    sections_by_restriction
+from oracles import S3_SWAP, S3_UNIT, dense_lift, exhaustive_lifts, \
+    full_subcategory, functor_axioms_hold, naive_fibre_dims, naive_rank, \
+    product_iso, s3_kronecker_cover, sections_by_restriction
 
 
 # lifts -----------------------------------------------------------------------
@@ -195,8 +195,8 @@ def test_deck_group_checks_connectivity_once(monkeypatch):
 
 
 def test_structure_iso_after_a_galois_check_lifts_once_per_sheet(monkeypatch):
-    """One deck group per functor: is_galois then structure_iso lift each
-    sheet of the anchor's fibre once between them, n lifts and not 2n."""
+    """One deck group per functor: is_galois then structure_iso lift the
+    generator of the Z/4 cover once between them, one lift and not two."""
     cover = triangle_cover(4)
     lifted = []
     real_lift = galois._lift
@@ -209,7 +209,137 @@ def test_structure_iso_after_a_galois_check_lifts_once_per_sheet(monkeypatch):
     assert is_galois(cover, "direct").is_galois
     assert is_isomorphism(structure_iso(cover)) is not None
     assert deck_group(cover).order == 4
-    assert lifted == list(cover.fibre(cover.target.objects[0]))
+    assert lifted == [cover.fibre(cover.target.objects[0])[1]]
+
+
+def _assert_deck_group_is_all_lifts(fun, name=""):
+    """deck_group against an all-lifts oracle: lift_endofunctor to every
+    object of the anchor's fibre gives the same object maps, in the same
+    order, and each element's matrices are dense_lift's.  ``fun`` is
+    rebuilt, so its deck group is generated afresh and every matrix of an
+    element that was not lifted is read on demand."""
+    fun = LinearFunctor(fun.source, fun.target, fun.object_map,
+                        fun.hom_matrices)
+    fibre = fun.fibre(fun.target.objects[0])
+    lifts = [h for h in (lift_endofunctor(fun, fibre[0], y) for y in fibre)
+             if h is not None]
+    deck = deck_group(fun)
+    assert [{x: deck.act(i, x) for x in fun.source.objects}
+            for i in range(deck.order)] == [h.object_map for h in lifts], name
+    for h in deck.elements:
+        got = (h.object_map,
+               {pair: m.entries for pair, m in h.hom_matrices.items()})
+        assert got == dense_lift(fun, fibre[0], h.object_map[fibre[0]]), name
+
+
+def test_generated_deck_groups_are_the_groups_of_all_lifts(
+        galois_corpus, gf7_corpus, f2, kron_twisted):
+    # at n = 12 the products of the generator reach x2 .. x11 in that
+    # order, and name order puts x10 and x11 first
+    for name, fun in galois_corpus + gf7_corpus + [
+            ("triangle/twisted", f2), ("kronecker/twisted", kron_twisted),
+            ("kronecker/twisted/GF7", kronecker_cover_twisted(GF(7))),
+            ("triangle/twisted/n3", triangle_cover_twisted(3)),
+            ("kronecker/n12", cyclic_cover(kronecker(), 12))]:
+        _assert_deck_group_is_all_lifts(fun, name)
+
+
+def _lifted_sheets(monkeypatch, fun) -> list:
+    """The fibre objects deck_group(fun) lifts the anchor to."""
+    lifted = []
+    real_lift = galois._lift
+
+    def counting(fun, x, x_prime, cert):
+        lifted.append(x_prime)
+        return real_lift(fun, x, x_prime, cert)
+
+    monkeypatch.setattr(galois, "_lift", counting)
+    deck_group(fun)
+    monkeypatch.setattr(galois, "_lift", real_lift)
+    return lifted
+
+
+def test_a_cyclic_cover_is_generated_by_one_lift(monkeypatch, cyclic_corpus,
+                                                 gf7_corpus):
+    for name, plain in cyclic_corpus + gf7_corpus:
+        fun = LinearFunctor(plain.source, plain.target, plain.object_map,
+                            plain.hom_matrices)
+        n = len(fun.fibre(fun.target.objects[0]))
+        assert len(_lifted_sheets(monkeypatch, fun)) == min(n - 1, 1), name
+        assert deck_group(fun).order == n, name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_one_sheet_twisted_kronecker_cover_tries_every_other_sheet(
+        monkeypatch, field, n):
+    """be on one sheet sent to al + be: every lift but the identity is
+    refused, so all n − 1 sheets besides the anchor's are tried."""
+    plain = cyclic_cover(kronecker(), n, field)
+    unit, twist = [(1, 0), (0, 1)], [(1, 0), (1, 1)]
+    for s in range(n):
+        fun = _with_arrow_images(plain, [twist if t == s else unit
+                                         for t in range(n)])
+        assert len(_lifted_sheets(monkeypatch, fun)) == n - 1, s
+        assert deck_group(fun).order == 1, s
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_the_s3_graded_cover_has_deck_group_s3(monkeypatch, field):
+    """The smash-product cover of the Kronecker quiver graded by S₃: two
+    lifts generate all six elements, which do not commute."""
+    cover = s3_kronecker_cover({S3_UNIT}, field)
+    assert _lifted_sheets(monkeypatch, cover) == ["x1", "x2"]
+    deck = deck_group(cover)
+    assert deck.order == 6
+    assert is_galois_both(cover).is_galois
+    _assert_deck_group_is_all_lifts(cover)
+    test_deck_group_is_a_group_acting_freely([("S3", cover)], [])
+    assert any(not functor_equal(compose(h, g), compose(g, h))
+               for h in deck.elements for g in deck.elements)
+    quotient, projection = quotient_by_group(cover.source, deck)
+    assert len(quotient.objects) == 2
+    assert validate_category(quotient).ok
+    assert validate_functor(projection).ok
+    assert isinstance(check_covering(projection), CoveringCertificate)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_the_s3_coset_cover_of_a_non_normal_subgroup_is_not_galois(field):
+    """H = ⟨(0 1)⟩ is its own normaliser in S₃, so the deck group of the
+    cover by its three right cosets is N(H)/H = 1."""
+    cover = s3_kronecker_cover({S3_UNIT, S3_SWAP}, field)
+    assert deck_group(cover).order == 1
+    assert is_galois_both(cover).status is GaloisStatus.NON_GALOIS
+    fibre = cover.fibre("x")
+    assert [len(exhaustive_lifts(cover, fibre[0], y)) for y in fibre] == \
+        [1, 0, 0]
+    _assert_deck_group_is_all_lifts(cover)
+
+
+def test_deck_matrices_are_read_only_when_asked_for():
+    """The direct method reads no matrix beyond the generator lift's, and
+    the quotient reads some of the others but builds no element."""
+    cover = triangle_cover(4)
+    homs = len(cover.source.hom_basis)
+    assert is_galois(cover, "direct").is_galois
+    table = cover._deck
+    assert sorted(map(len, table._read)) == [0, 0, 0, homs]
+    quotient_by_group(cover.source, deck_group(cover))
+    assert "elements" not in vars(table)
+    assert homs < sum(map(len, table._read)) < 2 * homs
+
+
+def test_a_deck_element_that_does_not_lie_over_the_covering_is_refused(
+        kron_twisted):
+    """The sheet swap of the twisted Kronecker cover is no deck element: its
+    matrix on the twisted hom is refused when it is read."""
+    swap = {"x0": "x1", "x1": "x0", "y0": "y1", "y1": "y0"}
+    table = galois._DeckTable(kron_twisted, kron_twisted.covering, (swap,),
+                              [{}])
+    assert table.matrix(0, "x0", "x0").entries == ((1,),)
+    with pytest.raises(CovcatError, match="does not lie over the covering"):
+        DeckGroup._generated(kron_twisted, table).elements
 
 
 def test_the_cached_deck_group_makes_no_reference_cycle():

@@ -17,6 +17,9 @@ rank, its ``block-singular`` witness and its inverse.
 
 ``LinearFunctor.covering`` caches ``check_covering``; a certificate holds
 no reference to its functor, so that cache makes no reference cycle.
+``_transport`` reads block⁻¹·matrix through a block's sparse inverse rows;
+deck lifts and the fibre-product hom spaces both read the certificate
+through it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Optional, Union
 
+from .errors import NotCoveringError
 from .exactalg import Matrix, rank_and_inverse
 from .linfun import LinearFunctor
 
@@ -201,3 +206,40 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
     fibres = {b: fun.fibre(b) for b in base.objects}
     return CoveringCertificate(fibres, blocks)
 
+
+
+def _ensure_certificate(fun: LinearFunctor) -> CoveringCertificate:
+    if isinstance(fun.covering, CoveringFailure):
+        raise NotCoveringError(fun.covering.message())
+    return fun.covering
+
+
+def _transport(block: FibreBlock, matrix: Matrix) -> dict[str, tuple]:
+    """The rows of block⁻¹·matrix, zero rows included, grouped by the fibre
+    object that owns each row, in layout order.
+
+    Each row is the sum of ``matrix``'s rows weighted by the non-zero
+    entries of one row of the inverse (``FibreBlock._sparse_inverse``),
+    reduced mod p over F_p: the exact values of ``block.inverse @ matrix``.
+    A row whose one entry is 1 is ``matrix``'s row itself, whose F_p
+    scalars already lie in range(p).
+    """
+    rows_of, p = matrix.entries, matrix.field.p
+    transported = {}
+    for w, sparse_rows in block._sparse_inverse.items():
+        rows = []
+        for pairs in sparse_rows:
+            if len(pairs) == 1:
+                [(j, e)] = pairs
+                if e == 1:
+                    rows.append(rows_of[j])
+                    continue
+                sums = (e * a for a in rows_of[j])
+            else:
+                coeffs = [e for _, e in pairs]
+                sums = (sum(map(mul, coeffs, column))
+                        for column in zip(*[rows_of[j] for j, _ in pairs]))
+            rows.append(tuple(sums) if p is None else
+                        tuple(a % p for a in sums))
+        transported[w] = tuple(rows)
+    return transported

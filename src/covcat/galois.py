@@ -5,9 +5,9 @@ check, ``LinearFunctor.covering``, and none takes a certificate or a verdict.
 A lift of one object to an endofunctor H with FH = F is read off the
 inverse fibre blocks of that certificate in one breadth-first pass.  Each
 block's inverse is read once, as the non-zero entries of its rows grouped
-by fibre object, and every hom is transported through those sparse rows;
-the lifts are built without re-checking the shapes that the transport
-fixes.
+by fibre object, and every non-zero hom is transported once through those
+sparse rows (``covering._transport``); the lifts are built without
+re-checking the shapes that the transport fixes.
 
 A deck group is generated, once per functor (``LinearFunctor._deck``).
 Uniqueness of lifts fixes a deck transformation by the image of one anchor
@@ -22,7 +22,9 @@ vanish outside one fibre object's rows.
 The fibre method and universality decide whether the first projection of
 P = u ×_B g is a trivial covering, on a table of P's hom spaces read
 through g's certificate by the same sparse transport as the lifts: each
-entry is a hom space's image under the projection.  The projection's
+entry is a hom space's image under the projection.  The table comes from
+``fibprod._pullback_spaces``, the one routine that also gives
+``fibre_product`` P's hom spaces when g is a covering.  The projection's
 blocks and P's components are decided on that table; neither is built.
 
 Every procedure here takes functors as input; the CLI validates each
@@ -35,17 +37,17 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
-from .errors import ConstructionError, CovcatError, NotConnectedError, \
-    NotCoveringError
-from .exactalg import Matrix, echelon_basis, kernel_basis
+from .errors import ConstructionError, CovcatError, NotConnectedError
+from .exactalg import Matrix, echelon_basis
 from .lincat import LinearCategory, _walk_components, category_from_model, \
     connected_components
 from .linfun import LinearFunctor, compose, functor_equal, is_isomorphism
-from .covering import CoveringCertificate, CoveringFailure, FibreBlock
-from .fibprod import _pair_name, fibre_product
+from .covering import CoveringCertificate, CoveringFailure, \
+    _ensure_certificate, _transport
+from .fibprod import _WHOLE, _pair_name, _pullback_spaces, fibre_product
 
 __all__ = [
     "DeckGroup",
@@ -66,12 +68,6 @@ __all__ = [
 ]
 
 
-def _ensure_certificate(fun: LinearFunctor) -> CoveringCertificate:
-    if isinstance(fun.covering, CoveringFailure):
-        raise NotCoveringError(fun.covering.message())
-    return fun.covering
-
-
 def _ensure_connected(cat: LinearCategory, which: str) -> None:
     _, connected = connected_components(cat)
     if not connected:
@@ -88,9 +84,9 @@ def lift_endofunctor(fun: LinearFunctor, x: str,
     Breadth-first from x: F's matrix on each hom(u, v) at a reached u,
     transported through the inverse source block at H(u), must have its
     non-zero rows in one fibre object, H(v); those rows are H's matrix.  A
-    hom(v, u) from an unreached v names H(v) through the target block at
-    H(u).  None when this fails, as at most one H exists.  ``fun`` must be
-    a functor.
+    hom(v, u) from an unreached v is transported through the target block
+    at H(u) instead, which names H(v) and gives H's matrix on it.  None
+    when this fails, as at most one H exists.  ``fun`` must be a functor.
     """
     for name in (x, x_prime):
         if name not in fun.object_map:
@@ -115,6 +111,9 @@ def _lift(fun: LinearFunctor, x: str, x_prime: str,
     while queue:
         u = queue.popleft()
         for _, v in src.out_of[u]:
+            if (u, v) in matrices:
+                # read through the target block at H(v), which reached u
+                continue
             m = fun.hom_matrices[(u, v)]
             lifted = _sole_owner(_transport(
                 cert.block(om[u], om[v], assign[u], "source"), m))
@@ -132,19 +131,27 @@ def _lift(fun: LinearFunctor, x: str, x_prime: str,
         for _, v in src.into[u]:
             if v in assign:
                 continue
+            m = fun.hom_matrices[(v, u)]
             lifted = _sole_owner(_transport(
-                cert.block(om[v], om[u], assign[u], "target"),
-                fun.hom_matrices[(v, u)]))
+                cert.block(om[v], om[u], assign[u], "target"), m))
             if lifted is None:
                 return None
-            assign[v] = lifted[0]
+            w, rows = lifted
+            # w's rows of the target block at H(u) are a basis of
+            # hom(w, H(u)), one row each
+            matrices[(v, u)] = Matrix._trusted(field, len(rows), m.ncols, rows)
+            assign[v] = w
             queue.append(v)
 
     # H is not re-proved: _transport's zero test implies all of it.
     # - FH = F: with M the invertible source block at H(u), M·T = F(u, v)
     #   for the transported T, so T vanishes outside H(v)'s rows exactly
-    #   when F(Hf) = F(f) on hom(u, v).  The source is connected, so every
-    #   hom was transported.
+    #   when F(Hf) = F(f) on hom(u, v).  A hom(v, u) from an unreached v is
+    #   read through the target block M at H(u) instead, and M·T = F(v, u)
+    #   proves FH = F on hom(v, u) the same way; F is injective on
+    #   hom(H(v), H(u)), whose columns lie in M, so H(v)'s rows are H's
+    #   matrix there, and the hom is not transported again from v.  The
+    #   source is connected, so every hom was transported, once.
     # - Functor axioms: F is injective on each hom(x', z'), whose columns
     #   lie in the invertible source block at x'.  As F is a functor,
     #   F(H(g∘f)) = F(g∘f) = F(Hg∘Hf) in hom(Hx, Hz) gives H(g∘f) = Hg∘Hf;
@@ -159,37 +166,6 @@ def _lift(fun: LinearFunctor, x: str, x_prime: str,
     # reaches every object and transports every non-zero hom, each into a
     # matrix of the shape argued above.
     return LinearFunctor._trusted(src, src, assign, matrices)
-
-
-def _transport(block: FibreBlock, matrix: Matrix) -> dict[str, tuple]:
-    """The rows of block⁻¹·matrix, zero rows included, grouped by the fibre
-    object that owns each row, in layout order.
-
-    Each row is the sum of ``matrix``'s rows weighted by the non-zero
-    entries of one row of the inverse (``FibreBlock._sparse_inverse``),
-    reduced mod p over F_p: the exact values of ``block.inverse @ matrix``.
-    A row whose one entry is 1 is ``matrix``'s row itself, whose F_p
-    scalars already lie in range(p).
-    """
-    rows_of, p = matrix.entries, matrix.field.p
-    transported = {}
-    for w, sparse_rows in block._sparse_inverse.items():
-        rows = []
-        for pairs in sparse_rows:
-            if len(pairs) == 1:
-                [(j, e)] = pairs
-                if e == 1:
-                    rows.append(rows_of[j])
-                    continue
-                sums = (e * a for a in rows_of[j])
-            else:
-                coeffs = [e for _, e in pairs]
-                sums = (sum(map(mul, coeffs, column))
-                        for column in zip(*[rows_of[j] for j, _ in pairs]))
-            rows.append(tuple(sums) if p is None else
-                        tuple(a % p for a in sums))
-        transported[w] = tuple(rows)
-    return transported
 
 
 def _sole_owner(transported: dict[str, tuple]) -> Optional[tuple[str, tuple]]:
@@ -483,67 +459,6 @@ class GaloisVerdict:
         return self.status is GaloisStatus.GALOIS
 
 
-# The entry of a pullback table whose space is all of C(x, x2)
-_WHOLE = "whole"
-
-
-def _pullback_spaces(u: LinearFunctor, g: LinearFunctor) -> dict:
-    """The hom spaces of P = source(u) ×_B source(g), for a covering g, read
-    through g's certificate: ((x, y), (x2, y2)) -> V_y2, the image of
-    P((x, y), (x2, y2)) under the first projection, as its reduced echelon
-    rows in C(x, x2), or ``_WHOLE`` for all of C(x, x2).  Zero spaces are
-    absent.
-    """
-    if u.target != g.target:
-        raise ConstructionError("functors do not share a base category")
-    gcert = _ensure_certificate(g)
-    field, fibres = u.target.field, gcert.fibres
-    # A zero C-hom gives no P-hom: u(0) = 0 = g(ψ) forces ψ = 0, as g is
-    # injective on each hom space (its columns sit in an invertible block).
-    # So only the non-zero C-homs, those in u.hom_matrices, are scanned.
-    spaces = {}
-    for (x, x2), m in u.hom_matrices.items():
-        b, b2, d = u.object_map[x], u.object_map[x2], m.ncols
-        # (φ, ψ) in C(x, x2) ⊕ D(y, y2) is a P-hom iff u(φ) = g(ψ).  g on
-        # ⊕_{y2 over b2} D(y, y2) is the invertible source block M at y, so
-        # with T = M⁻¹·u(x, x2) (read by _transport, as a deck lift reads
-        # it) this says that Tφ is ψ in y2's rows and vanishes in every
-        # other row.
-        # So the first projection maps P((x, y), (x2, y2)) isomorphically
-        # onto V_y2 = {φ : Tφ vanishes outside y2's rows}, ψ being the y2
-        # part of Tφ.
-        # - ker T = ker u(x, x2) for every y, and it is V_y2 for each y2
-        #   that owns no non-zero row of T: one kernel per C-hom.
-        # - When B(b, b2) = 0, u(x, x2) has no rows, so that kernel is all of
-        #   C(x, x2); and it is every V_y2, because the covering g has
-        #   D(y, y2) = 0 (its blocks over a zero base hom are empty), so ψ = 0
-        #   and there is no block to transport through.
-        kernel, _ = kernel_basis(m)
-        for y in fibres[b]:
-            owned = {}  # fibre object -> its non-zero rows of T
-            if m.nrows:
-                transported = _transport(gcert.block(b, b2, y, "source"), m)
-                for w, rows in transported.items():
-                    nonzero = [row for row in rows if any(row)]
-                    if nonzero:
-                        owned[w] = nonzero
-            for y2 in fibres[b2] if kernel else owned:
-                if y2 not in owned:
-                    space = kernel
-                elif len(owned) == 1:
-                    # T's non-zero rows belong to y2 alone: V_y2 = C(x, x2)
-                    space = _WHOLE
-                else:
-                    # several owners: V_y2 is the kernel of T's other rows
-                    rest = tuple(row for w, rows in owned.items() if w != y2
-                                 for row in rows)
-                    space, _ = kernel_basis(
-                        Matrix._trusted(field, len(rest), d, rest))
-                if space:
-                    spaces[((x, y), (x2, y2))] = space
-    return spaces
-
-
 def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
                          ) -> Union[TrivialityResult, CoveringFailure]:
     """Whether the first projection pr1: u ×_B g → source(u) is a trivial
@@ -560,7 +475,12 @@ def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
     # category and pr1 a functor: the componentwise composite of two P-homs
     # is a P-hom, as u(φ'∘φ) = u(φ')u(φ) = g(ψ')g(ψ) = g(ψ'∘ψ), and so is
     # (1_x, 1_y).
-    spaces = _pullback_spaces(u, g)
+    over = {}  # (x, x2) -> (y, y2, V_y2's rows or _WHOLE) per P-hom over it
+    homs = []  # the P-homs ((x, y), (x2, y2)); T is not read
+    for (q, q2), space, _ in _pullback_spaces(u, g):
+        over.setdefault((q[0], q2[0]), []).append(
+            (q[1], q2[1], space if space is _WHOLE else space[0]))
+        homs.append((q, q2))
     cat_c, fibres = u.source, g.covering.fibres
     names = {(x, y): _pair_name(x, y)
              for x in cat_c.objects for y in fibres[u.object_map[x]]}
@@ -579,9 +499,6 @@ def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
     # pr1's fibre over x: its lifts (x, y), in name order
     lifts = {x: sorted((names[(x, y)], y) for y in fibres[u.object_map[x]])
              for x in cat_c.objects}
-    over = {}  # (x, x2) -> (y, y2, V_y2) for each P-hom over C(x, x2)
-    for ((x, y), (x2, y2)), space in spaces.items():
-        over.setdefault((x, x2), []).append((y, y2, space))
 
     # This is check_covering(pr1), then is_trivial_covering(pr1), without
     # the inverses that only a certificate holds.
@@ -620,7 +537,7 @@ def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
                                            direction, dim, rank)
 
     adjacent = {p: [] for p in names.values()}
-    for q, q2 in spaces:
+    for q, q2 in homs:
         adjacent[names[q]].append(names[q2])
         adjacent[names[q2]].append(names[q])
     return _component_triviality(

@@ -15,7 +15,9 @@ tuple, composing straight from the composition table, never through
 Sections of a trivial covering are built per component from the full
 subcategory and ``is_isomorphism``, not from the object count that
 ``is_trivial_covering`` decides by.  Group-graded covers, whose deck groups
-are known from group theory, are built over permutation tuples.
+are known from group theory, are built over permutation tuples.  Functors
+from free quivers onto Kronecker bases, with a chosen matrix on hom(x, y),
+feed the fibre-product suites.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from __future__ import annotations
 from typing import Iterable
 
 from covcat.errors import ConstructionError
-from covcat.exactalg import QQ, FieldSpec, Matrix
+from covcat.exactalg import GF, QQ, FieldSpec, Matrix
+from covcat.examples import WeightedQuiver, cyclic_cover, kronecker
 from covcat.lincat import LinearCategory, Quiver, _path_category_data, \
-    product_with_set
+    path_category, product_with_set
 from covcat.linfun import LinearFunctor, compose, is_isomorphism
 
 
@@ -709,3 +712,34 @@ def s3_kronecker_cover(subgroup, field: FieldSpec = QQ) -> LinearFunctor:
                             ("ga", "x", "y")))
     return graded_cover(q, {"al": S3_UNIT, "be": S3_SWAP, "ga": S3_CYCLE},
                         subgroup, field)
+
+
+# functors onto Kronecker bases -------------------------------------------------
+
+
+def kronecker_quiver(arrows: int) -> WeightedQuiver:
+    """x ⇉ y with ``arrows`` arrows, the last two of weight 1."""
+    names = [f"k{i}" for i in range(arrows)]
+    return WeightedQuiver(
+        f"kronecker{arrows}", Quiver(("x", "y"), tuple((a, "x", "y")
+                                                       for a in names)),
+        {a: int(i >= arrows - 2) for i, a in enumerate(names)})
+
+
+def onto_kronecker(g: LinearFunctor, rows) -> LinearFunctor:
+    """The functor from the free quiver x ⇉ y, with one arrow per column of
+    ``rows``, onto g's Kronecker base that is ``rows`` on hom(x, y)."""
+    field, (b, c) = g.target.field, g.target.objects
+    arrows = tuple((f"a{i}", "x", "y") for i in range(len(rows[0])))
+    one = Matrix.identity(field, 1)
+    return LinearFunctor(path_category(Quiver(("x", "y"), arrows), [], field),
+                         g.target, {"x": b, "y": c},
+                         {("x", "x"): one, ("y", "y"): one,
+                          ("x", "y"): Matrix.from_rows(field, rows)})
+
+
+def kronecker_covers() -> list[LinearFunctor]:
+    """The Z/d covers, d = 1, 2, 3, of the two- and three-arrow Kronecker
+    bases, over Q and over GF(7)."""
+    return [cyclic_cover(wq, d, field) for field in (QQ, GF(7))
+            for wq in (kronecker(), kronecker_quiver(3)) for d in (1, 2, 3)]

@@ -27,7 +27,7 @@ from covcat.examples import (
     triangle_cover_twisted,
 )
 
-from oracles import full_subcategory
+from oracles import full_subcategory, kronecker_quiver, onto_kronecker
 
 
 @pytest.fixture()
@@ -960,6 +960,38 @@ def test_validate_functor_report_matches_golden_file(workspace, capsys):
                                for name in ("B", "C2", "F1"))])
     assert code == 1
     assert capsys.readouterr().out == _golden("validate-functor.json")
+
+
+def _rank_two_workspace(where: Path) -> None:
+    """The double cover K4 of x ⇉ y with arrows of weights 0, 0, 1, 1, and
+    R2 from the free two-arrow quiver onto its base, whose pullback along K4
+    stacks kernel spaces in one block."""
+    g = cyclic_cover(kronecker_quiver(4), 2)
+    u = onto_kronecker(g, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0],
+                           [0, 1, 0, 0]])
+    for doc in (docs.category_to_json(g.target, "K4B"),
+                docs.category_to_json(g.source, "K4C"),
+                docs.category_to_json(u.source, "R"),
+                docs.functor_to_json(g, "K4", "K4C", "K4B"),
+                docs.functor_to_json(u, "R2", "R", "K4B")):
+        (where / f"{doc['name']}.json").write_text(docs.dumps(doc))
+
+
+@pytest.mark.parametrize("f, g", [("F1", "F2"), ("R2", "K4")])
+def test_built_fibre_products_match_golden_files(workspace, capsys, tmp_path,
+                                                 f, g):
+    """README's F1 ×_B F2, and the rank-two pullback R2 ×_B K4; both read
+    through the second functor's covering certificate."""
+    _rank_two_workspace(workspace)
+    out = tmp_path / "out"
+    code, report = run(capsys, "build", "fibre-product", f, g,
+                       "--dir", str(workspace), "--out", str(out))
+    assert code == 0
+    stem = f"fp-{f}-{g}"
+    names = [f"{stem}.json", f"{stem}-pr1.json", f"{stem}-pr2.json"]
+    assert report["written"] == [str(out / name) for name in names]
+    for name in names:
+        assert (out / name).read_text() == _golden(name), name
 
 
 def test_check_covering_on_a_broken_source_matches_pinned_bytes(workspace,

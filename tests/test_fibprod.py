@@ -1,9 +1,11 @@
 """Fibre products: construction, projections, pullbacks, universal property."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from covcat import documents as docs
 from covcat.errors import ConstructionError, CovcatError
-from covcat.exactalg import Matrix, echelon_basis, express_in_echelon
+from covcat.exactalg import GF, QQ, Matrix, echelon_basis, express_in_echelon
 from covcat.lincat import validate_category
 from covcat.linfun import LinearFunctor, compose, functor_equal, \
     hom_inverses, identity_functor, is_isomorphism, validate_functor
@@ -11,9 +13,12 @@ from covcat.covering import CoveringCertificate, CoveringFailure, \
     check_covering
 from covcat.fibprod import fibre_product
 from covcat import fibprod
-from covcat.examples import triangle_base, triangle_cover
+from covcat.examples import cyclic_cover, kronecker, triangle_base, \
+    triangle_cover
 
-from oracles import full_subcategory, naive_fibre_dims, solve_mediating
+from oracles import S3_SWAP, S3_UNIT, full_subcategory, kronecker_covers, \
+    kronecker_quiver, naive_fibre_dims, onto_kronecker, s3_kronecker_cover, \
+    solve_mediating
 
 
 def test_square_of_plain_cover(f1):
@@ -163,6 +168,96 @@ def test_fibre_product_solves_kernels_only_over_nonzero_homs(monkeypatch):
     one_sided = sum(len(homs) for (b, b2), homs in over.items()
                     if len(homs) < len(f.fibre(b)) * len(f.fibre(b2)))
     assert len(calls) <= joined + 2 * one_sided
+
+
+def _serialized(fp) -> tuple[str, str, str]:
+    """The bytes of P, pr1 and pr2 as ``build fibre-product`` writes them."""
+    return (docs.dumps(docs.category_to_json(fp.category, "P")),
+            docs.dumps(docs.functor_to_json(fp.pr1, "P-pr1", "P", "C")),
+            docs.dumps(docs.functor_to_json(fp.pr2, "P-pr2", "P", "D")))
+
+
+def _assert_matches_the_kernel_join(f, g, name=""):
+    """fibre_product over a covering g, read through g's certificate, gives
+    the bytes of the kernel join of [f | −g]."""
+    assert isinstance(g.covering, CoveringCertificate), name
+    assert _serialized(fibre_product(f, g)) == \
+        _serialized(fibprod._kernel_join(f, g)), name
+
+
+def test_fibre_product_over_a_covering_matches_the_kernel_join(
+        galois_corpus, gf7_corpus, pullback_pairs, f1, f2, kron_twisted,
+        triangle_half_twisted):
+    """Squares of every corpus covering, the running examples and the
+    non-Galois covers against each other, the S₃-graded covers, and the
+    pullbacks along full-subcategory inclusions; then functors onto the
+    Kronecker double covers whose pullbacks hold kernel spaces, spaces of
+    several owners and stacked kernels."""
+    pairs = [(f"{name}^2", fun, fun) for name, fun in galois_corpus + gf7_corpus]
+    pairs += [("f1*f2", f1, f2), ("f2*f1", f2, f1),
+              ("kron_twisted^2", kron_twisted, kron_twisted),
+              ("half*f1", triangle_half_twisted, f1),
+              ("f1*half", f1, triangle_half_twisted),
+              ("half^2", triangle_half_twisted, triangle_half_twisted)]
+    for field in (QQ, GF(7)):
+        galois_s3 = s3_kronecker_cover({S3_UNIT}, field)
+        cosets = s3_kronecker_cover({S3_UNIT, S3_SWAP}, field)
+        pairs += [(f"s3^2/{field.kind}", galois_s3, galois_s3),
+                  (f"s3-cosets^2/{field.kind}", cosets, cosets),
+                  (f"s3*cosets/{field.kind}", galois_s3, cosets)]
+    pairs += [(name, incl, cover) for name, cover, incl in pullback_pairs]
+    kronecker_cover = cyclic_cover(kronecker(), 2)
+    pairs += [(str(rows), onto_kronecker(kronecker_cover, rows), kronecker_cover)
+              for rows in ([[1, 0], [1, 0]], [[1, 0], [0, 0]], [[0, 1], [1, 0]])]
+    four_arrows = cyclic_cover(kronecker_quiver(4), 2)
+    pairs.append(("rank-two", onto_kronecker(
+        four_arrows, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]),
+        four_arrows))
+    for name, f, g in pairs:
+        _assert_matches_the_kernel_join(f, g, name)
+
+
+_KRONECKER_COVERS = kronecker_covers()
+
+
+# derandomized, so that the suite's verdict depends only on the code
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fibre_product_matches_the_kernel_join_on_random_functors(data):
+    """Functors from a free quiver x ⇉ y onto the two- or three-arrow
+    Kronecker base, with a random matrix on hom(x, y), against Z/d covers
+    of the base."""
+    g = data.draw(st.sampled_from(_KRONECKER_COVERS))
+    field, k = g.target.field, g.target.dim(*g.target.objects)
+    entries = st.integers(-1, 2) if field is QQ else st.integers(0, 6)
+    m = data.draw(st.integers(1, k + 1))
+    rows = data.draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                              min_size=k, max_size=k))
+    _assert_matches_the_kernel_join(onto_kronecker(g, rows), g)
+
+
+def test_only_a_g_that_is_not_a_covering_reaches_the_kernel_join(
+        monkeypatch, pullback_pairs, arrow_functors, f1):
+    """The inclusions of proper full subcategories and the functors around
+    one arrow are not coverings, and are joined; the covers, and the
+    inclusion of a full subcategory on every object, are read through
+    their certificates."""
+    joined = []
+    join = fibprod._kernel_join
+    monkeypatch.setattr(fibprod, "_kernel_join",
+                        lambda f, g: joined.append(g) or join(f, g))
+    kill, include, collapse = arrow_functors
+    arrow, discrete = kill.source, collapse.target
+    pairs = [(f1, f1), (identity_functor(arrow), kill), (include, kill),
+             (kill, include), (identity_functor(discrete), collapse)]
+    for _, cover, incl in pullback_pairs:
+        pairs += [(cover, incl), (incl, cover)]
+    not_covering = [g for _, g in pairs
+                    if isinstance(g.covering, CoveringFailure)]
+    assert len(not_covering) > len(pullback_pairs)
+    for f, g in pairs:
+        fibre_product(f, g)
+    assert list(map(id, joined)) == list(map(id, not_covering))
 
 
 def _pullback_certificate(cover, fully_faithful):

@@ -29,12 +29,13 @@ from covcat.galois import (
     quotient_by_group,
     structure_iso,
 )
-from covcat.examples import WeightedQuiver, base_category, cyclic_cover, \
+from covcat.examples import base_category, cyclic_cover, \
     kronecker, kronecker_cover_twisted, rel_square, standard_bases, \
     triangle, triangle_base, triangle_cover, triangle_cover_twisted
 
 from oracles import S3_SWAP, S3_UNIT, dense_lift, exhaustive_lifts, \
-    full_subcategory, functor_axioms_hold, naive_fibre_dims, naive_rank, \
+    full_subcategory, functor_axioms_hold, kronecker_covers, \
+    kronecker_quiver, naive_fibre_dims, naive_rank, onto_kronecker, \
     product_iso, s3_kronecker_cover, sections_by_restriction
 
 
@@ -267,6 +268,21 @@ def test_a_cyclic_cover_is_generated_by_one_lift(monkeypatch, cyclic_corpus,
         n = len(fun.fibre(fun.target.objects[0]))
         assert len(_lifted_sheets(monkeypatch, fun)) == min(n - 1, 1), name
         assert deck_group(fun).order == n, name
+
+
+@pytest.mark.parametrize("wq, transports", [
+    pytest.param(triangle, 56, id="triangle"),
+    pytest.param(kronecker, 32, id="kronecker"),
+    pytest.param(rel_square, 80, id="rel_square")])
+def test_a_lift_transports_each_nonzero_hom_once(monkeypatch, wq, transports):
+    """A hom into a reached object from an unreached one is read through
+    the target block, and that matrix is kept: the one generator lift of a
+    Z/8 cover transports each non-zero source hom once, not twice."""
+    fun = cyclic_cover(wq(), 8)
+    blocks = _record_calls(monkeypatch, galois._transport)
+    deck_group(fun)
+    assert len(blocks) == len(fun.source.hom_basis) == transports
+    assert {block.direction for block in blocks} == {"source", "target"}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
@@ -639,15 +655,16 @@ def test_universality_checks_each_functor_once(monkeypatch, field):
 
 
 def _assert_pullback_dims_match_oracle(u, g, name):
-    table = galois._pullback_spaces(u, g)
     dims = naive_fibre_dims(u, g)
     field = u.target.field
     rows_of = {}
-    for (q, q2), space in table.items():
+    for (q, q2), space, _ in fibprod._pullback_spaces(u, g):
         d = u.source.dim(q[0], q2[0])
-        if space == galois._WHOLE:
+        if space == fibprod._WHOLE:
             space = [tuple(field.one if i == j else field.zero
                            for j in range(d)) for i in range(d)]
+        else:
+            space = space[0]
         # each V is a subspace of C(x, x2), given by independent rows
         assert all(len(row) == d for row in space), name
         assert naive_rank([list(r) for r in space], field) == len(space), name
@@ -677,31 +694,11 @@ def test_fibre_method_agrees_with_exhaustive_lifts(small_corpus):
         assert is_galois(fun, "fibre").is_galois == lifted, name
 
 
-def _kronecker(arrows: int) -> WeightedQuiver:
-    """x ⇉ y with ``arrows`` arrows, the last two of weight 1."""
-    names = [f"k{i}" for i in range(arrows)]
-    return WeightedQuiver(
-        f"kronecker{arrows}", Quiver(("x", "y"), tuple((a, "x", "y")
-                                                       for a in names)),
-        {a: int(i >= arrows - 2) for i, a in enumerate(names)})
-
-
-def _onto_kronecker(g: LinearFunctor, rows) -> LinearFunctor:
-    """The functor from the free quiver x ⇉ y, with one arrow per column of
-    ``rows``, onto g's Kronecker base that is ``rows`` on hom(x, y)."""
-    field, (b, c) = g.target.field, g.target.objects
-    arrows = tuple((f"a{i}", "x", "y") for i in range(len(rows[0])))
-    one = Matrix.identity(field, 1)
-    return LinearFunctor(path_category(Quiver(("x", "y"), arrows), [], field),
-                         g.target, {"x": b, "y": c},
-                         {("x", "x"): one, ("y", "y"): one,
-                          ("x", "y"): Matrix.from_rows(field, rows)})
-
-
 def _built_pullback_decision(u, g):
-    """check_covering, then is_trivial_covering, of the built fibre
-    product's pr1."""
-    pr1 = fibre_product(u, g).pr1
+    """check_covering, then is_trivial_covering, of the pr1 of the fibre
+    product built by the kernel join, which does not read the table the
+    decision is made on."""
+    pr1 = fibprod._kernel_join(u, g).pr1
     built = check_covering(pr1)
     if isinstance(built, CoveringCertificate):
         built = is_trivial_covering(pr1)
@@ -722,11 +719,11 @@ def test_pullback_decision_matches_fibre_product(
     # weights 0, 0, 1, 1, the last matrix gives a source block stacking
     # ker u twice, of size 4 and rank 2
     kronecker_cover = cyclic_cover(kronecker(), 2)
-    pairs = [(_onto_kronecker(kronecker_cover, rows), kronecker_cover)
+    pairs = [(onto_kronecker(kronecker_cover, rows), kronecker_cover)
              for rows in ([[1, 0], [1, 0]], [[1, 0], [0, 0]], [[0, 1], [1, 0]])]
-    four_arrows = cyclic_cover(_kronecker(4), 2)
-    rank_two = (_onto_kronecker(four_arrows, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                              [1, 0, 0, 0], [0, 1, 0, 0]]),
+    four_arrows = cyclic_cover(kronecker_quiver(4), 2)
+    rank_two = (onto_kronecker(four_arrows, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                             [1, 0, 0, 0], [0, 1, 0, 0]]),
                 four_arrows)
     pairs.append(rank_two)
     pairs += [(f1, f2), (f2, f1), (f1, f1), (kron_twisted, kron_twisted),
@@ -743,9 +740,7 @@ def test_pullback_decision_matches_fibre_product(
     assert galois._pullback_triviality(*rank_two).actual_dim == 2
 
 
-_KRONECKER_COVERS = [cyclic_cover(wq, d, field) for field in (QQ, GF(7))
-                     for wq in (kronecker(), _kronecker(3))
-                     for d in (1, 2, 3)]
+_KRONECKER_COVERS = kronecker_covers()
 
 
 # derandomized, so that the suite's verdict depends only on the code
@@ -762,7 +757,7 @@ def test_pullback_decision_matches_fibre_product_on_random_functors(data):
     m = data.draw(st.integers(1, k + 1))
     rows = data.draw(st.lists(st.lists(entries, min_size=m, max_size=m),
                               min_size=k, max_size=k))
-    u = _onto_kronecker(g, rows)
+    u = onto_kronecker(g, rows)
     assert galois._pullback_triviality(u, g) == _built_pullback_decision(u, g)
 
 

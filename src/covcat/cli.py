@@ -4,11 +4,15 @@ Exit codes: 0 positive verdict, 1 negative verdict, 2 input/parse error or
 unwritable output path, 3 precondition NotConnected, 4 precondition
 NotCovering, 5 internal error (any other exception, reported as a JSON
 error instead of a traceback).
+
+covcat builds no reference cycles, so ``main`` runs each command with the
+cyclic garbage collector paused and then gives the caller's setting back.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import contextmanager
@@ -172,7 +176,7 @@ def _read_document(path: Path) -> dict:
         if path.stat().st_size > DOCUMENT_BYTES:
             raise DocumentError(
                 f"document is larger than {DOCUMENT_BYTES} bytes", str(path))
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise DocumentError(f"cannot parse: {exc}", str(path))
     if not isinstance(doc, dict):
@@ -452,6 +456,8 @@ def _build(args, ws: Workspace) -> dict:
             docs.functor_to_json(projection, f"{stem}-pr", stem, cname),
         ])
     if args.kind == "fibre-product":
+        if len(args.args) < 2:
+            raise DocumentError("fibre-product requires two functors")
         fname, (f, f_src, _) = _document(ws, docs.FORMAT_LINFUN, args.args[0],
                                          "functor")
         gname, (g, g_src, _) = _document(ws, docs.FORMAT_LINFUN, args.args[1],
@@ -526,11 +532,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.raw_argv = argv
+    # nothing a command builds is cyclic (test_cli checks every command
+    # kind), so the collector would only rescan what refcounting frees
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except Exception as exc:  # a bug, not a verdict: never exit 1 for it
         return _emit(args, {"command": args.command,
                             "error": f"internal error: {exc!r}"}, EXIT_INTERNAL)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """CLI: exit codes, JSON reports, builders, round trips, determinism."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -87,9 +89,11 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
-def _run_cli(cwd, *argv) -> subprocess.CompletedProcess:
-    """``covcat argv`` in a fresh interpreter, so a traceback would show."""
-    env = {**os.environ, "PYTHONPATH": str(Path(covcat.__file__).parents[1])}
+def _run_cli(cwd, *argv, env=None) -> subprocess.CompletedProcess:
+    """``covcat argv`` in a fresh interpreter, so a traceback would show;
+    ``env`` adds to the environment."""
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": str(Path(covcat.__file__).parents[1])}
     return subprocess.run([sys.executable, "-m", "covcat.cli", *argv],
                           cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=60)
@@ -426,6 +430,15 @@ def test_build_fibre_product_round_trip(workspace, capsys, tmp_path):
     assert pr1 == fp.pr1
 
 
+def test_build_fibre_product_of_one_functor_is_an_input_error(workspace,
+                                                             capsys):
+    code, report = run(capsys, "build", "fibre-product", "F1",
+                       "--dir", str(workspace), "--out", str(workspace / "o"))
+    assert code == 2
+    assert report["error"] == "fibre-product requires two functors"
+    assert not (workspace / "o").exists()
+
+
 def test_build_product_set(workspace, capsys, tmp_path):
     out = tmp_path / "out"
     code, report = run(capsys, "build", "product-set", "B", "3",
@@ -734,6 +747,23 @@ def test_check_galois_refuses_clashing_pair_names(tmp_path):
     assert json.loads(done.stdout)["status"] == "Galois"
 
 
+def test_documents_are_read_as_utf8_whatever_the_locale(tmp_path):
+    """JSON is UTF-8: a raw UTF-8 object name reads the same under the
+    POSIX locale, whose encoding is ASCII."""
+    cover = cyclic_cover(kronecker(), 2)
+    for doc in (docs.category_to_json(cover.source, "UC"),
+                docs.category_to_json(cover.target, "UB"),
+                docs.functor_to_json(cover, "U", "UC", "UB")):
+        (tmp_path / f"{doc['name']}.json").write_text(
+            json.dumps(_renamed(doc, {"x0": "ξ0"}), ensure_ascii=False),
+            encoding="utf-8")
+    done = _run_cli(tmp_path, "check", "covering", "U.json",
+                    env={"LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0",
+                         "PYTHONUTF8": "0"})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout)["status"] == "Covering"
+
+
 def test_build_quotient_of_disconnected_source_exits_3(workspace, capsys, tmp_path):
     code, report = run(capsys, "build", "quotient", "BX2", "--by-deck-of", "proj",
                        "--dir", str(workspace), "--out", str(tmp_path / "o"))
@@ -1004,3 +1034,104 @@ def test_check_covering_on_a_broken_source_matches_pinned_bytes(workspace,
     assert capsys.readouterr().out == (
         '{\n  "command": "check",\n'
         '  "error": "source category of F1 is invalid"\n}\n')
+
+
+# the cyclic collector ---------------------------------------------------------
+
+
+def _cyclic_garbage(call) -> Counter:
+    """The types of the objects in reference cycles that ``call()`` leaves
+    behind, with their counts."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.garbage.clear()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+        return Counter(type(obj).__qualname__ for obj in gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["validate", "B.json", "C2.json", "F1.json", "sq.json",
+                  "diag.json"], 0, id="validate"),
+    pytest.param(["check", "covering", "F1.json"], 0, id="covering"),
+    pytest.param(["check", "trivial", "F1.json"], 1, id="trivial"),
+    pytest.param(["check", "galois", "K.json", "--method", "direct"], 1,
+                 id="galois-direct"),
+    pytest.param(["check", "galois", "K.json", "--method", "fibre"], 1,
+                 id="galois-fibre"),
+    pytest.param(["check", "galois", "F1.json"], 0, id="galois-both"),
+    pytest.param(["check", "universal", "F1.json", "--family", "F1,F2"], 1,
+                 id="universal"),
+    pytest.param(["build", "product-set", "B", "2", "--out", "out"], 0,
+                 id="product-set"),
+    pytest.param(["build", "fibre-product", "F1", "F2", "--out", "out"], 0,
+                 id="fibre-product"),
+    pytest.param(["build", "quotient", "C2", "--by-deck-of", "F1",
+                  "--out", "out"], 0, id="quotient"),
+    pytest.param(["build", "path-category", "sq", "--out", "out"], 0,
+                 id="path-category"),
+    pytest.param(["build", "from-algebra", "diag", "--out", "out"], 0,
+                 id="from-algebra"),
+    pytest.param(["check", "galois", "nope"], 2, id="exit-2"),
+    pytest.param(["check", "trivial", "incl.json"], 4, id="exit-4"),
+    pytest.param(["check", "covering", "F1.json"], 5, id="exit-5")])
+def test_a_command_makes_no_reference_cycle(workspace, capsys, monkeypatch,
+                                            argv, code):
+    """What the collector would find after a command is what parsing its
+    arguments alone leaves: the parser's own cycles.  This is what lets
+    ``main`` pause the collector for free."""
+    (workspace / "diag.json").write_text(docs.dumps(DIAGONAL_ALGEBRA))
+    monkeypatch.chdir(workspace)
+    if code == cli.EXIT_INTERNAL:
+        def broken(fun):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "check_covering", broken)
+    codes = []
+    # the first run fills whatever a first call caches
+    _cyclic_garbage(lambda: codes.extend((main(argv), main(argv))))
+    assert codes == [code, code]
+    command = _cyclic_garbage(lambda: main(argv))
+    parse = _cyclic_garbage(lambda: cli.build_parser().parse_args(argv))
+    capsys.readouterr()
+    assert command == parse
+
+
+@pytest.mark.parametrize("outcome", ["return", "internal-error", "interrupt"])
+def test_a_command_runs_with_the_collector_paused(workspace, capsys,
+                                                  monkeypatch, outcome):
+    """Paused inside the command; the caller's setting, enabled or not,
+    is back after a return, an exit 5 or an exception main lets through."""
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if outcome == "internal-error":
+            raise RuntimeError("boom")
+        if outcome == "interrupt":
+            raise KeyboardInterrupt
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_validate", command)
+    enabled = gc.isenabled()
+    try:
+        for caller in (True, False):
+            gc.enable() if caller else gc.disable()
+            if outcome == "interrupt":
+                with pytest.raises(KeyboardInterrupt):
+                    main(["validate", str(workspace / "B.json")])
+            else:
+                code = main(["validate", str(workspace / "B.json")])
+                assert code == (cli.EXIT_OK if outcome == "return"
+                                else cli.EXIT_INTERNAL)
+            assert gc.isenabled() is caller
+    finally:
+        gc.enable() if enabled else gc.disable()
+    assert seen == [False, False]

@@ -47,7 +47,9 @@ class Workspace:
     name; a category, functor, quiver or algebra is built only when a
     command first asks ``get`` for it, or at load time when its file is
     named.  A name claimed by several files resolves to the last of them,
-    in load order, that builds.
+    in load order, that builds.  A command calls ``release`` once it has
+    resolved the last document it reads, so that the unreached parsed
+    documents are not kept while it decides.
     """
 
     def __init__(self):
@@ -107,6 +109,11 @@ class Workspace:
         """The files reached that did not parse or build, in sorted path
         order."""
         return [str(path) for path in sorted(self._skipped)]
+
+    def release(self) -> None:
+        """Drop the parsed documents that were never built, once a command
+        has resolved every document it reads: no later ``get`` needs them."""
+        self._parsed.clear()
 
     def name_of(self, ref: str) -> str:
         """The document name of a loaded file ``ref``; else ``ref`` itself."""
@@ -310,6 +317,8 @@ def _check(args, ws: Workspace, name: str) -> tuple[dict, int]:
 
     try:
         _require_valid(fun, name)
+        if args.kind != "universal":
+            ws.release()
         if args.kind == "covering":
             result = check_covering(fun)
             if isinstance(result, CoveringFailure):
@@ -343,6 +352,7 @@ def _check(args, ws: Workspace, name: str) -> tuple[dict, int]:
                     return error(f"unknown family member {fname!r}")
                 _require_valid(member[0], fname)
                 members.append((fname, member[0]))
+            ws.release()
             result = check_universal_against(fun, [m for _, m in members])
             checks = []
             for (fname, _), check in zip(members, result.checks):
@@ -426,19 +436,31 @@ def _document(ws: Workspace, fmt: str, ref: str, what: str):
     return name, found
 
 
+# the operands each build kind reads; product-set reads all of its own
+_OPERANDS = {"path-category": 1, "from-algebra": 1, "fibre-product": 2,
+             "quotient": 1}
+
+
 def _build(args, ws: Workspace) -> dict:
+    reads = _OPERANDS.get(args.kind)
+    if reads is not None and len(args.args) > reads:
+        raise DocumentError(f"unexpected operand {args.args[reads]!r} "
+                            f"for build {args.kind}")
     if args.kind == "path-category":
         qname, (quiver, relations, field) = _document(
             ws, docs.FORMAT_QUIVER, args.args[0], "quiver")
+        ws.release()
         cat = path_category(quiver, relations, field)
         return _write_docs(args.out, [docs.category_to_json(cat, f"{qname}-cat")])
     if args.kind == "from-algebra":
         aname, (field, basis, mult, idems) = _document(
             ws, docs.FORMAT_ALGEBRA, args.args[0], "algebra")
+        ws.release()
         cat = category_from_algebra(field, basis, mult, idems)
         return _write_docs(args.out, [docs.category_to_json(cat, f"{aname}-cat")])
     if args.kind == "product-set":
         cname, cat = _document(ws, docs.FORMAT_LINCAT, args.args[0], "category")
+        ws.release()
         rest = args.args[1:]
         if len(rest) == 1 and rest[0].isascii() and rest[0].isdigit():
             # the length goes first, so a huge count is never converted
@@ -462,6 +484,7 @@ def _build(args, ws: Workspace) -> dict:
                                          "functor")
         gname, (g, g_src, _) = _document(ws, docs.FORMAT_LINFUN, args.args[1],
                                          "functor")
+        ws.release()
         _require_valid(f, fname)
         _require_valid(g, gname)
         fp = fibre_product(f, g)
@@ -477,6 +500,7 @@ def _build(args, ws: Workspace) -> dict:
             raise DocumentError("quotient requires --by-deck-of")
         fname, (fun, _, _) = _document(ws, docs.FORMAT_LINFUN, args.by_deck_of,
                                        "functor")
+        ws.release()
         _require_valid(fun, fname)
         if fun.source != cat:
             raise DocumentError(

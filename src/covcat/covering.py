@@ -7,13 +7,17 @@ into the whole fibre of c must be a bijection onto hom(b, c), and dually
 for lifts of c.  This is equivalent to the star condition but yields small
 matrices and a precise first-failure witness.
 
-A block is decided by its non-zero pattern first.  When every column has
-one non-zero entry and no two share a row (a monomial block, as every
-block of the standard bases' Z/n covers is), the block is invertible and
-its inverse is read off: 1/e at (j, i) for each e at (i, j).  The block
-keeps that pattern, so the sparse rows of its inverse are read without a
-scan.  Every other block is eliminated as ``[m | I]``, which gives its
-rank, its ``block-singular`` witness and its inverse.
+Blocks are read off ``LinearFunctor.homs_over`` and the functor's image
+columns (``LinearFunctor._columns``, shared with ``validate_functor``):
+the source homs over (b, c), grouped by their source and by their target
+lift, are each lift's block, in fibre order.  A block is decided by its
+non-zero pattern first.  When every column has one non-zero entry and no
+two share a row (a monomial block, as every block of the standard bases'
+Z/n covers is), the block is invertible and its inverse is read off: 1/e
+at (j, i) for each e at (i, j).  The sparse rows of that inverse are
+written as the block is read, so no reader scans them.  Every other block
+is eliminated as ``[m | I]``, which gives its rank, its ``block-singular``
+witness and its inverse.
 
 ``LinearFunctor.covering`` caches ``check_covering``; a certificate holds
 no reference to its functor, so that cache makes no reference cycle.
@@ -24,7 +28,6 @@ through it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -54,30 +57,34 @@ class FibreBlock:
     column_layout: tuple[tuple[str, str], ...]  # (fibre object, basis name)
     matrix: Matrix
     inverse: Matrix
-    # for a monomial block, the column of each row's one non-zero entry,
-    # as check_covering found it; None for an eliminated block
-    _pattern: Optional[list[int]] = dataclasses.field(
-        default=None, compare=False, repr=False)
+
+    @classmethod
+    def _trusted(cls, base_src: str, base_dst: str, lift: str, direction: str,
+                 column_layout: tuple, matrix: Matrix, inverse: Matrix,
+                 sparse_inverse: Optional[dict] = None) -> FibreBlock:
+        """A FibreBlock built without the dataclass ``__init__``, for
+        ``check_covering``, which has just read each part; with
+        ``sparse_inverse``, the inverse's rows as ``_sparse_inverse`` holds
+        them, stored so that they are never scanned."""
+        block = object.__new__(cls)
+        block.__dict__.update(base_src=base_src, base_dst=base_dst, lift=lift,
+                              direction=direction, column_layout=column_layout,
+                              matrix=matrix, inverse=inverse)
+        if sparse_inverse is not None:
+            block.__dict__["_sparse_inverse"] = sparse_inverse
+        return block
 
     @cached_property
     def _sparse_inverse(self) -> dict[str, tuple]:
         """The inverse's rows as their non-zero (column, entry) pairs, grouped
         by the fibre object that owns each row in ``column_layout``, in
-        layout order.  Built on the first read, by a deck element or a
-        pullback hom space: a monomial block's rows are read at its
-        pattern, and only an eliminated block's inverse is scanned."""
-        rows, grouped = self.inverse.entries, {}
-        if self._pattern is None:
-            zero = self.inverse.field.zero
-            pairs = [tuple((j, e) for j, e in enumerate(row) if e != zero)
-                     for row in rows]
-        else:
-            # an entry at (i, j) of the block puts 1/e at (j, i) of the inverse
-            pairs = [None] * len(rows)
-            for i, j in enumerate(self._pattern):
-                pairs[j] = ((i, rows[j][i]),)
-        for (w, _), row in zip(self.column_layout, pairs):
-            grouped.setdefault(w, []).append(row)
+        layout order.  ``check_covering`` stores a monomial block's rows as
+        it reads the block; an eliminated block's inverse is scanned on the
+        first read, by a deck element or a pullback hom space."""
+        zero, grouped = self.inverse.field.zero, {}
+        for (w, _), row in zip(self.column_layout, self.inverse.entries):
+            grouped.setdefault(w, []).append(
+                tuple((j, e) for j, e in enumerate(row) if e != zero))
         return {w: tuple(rows) for w, rows in grouped.items()}
 
 
@@ -115,54 +122,27 @@ class CoveringFailure:
         return f"{where} is singular"
 
 
-def _fibre_block(fun: LinearFunctor, direction: str, lift: str, far: str):
-    """Columns of F on ⊕_{y over far} hom(lift, y) ("source") or
-    ⊕_{y over far} hom(y, lift) ("target"), read off the lift's entries in
-    the source's ``out_of`` or ``into`` index.  The index is sorted and
-    ``fibre()`` is sorted, so the layout, and with it the first-failure
-    witness, keeps fibre order."""
-    src, om = fun.source, fun.object_map
-    index = src.out_of if direction == "source" else src.into
-    layout = []
-    cols = []
-    for _, y in index[lift]:
-        if om[y] != far:
-            continue
-        key = (lift, y) if direction == "source" else (y, lift)
-        m = fun.hom_matrices[key]
-        for j, name in enumerate(src.hom_basis[key]):
-            layout.append((y, name))
-            cols.append(m.column(j))
-    return layout, cols
-
-
-def _monomial_block(field, cols, dim: int):
-    """The square block with columns ``cols``, its inverse and the column of
-    each row's one non-zero entry, when each column has exactly one
-    non-zero entry and no two of them share a row; else None.  Entries are
-    reduced by ``field.scalar`` before the zero test, as
-    ``Matrix.from_columns`` reduces them."""
-    scalar, zero, inv = field.scalar, field.zero, field.inv
-    rows = [[zero] * dim for _ in range(dim)]
-    inverse = [[zero] * dim for _ in range(dim)]
-    column = [None] * dim  # row -> the column of its entry
-    for j, col in enumerate(cols):
-        hit = None
-        for i, e in enumerate(col):
-            e = scalar(e)
-            if e != zero:
-                if hit is not None:
-                    return None
-                hit = i
-                rows[i][j] = e
-        if hit is None or column[hit] is not None:
+def _monomial_block(field, layout, cols, dim: int):
+    """The square block with sparse columns ``cols`` (each column's non-zero
+    (row, entry) pairs, reduced), its inverse and that inverse's rows as
+    ``FibreBlock._sparse_inverse`` holds them, when each column has exactly
+    one entry and no two columns share a row; else None.  An entry e at
+    (i, j) puts 1/e at (j, i) of the inverse, the one entry of its row j."""
+    inv, unit = field.inv, (field.zero,) * dim
+    rows, inverse, sparse, taken = [unit] * dim, [], {}, set()
+    for j, ((w, _), col) in enumerate(zip(layout, cols)):
+        if len(col) != 1 or col[0][0] in taken:
             return None
-        column[hit] = j
-        inverse[j][hit] = inv(rows[hit][j])
-    # dim columns of dim entries, so both are dim × dim of field scalars
-    return (Matrix._trusted(field, dim, dim, tuple(map(tuple, rows))),
-            Matrix._trusted(field, dim, dim, tuple(map(tuple, inverse))),
-            column)
+        [(i, e)] = col
+        taken.add(i)
+        rows[i] = unit[:j] + (e,) + unit[j + 1:]
+        d = inv(e)
+        inverse.append(unit[:i] + (d,) + unit[i + 1:])
+        sparse.setdefault(w, []).append(((i, d),))
+    # dim columns, each one reduced entry in its own row: both are dim × dim
+    return (Matrix._trusted(field, dim, dim, tuple(rows)),
+            Matrix._trusted(field, dim, dim, tuple(inverse)),
+            {w: tuple(rs) for w, rs in sparse.items()})
 
 
 def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFailure]:
@@ -173,39 +153,56 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
         if not fun.fibre(b):
             return CoveringFailure("not-surjective", missing_object=b)
 
+    field, zero = base.field, base.field.zero
+    hom, columns = fun.source.hom_basis, fun._columns
     blocks: dict[tuple[str, str, str, str], FibreBlock] = {}
     for b in base.objects:
         for c in base.objects:
             dim = base.dim(b, c)
-            if dim == 0 and (b, c) not in fun.homs_over:
+            homs = fun.homs_over.get((b, c), ())
+            if dim == 0 and not homs:
                 # every block over (b, c) is empty, and passes
                 continue
-            checks = [("source", x, c) for x in fun.fibre(b)] + \
-                     [("target", z, b) for z in fun.fibre(c)]
-            for direction, lift, far in checks:
-                layout, cols = _fibre_block(fun, direction, lift, far)
-                if len(cols) != dim:
+            # homs is sorted by (x, y), so each x's pairs come in out_of[x]'s
+            # order and each y's in into[y]'s: the layouts keep fibre order
+            out_of: dict[str, list] = {}
+            into: dict[str, list] = {}
+            for pair in homs:
+                out_of.setdefault(pair[0], []).append(pair)
+                into.setdefault(pair[1], []).append(pair)
+            checks = [("source", x, out_of.get(x, ()), 1) for x in fun.fibre(b)] \
+                + [("target", z, into.get(z, ()), 0) for z in fun.fibre(c)]
+            for direction, lift, pairs, far in checks:
+                # each column is owned by its pair's end in the far fibre
+                layout = tuple((pair[far], name) for pair in pairs
+                               for name in hom[pair])
+                if len(layout) != dim:
                     return CoveringFailure("block-dimension", b, c, lift,
-                                           direction, dim, len(cols))
+                                           direction, dim, len(layout))
                 if dim == 0:
                     continue
-                read = _monomial_block(base.field, cols, dim)
-                pattern = None
-                if read is not None:
-                    matrix, inverse, pattern = read
-                else:
-                    matrix = Matrix.from_columns(base.field, cols, dim)
+                cols = [columns[name] for _, name in layout]
+                read = _monomial_block(field, layout, cols, dim)
+                if read is None:
+                    dense = [[zero] * dim for _ in range(dim)]
+                    for j, col in enumerate(cols):
+                        for i, e in col:
+                            dense[i][j] = e
+                    # dim rows of dim reduced entries, as from_columns gives
+                    matrix = Matrix._trusted(field, dim, dim,
+                                             tuple(map(tuple, dense)))
                     rank, inverse = rank_and_inverse(matrix)
                     if inverse is None:
                         return CoveringFailure("block-singular", b, c, lift,
                                                direction, dim, rank)
-                blocks[(b, c, lift, direction)] = FibreBlock(
-                    b, c, lift, direction, tuple(layout), matrix, inverse,
-                    pattern)
+                    read = matrix, inverse, None
+                # layout has dim entries, and read holds two dim × dim
+                # matrices and, for a monomial block, its inverse's rows
+                blocks[(b, c, lift, direction)] = FibreBlock._trusted(
+                    b, c, lift, direction, layout, *read)
 
     fibres = {b: fun.fibre(b) for b in base.objects}
     return CoveringCertificate(fibres, blocks)
-
 
 
 def _ensure_certificate(fun: LinearFunctor) -> CoveringCertificate:

@@ -132,6 +132,26 @@ def _parse_coeff(field: FieldSpec, text, path=None):
         raise DocumentError(f"bad coefficient {text!r}: {exc}", path)
 
 
+def _coefficient_reader(field: FieldSpec, path=None):
+    """``_parse_coeff`` for one document, memoized on each distinct string:
+    a document repeats a handful of coefficient strings ("0", "1") many
+    times, and each is parsed once.  Only ``str`` keys are stored, and a
+    failed parse raises before anything is stored, so the values and the
+    errors are ``_parse_coeff``'s."""
+    memo = {}
+
+    def read(text):
+        try:
+            return memo[text]
+        except (KeyError, TypeError):  # not seen yet, or not hashable
+            value = _parse_coeff(field, text, path)
+            if type(text) is str:
+                memo[text] = value
+            return value
+
+    return read
+
+
 # categories ------------------------------------------------------------------
 
 
@@ -166,6 +186,7 @@ def category_from_json(doc: dict, path=None) -> tuple[str, LinearCategory]:
     name = _need(doc, "name", path)
     field = field_from_json(_need(doc, "field", path), path)
     objects = tuple(_array(_need(doc, "objects", path), "objects", path))
+    coefficient = _coefficient_reader(field, path)
     hom_basis = {}
     for entry in _need(doc, "homs", path):
         key = (_need(entry, "src", path), _need(entry, "dst", path))
@@ -175,7 +196,7 @@ def category_from_json(doc: dict, path=None) -> tuple[str, LinearCategory]:
     identity = {}
     for x, coords in _object(_need(doc, "identity", path), "identity",
                              path).items():
-        identity[x] = tuple(_parse_coeff(field, c, path)
+        identity[x] = tuple(coefficient(c)
                             for c in _array(coords, "identity", path))
     location = {}
     for (x, y), basis in hom_basis.items():
@@ -197,7 +218,7 @@ def category_from_json(doc: dict, path=None) -> tuple[str, LinearCategory]:
                 raise DocumentError(
                     f"composition ({f},{g}) result uses foreign basis {b!r}", path)
             coords[i] = field.add(
-                coords[i], _parse_coeff(field, _need(term, "coeff", path), path))
+                coords[i], coefficient(_need(term, "coeff", path)))
         composition[(f, g)] = tuple(coords)
     try:
         cat = LinearCategory(field, objects, hom_basis, identity, composition)
@@ -240,6 +261,7 @@ def functor_from_json(doc: dict, categories: Mapping[str, LinearCategory],
     object_map = dict(_object(_need(doc, "object_map", path), "object_map",
                               path))
     field = source.field
+    coefficient = _coefficient_reader(field, path)
     hom_matrices = {}
     for entry in _need(doc, "hom_matrices", path):
         x, y = _need(entry, "src", path), _need(entry, "dst", path)
@@ -250,14 +272,15 @@ def functor_from_json(doc: dict, categories: Mapping[str, LinearCategory],
         if fx is None or fy is None:
             raise DocumentError(f"object map misses {x} or {y}", path)
         rows = target.dim(fx, fy)
-        flat = [_parse_coeff(field, c, path)
+        flat = [coefficient(c)
                 for c in _array(_need(entry, "matrix", path), "matrix", path)]
         if len(flat) != rows * cols:
             raise DocumentError(
                 f"matrix at ({x},{y}) has {len(flat)} entries, "
                 f"expected {rows}x{cols}", path)
         data = tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
-        hom_matrices[(x, y)] = Matrix(field, rows, cols, data)
+        # rows tuples of cols parsed scalars each, by the length check above
+        hom_matrices[(x, y)] = Matrix._trusted(field, rows, cols, data)
     try:
         fun = LinearFunctor(source, target, object_map, hom_matrices)
     except ConstructionError as exc:

@@ -77,22 +77,22 @@ class LinearCategory:
                 raise ConstructionError(f"identity coordinates missing or wrong size at {x}")
             if all(c == self.field.zero for c in coords):
                 raise ConstructionError(f"identity at {x} is zero")
-        cleaned = {}
+        hom, zero, cleaned = self.hom_basis, self.field.zero, {}
         for (f, g), coords in self.composition.items():
             if f not in seen or g not in seen:
                 raise ConstructionError(f"composition ({f},{g}) references unknown morphism")
             (xf, yf), (xg, yg) = seen[f], seen[g]
             if yf != xg:
                 raise ConstructionError(f"composition ({f},{g}) is not composable")
-            dim = self.dim(xf, yg)
+            dim = len(hom.get((xf, yg), ()))
             if dim == 0:
-                if any(c != self.field.zero for c in coords):
+                if any(c != zero for c in coords):
                     raise ConstructionError(
                         f"composition ({f},{g}) lands in the zero hom ({xf},{yg})")
                 continue
             if len(coords) != dim:
                 raise ConstructionError(f"composition ({f},{g}) has wrong length")
-            if any(c != self.field.zero for c in coords):
+            if any(c != zero for c in coords):
                 cleaned[(f, g)] = tuple(coords)
         object.__setattr__(self, "composition", cleaned)
 

@@ -86,6 +86,25 @@ class LinearFunctor:
         return over
 
     @cached_property
+    def _columns(self) -> dict[str, tuple]:
+        """Each source basis morphism's image column as its non-zero
+        (row, entry) pairs, in row order, each entry reduced by
+        ``field.scalar``: the one reading of the matrices that
+        ``validate_functor`` and ``check_covering`` share.  A killed hom's
+        columns are empty."""
+        scalar, zero = self.source.field.scalar, self.source.field.zero
+        columns = {}
+        for pair, m in self.hom_matrices.items():
+            for name, col in zip(self.source.hom_basis[pair],
+                                 zip(*m.entries) if m.nrows else
+                                 [()] * m.ncols):
+                # a raw zero reduces to zero, so only the rest are reduced
+                columns[name] = tuple(
+                    (i, e) for i, a in enumerate(col)
+                    if a != zero and (e := scalar(a)) != zero)
+        return columns
+
+    @cached_property
     def covering(self):
         """``check_covering(self)``, looked up in its module at call time."""
         from . import covering  # covering imports this module
@@ -119,7 +138,9 @@ def validate_functor(fun: LinearFunctor) -> ValidationReport:
 
     Every composable pair is checked, g∘f = 0 included: F(g)∘F(f) may still
     be non-zero.  F(g∘f) is summed over the source's non-zero structure
-    constants and the sparse image columns, F(g)∘F(f) over the target's.
+    constants and the sparse image columns (``LinearFunctor._columns``, their
+    entries reduced as ``apply`` reduces them), F(g)∘F(f) over the
+    target's.
     """
     problems = []
     src, dst = fun.source, fun.target
@@ -132,13 +153,7 @@ def validate_functor(fun: LinearFunctor) -> ValidationReport:
             problems.append(Violation("unit", (x,),
                                       f"image of 1_{x} is not 1_{fx}"))
 
-    # the non-zero (row, entry) pairs of each basis morphism's image column
-    column = {}
-    for (x, y), m in fun.hom_matrices.items():
-        for i, f in enumerate(src.hom(x, y)):
-            column[f] = tuple((r, row[i]) for r, row in enumerate(m.entries)
-                              if row[i] != k.zero)
-
+    column = fun._columns
     src_after, dst_after, no_composites = src._after, dst._after, {}
     out_of, hom = src.out_of, src.hom_basis
     for x in src.objects:

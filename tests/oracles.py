@@ -3,7 +3,8 @@
 Nothing here calls the echelon/kernel routines, the covering checker, or
 the lift construction being tested: row reduction is a separate textbook
 implementation, connectivity is a fresh BFS, star dimensions are summed
-straight off the hom bases, path classes are checked against the relation
+straight off the hom bases, fibre blocks are found by a scan of every
+source hom, path classes are checked against the relation
 ideal closed over a fresh path walk, lifts are found by exhaustive
 backtracking over fibre-constrained object maps with per-hom linear solves
 (and by the deck-lift rule, with dense products through fibre blocks
@@ -479,6 +480,27 @@ def exhaustive_lifts(fun: LinearFunctor, x: str, x_prime: str):
 def _matrix_rows(fun: LinearFunctor, hu: str, hv: str):
     m = fun.hom_matrices.get((hu, hv))
     return m.entries if m is not None else ()
+
+
+# fibre blocks ----------------------------------------------------------------------
+
+
+def fibre_block(fun: LinearFunctor, direction: str, lift: str, far: str):
+    """Columns of F on ⊕_{y over far} hom(lift, y) ("source") or
+    ⊕_{y over far} hom(y, lift) ("target"), found by a scan of every source
+    hom in sorted order: the (fibre object, basis name) of each column, and
+    the columns as the matrices hold them, unreduced."""
+    src, om = fun.source, fun.object_map
+    layout, cols = [], []
+    for (x, y) in sorted(src.hom_basis):
+        near, other = (x, y) if direction == "source" else (y, x)
+        if near != lift or om[other] != far:
+            continue
+        m = fun.hom_matrices[(x, y)]
+        for j, name in enumerate(src.hom_basis[(x, y)]):
+            layout.append((other, name))
+            cols.append(m.column(j))
+    return layout, cols
 
 
 # dense lift transport ---------------------------------------------------------------

@@ -225,6 +225,46 @@ def test_each_document_is_parsed_at_most_once(workspace, capsys, tmp_path,
     assert len(parsed) == len(set(parsed)) == len(list(workspace.glob("*.json")))
 
 
+@pytest.mark.parametrize("argv, decision", [
+    (["check", "covering", "{ws}/F1.json"], "check_covering"),
+    (["check", "trivial", "{ws}/proj.json"], "is_trivial_covering"),
+    (["check", "galois", "{ws}/F1.json", "--method", "direct"], "is_galois"),
+    (["check", "galois", "{ws}/F1.json"], "is_galois_both"),
+    (["check", "universal", "{ws}/F1.json", "--family", "F2"],
+     "check_universal_against"),
+    (["build", "product-set", "B", "2", "--dir", "{ws}", "--out", "{out}"],
+     "product_with_set"),
+    (["build", "fibre-product", "F1", "F2", "--dir", "{ws}", "--out", "{out}"],
+     "fibre_product"),
+    (["build", "quotient", "C2", "--by-deck-of", "F1", "--dir", "{ws}",
+      "--out", "{out}"], "deck_group"),
+    (["build", "path-category", "sq", "--dir", "{ws}", "--out", "{out}"],
+     "path_category")])
+def test_no_unreached_parsed_document_is_kept_while_deciding(
+        workspace, capsys, tmp_path, monkeypatch, argv, decision):
+    """When the decision runs, the workspace holds no parsed document that
+    the command did not build."""
+    workspaces, held = [], []
+
+    class Recording(cli.Workspace):
+        def __init__(self):
+            super().__init__()
+            workspaces.append(self)
+
+    decide = getattr(cli, decision)
+
+    def recording(*args, **kwargs):
+        held.append([len(ws._parsed) for ws in workspaces])
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Workspace", Recording)
+    monkeypatch.setattr(cli, decision, recording)
+    argv = [a.format(ws=workspace, out=tmp_path / "out") for a in argv]
+    code, _ = run(capsys, *argv)
+    assert code in (0, 1)
+    assert held == [[0]]
+
+
 def _count_builds(monkeypatch) -> list:
     """The names of the documents built from here on, in build order."""
     built = []
@@ -436,6 +476,21 @@ def test_build_fibre_product_of_one_functor_is_an_input_error(workspace,
                        "--dir", str(workspace), "--out", str(workspace / "o"))
     assert code == 2
     assert report["error"] == "fibre-product requires two functors"
+    assert not (workspace / "o").exists()
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["build", "fibre-product", "F1", "F1", "nonsense"], "nonsense"),
+    (["build", "quotient", "C2", "whatever", "--by-deck-of", "F1"], "whatever"),
+    (["build", "path-category", "sq", "sq"], "sq"),
+    (["build", "from-algebra", "alg", "more", "most"], "more")])
+def test_build_refuses_an_operand_it_does_not_read(workspace, capsys, argv,
+                                                    extra):
+    code, report = run(capsys, *argv, "--dir", str(workspace),
+                       "--out", str(workspace / "o"))
+    assert code == 2
+    assert set(report) == {"command", "error"}
+    assert repr(extra) in report["error"]
     assert not (workspace / "o").exists()
 
 

@@ -16,7 +16,8 @@ from covcat.fibprod import fibre_product
 from covcat.examples import base_category, cyclic_cover, kronecker, \
     kronecker_cover_twisted, triangle_base
 
-from oracles import count_paths, full_subcategory, naive_rank, star_dim
+from oracles import count_paths, fibre_block, full_subcategory, naive_rank, \
+    star_dim
 
 
 def test_star_at_u():
@@ -144,8 +145,9 @@ def test_product_projections_certify_for_all_bases():
 
 def _by_elimination(fun):
     """``check_covering`` with every block eliminated: each non-empty block
-    is ``Matrix.from_columns`` of its columns, and ``rank_and_inverse`` of
-    that gives its verdict, its rank and its inverse."""
+    is ``Matrix.from_columns`` of its columns, found by the oracle's own
+    scan (``fibre_block``), and ``rank_and_inverse`` of that gives its
+    verdict, its rank and its inverse."""
     base = fun.target
     for b in base.objects:
         if not fun.fibre(b):
@@ -157,7 +159,7 @@ def _by_elimination(fun):
             for direction, lift, far in (
                     [("source", x, c) for x in fun.fibre(b)]
                     + [("target", z, b) for z in fun.fibre(c)]):
-                layout, cols = covering._fibre_block(fun, direction, lift, far)
+                layout, cols = fibre_block(fun, direction, lift, far)
                 if len(cols) != dim:
                     return CoveringFailure("block-dimension", b, c, lift,
                                            direction, dim, len(cols))
@@ -200,22 +202,43 @@ def _scanned_sparse_rows(block):
     return {w: tuple(rows) for w, rows in grouped.items()}
 
 
+def _is_monomial(block) -> bool:
+    """Each column of the block has one non-zero entry, no two in one row."""
+    rows = [[i for i, a in enumerate(col) if a != 0]
+            for col in zip(*block.matrix.entries)]
+    return all(len(r) == 1 for r in rows) and \
+        len({r[0] for r in rows}) == len(rows)
+
+
 def test_sparse_inverse_rows_equal_a_scan_of_the_inverse(galois_corpus,
                                                          gf7_corpus):
-    """A monomial block keeps the pattern check_covering read it by, and its
-    sparse rows come from that pattern; an eliminated block's come from a
-    scan.  Both equal a scan of the dense inverse."""
+    """A monomial block's sparse rows are written as check_covering reads
+    it; an eliminated block's come from a scan.  Both equal a scan of the
+    dense inverse."""
     kinds = set()
     for name, fun in galois_corpus + gf7_corpus + [
             ("kronecker/twisted/GF7", kronecker_cover_twisted(GF(7)))]:
         for key, block in check_covering(fun).blocks.items():
-            monomial = all(sum(1 for a in col if a != 0) == 1
-                           for col in zip(*block.matrix.entries))
-            assert (block._pattern is not None) == monomial, (name, key)
-            kinds.add(monomial)
+            kinds.add(_is_monomial(block))
             assert block._sparse_inverse == _scanned_sparse_rows(block), \
                 (name, key)
     # the twisted Kronecker covers have blocks of both kinds
+    assert kinds == {True, False}
+
+
+def test_monomial_blocks_hold_their_sparse_inverse_when_read(galois_corpus,
+                                                             gf7_corpus):
+    """Straight after check_covering, before anything reads a block, every
+    monomial block holds its sparse inverse rows and no eliminated block
+    (the twisted Kronecker covers' two) does: only those are ever
+    scanned."""
+    kinds = set()
+    for name, fun in galois_corpus + gf7_corpus + [
+            ("kronecker/twisted/GF7", kronecker_cover_twisted(GF(7)))]:
+        for key, block in check_covering(fun).blocks.items():
+            monomial = _is_monomial(block)
+            assert ("_sparse_inverse" in vars(block)) == monomial, (name, key)
+            kinds.add(monomial)
     assert kinds == {True, False}
 
 

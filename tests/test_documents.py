@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from covcat import documents as docs
 from covcat.errors import DocumentError
-from covcat.exactalg import GF, QQ
+from covcat.exactalg import GF, QQ, FieldSpec
 from covcat.lincat import path_category
 from covcat.linfun import identity_functor
 from covcat.covering import check_covering
@@ -141,6 +141,39 @@ def test_bad_coefficient_strings_rejected():
     doc["identity"]["t"] = ["1/0"]
     with pytest.raises(DocumentError):
         docs.category_from_json(doc)
+
+
+def test_each_distinct_coefficient_string_is_parsed_once(monkeypatch, f1):
+    """A document parses each distinct coefficient string once, to the same
+    values; the next document parses its own again."""
+    cat_doc = docs.category_to_json(f1.source, "C2")
+    fun_doc = docs.functor_to_json(f1, "F1", "C2", "B")
+    parse, seen = FieldSpec.parse, []
+    monkeypatch.setattr(FieldSpec, "parse",
+                        lambda self, text: seen.append(text) or parse(self, text))
+    strings = [c for coords in cat_doc["identity"].values() for c in coords] \
+        + [t["coeff"] for e in cat_doc["composition"] for t in e["result"]]
+    _, cat = docs.category_from_json(cat_doc)
+    assert sorted(seen) == sorted(set(strings)) and len(strings) > len(seen)
+    assert cat == f1.source
+    seen.clear()
+    _, fun = docs.functor_from_json(fun_doc, {"C2": cat, "B": f1.target})
+    strings = [c for e in fun_doc["hom_matrices"] for c in e["matrix"]]
+    assert sorted(seen) == sorted(set(strings)) == ["0", "1"]
+    assert fun.hom_matrices == f1.hom_matrices
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1/0", "bad coefficient '1/0'"), (1, "coefficient 1 must be a string")])
+def test_a_bad_coefficient_fails_wherever_it_recurs(bad, message, f1):
+    """A failed parse is not remembered: a bad coefficient in a matrix is
+    refused where it first appears, with the same message each time."""
+    doc = docs.functor_to_json(f1, "F1", "C2", "B")
+    doc["hom_matrices"] = [dict(e, matrix=[bad] * len(e["matrix"]))
+                           for e in doc["hom_matrices"]]
+    for _ in range(2):
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            docs.functor_from_json(doc, {"C2": f1.source, "B": f1.target})
 
 
 def test_certificate_matches_golden_file(f1):

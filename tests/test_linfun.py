@@ -3,7 +3,8 @@
 import pytest
 
 from covcat.errors import ConstructionError
-from covcat.exactalg import Matrix, QQ
+from covcat.covering import CoveringCertificate, check_covering
+from covcat.exactalg import GF, Matrix, QQ
 from covcat.lincat import LinearCategory, Quiver, path_category, product_with_set
 from covcat.linfun import (
     LinearFunctor,
@@ -13,13 +14,27 @@ from covcat.linfun import (
     is_isomorphism,
     validate_functor,
 )
-from covcat.examples import triangle_base, triangle_cover
+from covcat.examples import base_category, kronecker, triangle_base, \
+    triangle_cover
 
 
 def test_identity_functor_is_valid(f1):
     ident = identity_functor(triangle_base())
     assert validate_functor(ident).ok
     assert validate_functor(identity_functor(f1.source)).ok
+
+
+def test_unreduced_prime_field_entries_are_validated_as_residues():
+    """Every 1 of the Kronecker category's identity functor over GF(7),
+    written as 8 through the public constructors: the same functor, valid,
+    and a covering."""
+    ident = identity_functor(base_category(kronecker(), GF(7)))
+    eights = {pair: Matrix(m.field, m.nrows, m.ncols, tuple(
+        tuple(8 if a == 1 else a for a in row) for row in m.entries))
+        for pair, m in ident.hom_matrices.items()}
+    fun = LinearFunctor(ident.source, ident.target, ident.object_map, eights)
+    assert validate_functor(fun).ok
+    assert isinstance(check_covering(fun), CoveringCertificate)
 
 
 def test_double_cover_functor_is_valid_and_respects_composites(f1):

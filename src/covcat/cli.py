@@ -1,7 +1,7 @@
 """The covcat command line: validate documents, run checks, build categories.
 
-Exit codes: 0 positive verdict, 1 negative verdict, 2 input/parse error or
-unwritable output path, 3 precondition NotConnected, 4 precondition
+Exit codes: 0 positive verdict, 1 negative verdict, 2 usage error, input/parse
+error or unwritable output path, 3 precondition NotConnected, 4 precondition
 NotCovering, 5 internal error (any other exception, reported as a JSON
 error instead of a traceback).
 
@@ -518,8 +518,21 @@ def _build(args, ws: Workspace) -> dict:
 # entry point --------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """An argv that the parser refuses, with argparse's message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error instead of printing usage and exiting, so that
+    ``main`` reports it as JSON; its subcommand parsers are ``_Parser``s
+    too."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="covcat",
         description="Exact decision procedures for coverings of k-linear categories.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -554,7 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        report = {"error": str(exc)}
+        if argv and argv[0] in ("validate", "check", "build"):
+            report = {"command": argv[0], **report}
+        sys.stdout.write(docs.dumps(report))
+        return EXIT_INPUT
     args.raw_argv = argv
     # nothing a command builds is cyclic (test_cli checks every command
     # kind), so the collector would only rescan what refcounting frees

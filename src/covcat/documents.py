@@ -400,7 +400,7 @@ def deck_group_to_json(deck: DeckGroup) -> dict:
         "order": deck.order,
         "action": [{"element": i,
                     "map": {x: deck.act(i, x)
-                            for x in deck.covering.source.objects}}
+                            for x in deck.source.objects}}
                    for i in range(deck.order)],
     }
 

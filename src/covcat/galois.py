@@ -9,15 +9,18 @@ by fibre object, and every non-zero hom is transported once through those
 sparse rows (``covering._transport``); the lifts are built without
 re-checking the shapes that the transport fixes.
 
-A deck group is generated, once per functor (``LinearFunctor._deck``).
+A deck group is generated once per functor and cached on it
+(``LinearFunctor._deck``): ``deck_group`` returns that one ``DeckGroup``.
 Uniqueness of lifts fixes a deck transformation by the image of one anchor
 object, and a product of deck transformations is the lift to wherever it
 sends the anchor.  So only the anchor's fibre objects that no element found
 so far reaches are lifted, and after each lift the object maps are closed
 under composition; a refused lift that a product later reaches is an
-error.  An element's matrices are read only when something asks for them,
-by the same transport through the source block at its image, which must
-vanish outside one fibre object's rows.
+error, and the group is checked to act freely.  An element's matrices are
+read only when something asks for them, by the same transport through the
+source block at its image, whose non-zero rows must all be the image's
+(the lifts' sole-owner test).  ``quotient_by_group`` reads the group's
+object maps as they are.
 
 The fibre method and universality decide whether the first projection of
 P = u ×_B g is a trivial covering, on a table of P's hom spaces read
@@ -177,74 +180,33 @@ def _sole_owner(transported: dict[str, tuple]) -> Optional[tuple[str, tuple]]:
 
 
 class DeckGroup:
-    """The group of invertible endofunctors H of the source with FH = F,
-    read by element index: ``act`` gives an element's object map, its action
-    on objects, and ``elements`` the elements as functors.
+    """Aut_1(F) for a connected covering F: the invertible endofunctors H of
+    the source with FH = F, read by element index.  ``act`` gives an
+    element's action on objects, ``orbit`` an object's orbit, ``matrix`` an
+    element's matrix on one hom and ``elements`` the elements as functors.
 
-    ``deck_group`` generates the group and reads each element's matrices
-    only when something asks for them; ``DeckGroup(covering, elements)``
-    takes the elements as given.
+    ``deck_group`` generates it once per functor, and each element's
+    matrices are read only when something asks for them.
+    ``LinearFunctor._deck`` caches it, so it holds the functor's parts and
+    not the functor: the cache makes no reference cycle.
     """
-
-    def __init__(self, covering: LinearFunctor,
-                 elements: Sequence[LinearFunctor]):
-        self.covering = covering
-        self._table = _GivenElements(tuple(elements))
-
-    @classmethod
-    def _generated(cls, covering: LinearFunctor,
-                   table: _DeckTable) -> DeckGroup:
-        deck = object.__new__(cls)
-        deck.covering, deck._table = covering, table
-        return deck
-
-    @property
-    def elements(self) -> tuple[LinearFunctor, ...]:
-        return self._table.elements
-
-    @property
-    def order(self) -> int:
-        return len(self._table.maps)
-
-    def act(self, i: int, x: str) -> str:
-        return self._table.maps[i][x]
-
-    def orbit(self, x: str) -> tuple[str, ...]:
-        return tuple(sorted({h[x] for h in self._table.maps}))
-
-    def _apply(self, i: int, x: str, y: str, coords) -> tuple:
-        """Element i on the morphism of hom(x, y) with coordinates
-        ``coords``."""
-        m = self._table.matrix(i, x, y)
-        if m is None:
-            h = self._table.maps[i]
-            return self.covering.source.zero_vector(h[x], h[y])
-        return m.apply(coords)
-
-
-class _GivenElements:
-    """The elements of ``DeckGroup(covering, elements)``, as given."""
-
-    def __init__(self, elements: tuple[LinearFunctor, ...]):
-        self.elements = elements
-        self.maps = tuple(h.object_map for h in elements)
-
-    def matrix(self, i: int, x: str, y: str) -> Optional[Matrix]:
-        return self.elements[i].hom_matrices.get((x, y))
-
-
-class _DeckTable:
-    """A generated deck group's elements by index: each object map, and each
-    matrix once it has been read.  ``LinearFunctor._deck`` caches it, so it
-    holds the functor's parts and not the functor: the cache makes no
-    reference cycle."""
 
     def __init__(self, fun: LinearFunctor, cert: CoveringCertificate,
                  maps: tuple[dict[str, str], ...], read: list[dict]):
-        self.maps = maps
-        self._source, self._cert = fun.source, cert
+        self.source = fun.source  # the category the group acts on
+        self._maps, self._cert = maps, cert
         self._object_map, self._homs = fun.object_map, fun.hom_matrices
         self._read = read  # per element: (x, y) -> its matrix, once read
+
+    @property
+    def order(self) -> int:
+        return len(self._maps)
+
+    def act(self, i: int, x: str) -> str:
+        return self._maps[i][x]
+
+    def orbit(self, x: str) -> tuple[str, ...]:
+        return tuple(sorted({h[x] for h in self._maps}))
 
     def matrix(self, i: int, x: str, y: str) -> Optional[Matrix]:
         """Element i's matrix on hom(x, y); None when that hom is zero."""
@@ -259,19 +221,21 @@ class _DeckTable:
         # on hom(x, y) says M·T = F(x, y) for T = H(x, y) in h(y)'s rows and
         # zero in every other row; so T is M⁻¹·F(x, y), read by _transport
         # as _lift reads it.  An element composed from lifts is not re-proved
-        # to satisfy FH = F: the zero test checks it here.
-        h, om = self.maps[i], self._object_map
-        transported = _transport(
-            self._cert.block(om[x], om[y], h[x], "source"), f)
-        rows = transported.pop(h[y], None)
-        if rows is None or any(any(row) for others in transported.values()
-                               for row in others):
+        # to satisfy FH = F: the sole-owner test checks it here.  It asks
+        # for one object's rows to hold every non-zero row, which is the
+        # same test: F is injective on each hom of a covering, so T ≠ 0 for
+        # the non-zero hom(x, y), and some object owns a non-zero row.
+        h, om = self._maps[i], self._object_map
+        owner = _sole_owner(_transport(
+            self._cert.block(om[x], om[y], h[x], "source"), f))
+        if owner is None or owner[0] != h[y]:
             raise CovcatError(
                 f"deck element {i} does not lie over the covering "
                 f"on hom({x}, {y})")
         # h(y)'s rows of that block are a basis of hom(h(x), h(y)), one row
         # each, and F(x, y) has dim hom(x, y) columns
-        m = read[(x, y)] = Matrix._trusted(self._source.field, len(rows),
+        rows = owner[1]
+        m = read[(x, y)] = Matrix._trusted(self.source.field, len(rows),
                                            f.ncols, rows)
         return m
 
@@ -279,18 +243,20 @@ class _DeckTable:
     def elements(self) -> tuple[LinearFunctor, ...]:
         # each map sends every source object, and each element gets one
         # matrix, of the shape argued in matrix(), per non-zero source hom
-        src = self._source
+        src = self.source
         return tuple(LinearFunctor._trusted(
             src, src, h,
             {pair: self.matrix(i, *pair) for pair in src.hom_basis})
-            for i, h in enumerate(self.maps))
+            for i, h in enumerate(self._maps))
 
-
-def _index_maps(objects: Sequence[str],
-                maps: Sequence[dict[str, str]]) -> list[tuple[int, ...]]:
-    """Each object map as the tuple of its images' indices in ``objects``."""
-    index = {x: i for i, x in enumerate(objects)}
-    return [tuple(index[h[x]] for x in objects) for h in maps]
+    def _apply(self, i: int, x: str, y: str, coords) -> tuple:
+        """Element i on the morphism of hom(x, y) with coordinates
+        ``coords``."""
+        m = self.matrix(i, x, y)
+        if m is None:
+            h = self._maps[i]
+            return self.source.zero_vector(h[x], h[y])
+        return m.apply(coords)
 
 
 def _check_free(maps: Sequence[tuple[int, ...]]) -> None:
@@ -305,8 +271,9 @@ def _check_free(maps: Sequence[tuple[int, ...]]) -> None:
 def deck_group(fun: LinearFunctor) -> DeckGroup:
     """Aut_1(F) for a connected covering, generated by lifts of the least
     object of the least-named base fibre; verified to be a group acting
-    freely.  Built once per functor and cached on it."""
-    return DeckGroup._generated(fun, fun._deck)
+    freely.  Built once per functor and cached on it, so every call
+    returns the same group."""
+    return fun._deck
 
 
 def _after(g: tuple[int, ...]):
@@ -315,9 +282,9 @@ def _after(g: tuple[int, ...]):
     return itemgetter(*g) if len(g) > 1 else tuple
 
 
-def _deck_table(fun: LinearFunctor) -> _DeckTable:
-    """``deck_group(fun)``'s elements, generated and checked; read them
-    through the cache, ``LinearFunctor._deck``."""
+def _deck_table(fun: LinearFunctor) -> DeckGroup:
+    """``deck_group(fun)``, generated and checked; read it through the
+    cache, ``LinearFunctor._deck``."""
     cert = _ensure_certificate(fun)
     _ensure_connected(fun.source, "source")
 
@@ -382,10 +349,10 @@ def _deck_table(fun: LinearFunctor) -> _DeckTable:
     position = {index[y]: i for i, y in enumerate(fibre)}
     maps.sort(key=lambda m: position[m[a]])
     _check_free(maps)
-    return _DeckTable(fun, cert,
-                      tuple(dict(zip(objects, map(objects.__getitem__, m)))
-                            for m in maps),
-                      [lifted.get(m[a], {}) for m in maps])
+    return DeckGroup(fun, cert,
+                     tuple(dict(zip(objects, map(objects.__getitem__, m)))
+                           for m in maps),
+                     [lifted.get(m[a], {}) for m in maps])
 
 
 # trivial coverings ----------------------------------------------------------
@@ -594,8 +561,8 @@ def is_galois_both(fun: LinearFunctor) -> GaloisVerdict:
 
 
 def quotient_by_group(cat: LinearCategory, group: DeckGroup):
-    """The categorical quotient of ``cat`` by a freely acting group, with the
-    projection functor.
+    """The categorical quotient of ``cat`` by a deck group acting on it, with
+    the projection functor; ``cat`` must be the group's source.
 
     Orbits are named by their least member; the hom space from one orbit to
     another is the direct sum of the homs from the representative to every
@@ -603,8 +570,10 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
     unique aligning group element.  It reads the group by element index, so
     an element's matrix is read only where a hom is transported by it.
     """
-    maps = group._table.maps
-    _check_free(_index_maps(cat.objects, maps))
+    if cat != group.source:
+        raise ConstructionError("the group does not act on this category")
+    # deck_group checked the action free (_deck_table)
+    maps = group._maps
 
     orbit_of = {x: group.orbit(x) for x in cat.objects}
     reps = sorted({orbit[0] for orbit in orbit_of.values()})

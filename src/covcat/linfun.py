@@ -112,10 +112,9 @@ class LinearFunctor:
 
     @cached_property
     def _deck(self):
-        """The elements of ``deck_group(self)`` by index, generated once:
-        their object maps, and their matrices as they are read.  The table
-        holds no reference to this functor, so the cache makes no reference
-        cycle (a cached ``DeckGroup`` would point back here)."""
+        """``deck_group(self)``, generated once: its elements' object maps,
+        and their matrices as they are read.  The group holds this functor's
+        parts and not the functor, so the cache makes no reference cycle."""
         from . import galois  # galois imports this module
         return galois._deck_table(self)
 

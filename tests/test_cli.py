@@ -819,6 +819,18 @@ def test_documents_are_read_as_utf8_whatever_the_locale(tmp_path):
     assert json.loads(done.stdout)["status"] == "Covering"
 
 
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(["C2"], "quotient requires --by-deck-of", id="no-by-deck-of"),
+    pytest.param(["B", "--by-deck-of", "F1"], "F1 is not a functor out of B",
+                 id="another-source")])
+def test_build_quotient_input_errors(workspace, capsys, argv, error):
+    code, report = run(capsys, "build", "quotient", *argv,
+                       "--dir", str(workspace), "--out", str(workspace / "o"))
+    assert code == 2
+    assert report == {"command": "build", "error": error}
+    assert not (workspace / "o").exists()
+
+
 def test_build_quotient_of_disconnected_source_exits_3(workspace, capsys, tmp_path):
     code, report = run(capsys, "build", "quotient", "BX2", "--by-deck-of", "proj",
                        "--dir", str(workspace), "--out", str(tmp_path / "o"))
@@ -878,6 +890,43 @@ def test_unwritable_output_path_is_an_input_error(workspace, argv):
     error = _assert_one_input_error(done, argv[0])
     assert ("missing/x.json" if "--json" in argv else "afile") in error
     assert not (workspace / "missing").exists()
+
+
+@pytest.mark.parametrize("argv, command, message", [
+    pytest.param([], None, "the following arguments are required: command",
+                 id="bare"),
+    pytest.param(["frob"], None, "argument command: invalid choice: 'frob'",
+                 id="unknown-command"),
+    pytest.param(["validate"], "validate",
+                 "the following arguments are required: files",
+                 id="validate-no-file"),
+    pytest.param(["check", "bogus", "F"], "check",
+                 "argument kind: invalid choice: 'bogus'", id="check-kind"),
+    pytest.param(["check", "galois", "F.json", "--method", "nope"], "check",
+                 "argument --method: invalid choice: 'nope'", id="method"),
+    pytest.param(["check", "covering", "F1", "--frob"], "check",
+                 "unrecognized arguments: --frob", id="unrecognized"),
+    pytest.param(["build", "quotient"], "build",
+                 "the following arguments are required: args",
+                 id="build-no-operand")])
+def test_a_usage_error_is_one_json_input_error(capsys, argv, command,
+                                               message):
+    """main returns 2, and prints argparse's message as one JSON error on
+    stdout, naming the subcommand when argv has one, and no usage text."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["error"].startswith(message)
+    assert report == ({"error": report["error"]} if command is None else
+                      {"command": command, "error": report["error"]})
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: covcat check")
 
 
 def test_reports_are_byte_identical_across_runs(workspace, capsys, tmp_path):

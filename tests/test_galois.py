@@ -351,11 +351,16 @@ def test_a_deck_element_that_does_not_lie_over_the_covering_is_refused(
     """The sheet swap of the twisted Kronecker cover is no deck element: its
     matrix on the twisted hom is refused when it is read."""
     swap = {"x0": "x1", "x1": "x0", "y0": "y1", "y1": "y0"}
-    table = galois._DeckTable(kron_twisted, kron_twisted.covering, (swap,),
-                              [{}])
-    assert table.matrix(0, "x0", "x0").entries == ((1,),)
+    group = DeckGroup(kron_twisted, kron_twisted.covering, (swap,), [{}])
+    assert group.matrix(0, "x0", "x0").entries == ((1,),)
     with pytest.raises(CovcatError, match="does not lie over the covering"):
-        DeckGroup._generated(kron_twisted, table).elements
+        group.elements
+
+
+def test_deck_group_is_generated_once_per_functor(kron_twisted):
+    cover = triangle_cover(3)
+    assert deck_group(cover) is deck_group(cover) is cover._deck
+    assert deck_group(kron_twisted) is deck_group(kron_twisted)
 
 
 def test_the_cached_deck_group_makes_no_reference_cycle():
@@ -979,50 +984,30 @@ def test_quotient_of_double_cover(f1):
     assert isinstance(cert, CoveringCertificate)
 
 
-def test_quotient_by_trivial_group(f1):
-    ident = identity_functor(f1.source)
-    group = DeckGroup(f1, (ident,))
-    quotient, projection = quotient_by_group(f1.source, group)
+def test_quotient_by_trivial_group(kron_twisted):
+    group = deck_group(kron_twisted)
+    assert group.order == 1
+    quotient, projection = quotient_by_group(kron_twisted.source, group)
     assert is_isomorphism(projection) is not None
-    assert quotient.total_dim() == f1.source.total_dim()
-
-
-def test_quotient_of_product_by_sheet_swap():
-    base = triangle_base()
-    product, projection = product_with_set(base, ["0", "1"])
-    swap_obj = {}
-    for x in base.objects:
-        swap_obj[f"({x},0)"] = f"({x},1)"
-        swap_obj[f"({x},1)"] = f"({x},0)"
-    matrices = {}
-    for (p, q), basis in product.hom_basis.items():
-        matrices[(p, q)] = Matrix.identity(QQ, len(basis))
-    swap = LinearFunctor(product, product, swap_obj, matrices)
-    assert validate_functor(swap).ok
-    group = DeckGroup(projection, (identity_functor(product), swap))
-    quotient, proj = quotient_by_group(product, group)
-    assert len(quotient.objects) == 3
-    assert quotient.total_dim() == base.total_dim()
-    # the quotient is isomorphic to the base itself
-    rename = {f"({x},0)": x for x in base.objects}
-    iso = LinearFunctor(
-        quotient, base,
-        {o: rename[o] for o in quotient.objects},
-        {pair: Matrix.identity(QQ, len(basis))
-         for pair, basis in quotient.hom_basis.items()})
-    assert validate_functor(iso).ok
-    assert is_isomorphism(iso) is not None
+    assert quotient.total_dim() == kron_twisted.source.total_dim()
 
 
 def test_quotient_rejects_non_free_action():
-    points = path_category(Quiver(("a", "b", "c"), ()), [], QQ)
-    flip = LinearFunctor(points, points, {"a": "a", "b": "c", "c": "b"},
-                         {pair: Matrix.identity(QQ, 1)
-                          for pair in points.hom_basis})
-    group = DeckGroup(identity_functor(points),
-                      (identity_functor(points), flip))
-    with pytest.raises(ConstructionError):
-        quotient_by_group(points, group)
+    """The freeness check deck_group runs refuses the identity with the
+    flip of b and c on three objects a, b, c: the flip fixes a alone."""
+    with pytest.raises(ConstructionError, match="not free"):
+        galois._check_free([(0, 1, 2), (0, 2, 1)])
+
+
+def test_quotient_refuses_a_category_the_group_does_not_act_on(
+        kron_twisted):
+    """A deck group acts on its source, and on a category equal to it."""
+    group = deck_group(triangle_cover(2))
+    for cat in (triangle_base(), kron_twisted.source):
+        with pytest.raises(ConstructionError, match="does not act on"):
+            quotient_by_group(cat, group)
+    quotient, _ = quotient_by_group(triangle_cover(2).source, group)
+    assert len(quotient.objects) == 3
 
 
 # structure theorem -------------------------------------------------------------------

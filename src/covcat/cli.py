@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("kind", choices=["path-category", "from-algebra",
                                           "product-set", "fibre-product",
                                           "quotient"])
-    p_build.add_argument("args", nargs="+")
+    p_build.add_argument("args", nargs="+", metavar="operand")
     p_build.add_argument("--by-deck-of", default=None)
     p_build.add_argument("--out", default=".")
     p_build.add_argument("--dir", default=None)

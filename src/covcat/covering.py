@@ -14,10 +14,13 @@ lift, are each lift's block, in fibre order.  A block is decided by its
 non-zero pattern first.  When every column has one non-zero entry and no
 two share a row (a monomial block, as every block of the standard bases'
 Z/n covers is), the block is invertible and its inverse is read off: 1/e
-at (j, i) for each e at (i, j).  The sparse rows of that inverse are
-written as the block is read, so no reader scans them.  Every other block
-is eliminated as ``[m | I]``, which gives its rank, its ``block-singular``
-witness and its inverse.
+at (j, i) for each e at (i, j).  Such a block stores its layout, its one
+(row, entry) pair per column and the sparse rows of its inverse, written
+as the block is read, so no reader scans them.  Its dense ``matrix`` and
+``inverse`` are built on their first read, which only the certificate
+writer, equality and the tests make.  Every other block is eliminated as
+``[m | I]``, which gives its rank, its ``block-singular`` witness and its
+dense matrix and inverse, stored at once.
 
 ``LinearFunctor.covering`` caches ``check_covering``; a certificate holds
 no reference to its functor, so that cache makes no reference cycle.
@@ -59,20 +62,40 @@ class FibreBlock:
     inverse: Matrix
 
     @classmethod
-    def _trusted(cls, base_src: str, base_dst: str, lift: str, direction: str,
-                 column_layout: tuple, matrix: Matrix, inverse: Matrix,
-                 sparse_inverse: Optional[dict] = None) -> FibreBlock:
-        """A FibreBlock built without the dataclass ``__init__``, for
-        ``check_covering``, which has just read each part; with
-        ``sparse_inverse``, the inverse's rows as ``_sparse_inverse`` holds
-        them, stored so that they are never scanned."""
+    def _monomial(cls, base_src: str, base_dst: str, lift: str,
+                  direction: str, column_layout: tuple, field,
+                  pairs: tuple, sparse_inverse: dict) -> FibreBlock:
+        """A monomial block, built without the dataclass ``__init__`` for
+        ``check_covering``, which has just read it: its one (row, entry)
+        pair per column, and its inverse's rows as ``_sparse_inverse`` holds
+        them, stored so that they are never scanned.  Its ``matrix`` and
+        ``inverse`` are built on their first read."""
         block = object.__new__(cls)
         block.__dict__.update(base_src=base_src, base_dst=base_dst, lift=lift,
                               direction=direction, column_layout=column_layout,
-                              matrix=matrix, inverse=inverse)
-        if sparse_inverse is not None:
-            block.__dict__["_sparse_inverse"] = sparse_inverse
+                              _field=field, _pairs=pairs,
+                              _sparse_inverse=sparse_inverse)
         return block
+
+    def __getattr__(self, name: str):
+        """A monomial block's ``matrix`` or ``inverse``, the only attributes
+        that an instance can lack, built on its first read: an entry e at
+        (i, j) of the block puts 1/e at (j, i) of its inverse."""
+        parts = self.__dict__
+        if name not in ("matrix", "inverse") or "_pairs" not in parts:
+            raise AttributeError(name)
+        field, pairs = parts["_field"], parts["_pairs"]
+        unit = (field.zero,) * len(pairs)
+        dense = [unit] * len(pairs)
+        for j, (i, e) in enumerate(pairs):
+            if name == "matrix":
+                dense[i] = unit[:j] + (e,) + unit[j + 1:]
+            else:
+                dense[j] = unit[:i] + (field.inv(e),) + unit[i + 1:]
+        # a row per column, each with one reduced entry: 1/e is reduced
+        parts[name] = Matrix._trusted(field, len(pairs), len(pairs),
+                                      tuple(dense))
+        return parts[name]
 
     @cached_property
     def _sparse_inverse(self) -> dict[str, tuple]:
@@ -122,27 +145,23 @@ class CoveringFailure:
         return f"{where} is singular"
 
 
-def _monomial_block(field, layout, cols, dim: int):
-    """The square block with sparse columns ``cols`` (each column's non-zero
-    (row, entry) pairs, reduced), its inverse and that inverse's rows as
-    ``FibreBlock._sparse_inverse`` holds them, when each column has exactly
-    one entry and no two columns share a row; else None.  An entry e at
-    (i, j) puts 1/e at (j, i) of the inverse, the one entry of its row j."""
-    inv, unit = field.inv, (field.zero,) * dim
-    rows, inverse, sparse, taken = [unit] * dim, [], {}, set()
-    for j, ((w, _), col) in enumerate(zip(layout, cols)):
+def _monomial_parts(field, layout, cols) -> Optional[tuple]:
+    """Each column's one (row, entry) pair, and the rows of the inverse as
+    ``FibreBlock._sparse_inverse`` holds them, for the square block with
+    sparse columns ``cols`` (each column's non-zero (row, entry) pairs,
+    reduced) when each column has exactly one entry and no two columns
+    share a row; else None.  An entry e at (i, j) puts 1/e at (j, i) of the
+    inverse, the one entry of its row j."""
+    inv, sparse, taken, pairs = field.inv, {}, set(), []
+    for (w, _), col in zip(layout, cols):
         if len(col) != 1 or col[0][0] in taken:
             return None
         [(i, e)] = col
         taken.add(i)
-        rows[i] = unit[:j] + (e,) + unit[j + 1:]
-        d = inv(e)
-        inverse.append(unit[:i] + (d,) + unit[i + 1:])
-        sparse.setdefault(w, []).append(((i, d),))
-    # dim columns, each one reduced entry in its own row: both are dim × dim
-    return (Matrix._trusted(field, dim, dim, tuple(rows)),
-            Matrix._trusted(field, dim, dim, tuple(inverse)),
-            {w: tuple(rs) for w, rs in sparse.items()})
+        pairs.append(col[0])
+        # 1, every entry of a plain cyclic cover, is its own inverse
+        sparse.setdefault(w, []).append(((i, e if e == 1 else inv(e)),))
+    return tuple(pairs), {w: tuple(rs) for w, rs in sparse.items()}
 
 
 def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFailure]:
@@ -182,24 +201,24 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
                 if dim == 0:
                     continue
                 cols = [columns[name] for _, name in layout]
-                read = _monomial_block(field, layout, cols, dim)
-                if read is None:
-                    dense = [[zero] * dim for _ in range(dim)]
-                    for j, col in enumerate(cols):
-                        for i, e in col:
-                            dense[i][j] = e
-                    # dim rows of dim reduced entries, as from_columns gives
-                    matrix = Matrix._trusted(field, dim, dim,
-                                             tuple(map(tuple, dense)))
-                    rank, inverse = rank_and_inverse(matrix)
-                    if inverse is None:
-                        return CoveringFailure("block-singular", b, c, lift,
-                                               direction, dim, rank)
-                    read = matrix, inverse, None
-                # layout has dim entries, and read holds two dim × dim
-                # matrices and, for a monomial block, its inverse's rows
-                blocks[(b, c, lift, direction)] = FibreBlock._trusted(
-                    b, c, lift, direction, layout, *read)
+                read = _monomial_parts(field, layout, cols)
+                if read is not None:
+                    blocks[(b, c, lift, direction)] = FibreBlock._monomial(
+                        b, c, lift, direction, layout, field, *read)
+                    continue
+                dense = [[zero] * dim for _ in range(dim)]
+                for j, col in enumerate(cols):
+                    for i, e in col:
+                        dense[i][j] = e
+                # dim rows of dim reduced entries, as from_columns gives
+                matrix = Matrix._trusted(field, dim, dim,
+                                         tuple(map(tuple, dense)))
+                rank, inverse = rank_and_inverse(matrix)
+                if inverse is None:
+                    return CoveringFailure("block-singular", b, c, lift,
+                                           direction, dim, rank)
+                blocks[(b, c, lift, direction)] = FibreBlock(
+                    b, c, lift, direction, layout, matrix, inverse)
 
     fibres = {b: fun.fibre(b) for b in base.objects}
     return CoveringCertificate(fibres, blocks)

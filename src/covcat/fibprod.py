@@ -11,7 +11,11 @@ fibre-product decisions of ``galois`` and ``fibre_product`` consume it.  A
 covering is injective on every hom space, so the first projection embeds
 each hom space of P in one of C; the routine yields that image V and the
 matrix T with ψ = Tφ, and the basis is the graph of T over V's reduced
-echelon rows.  No kernel of [F | −G] is solved.
+echelon rows.  No kernel of [F | −G] is solved.  The kernel of each F(x, x2)
+is solved once, unless F's cached covering check holds a certificate, as
+both decisions make it first: then every column of F(x, x2) lies in an
+invertible block, so that kernel is zero.  Only a space of several owners
+then needs a kernel.
 
 Only for a G that is not a covering are the hom spaces found by a join of
 the non-zero homs of C and of D, grouped by the base hom pair they lie over
@@ -26,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .covering import CoveringFailure, _ensure_certificate, _transport
+from .covering import CoveringCertificate, CoveringFailure, \
+    _ensure_certificate, _transport
 from .errors import ConstructionError, CovcatError
 from .exactalg import Matrix, express_in_echelon, kernel_basis
 from .lincat import LinearCategory, category_from_model, echelon_coords
@@ -86,6 +91,11 @@ def _pullback_spaces(u: LinearFunctor, g: LinearFunctor):
         raise ConstructionError("functors do not share a base category")
     gcert = _ensure_certificate(g)
     field, fibres = u.target.field, gcert.fibres
+    # Whether u covers is read off u's cached covering check when a caller
+    # has made it, as both decisions (is_galois's fibre method and
+    # check_universal_against) have.  It is not made here: fibre_product's
+    # u need not be a covering.
+    u_covers = isinstance(u.__dict__.get("covering"), CoveringCertificate)
     # A zero C-hom gives no P-hom: u(0) = 0 = g(ψ) forces ψ = 0, as g is
     # injective on each hom space (its columns sit in an invertible block).
     # So only the non-zero C-homs, those in u.hom_matrices, are scanned.
@@ -106,7 +116,10 @@ def _pullback_spaces(u: LinearFunctor, g: LinearFunctor):
         #   C(x, x2); and it is every V_y2, because the covering g has
         #   D(y, y2) = 0 (its blocks over a zero base hom are empty), so ψ = 0
         #   and there is no block to transport through.
-        kernel = kernel_basis(m)
+        # - For a covering u that kernel is zero, as each column of u(x, x2)
+        #   lies in u's invertible source block at x: it is not solved, and
+        #   only the y2 that own rows of T are walked.
+        kernel = ((), ()) if u_covers else kernel_basis(m)
         for y in fibres[b]:
             transported, owned = {}, {}  # owned: y2 -> its non-zero rows of T
             if m.nrows:
@@ -292,6 +305,10 @@ def _built(f: LinearFunctor, g: LinearFunctor, pair_of: dict, homs: dict,
     spaces = {(p, p2): tuple((f"{p}>{p2}#{i}", v)
                              for i, v in enumerate(homs[(p, p2)][0]))
               for p, p2 in keys}
+    # P is built trusted.  Its pair names are distinct (_pair_objects), and
+    # ``homs`` holds only non-empty bases between them.  (1_x, 1_y) is not
+    # zero, so coords raises unless P(p, p) is present, and then gives its
+    # non-zero coordinates there.
     identity = {p: coords(p, p, (tuple(cat_c.identity[x]),
                                  tuple(cat_d.identity[y])))
                 for p, (x, y) in pair_of.items()}

@@ -451,14 +451,14 @@ def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
     cat_c, fibres = u.source, g.covering.fibres
     names = {(x, y): _pair_name(x, y)
              for x in cat_c.objects for y in fibres[u.object_map[x]]}
-    # P's constructor is not run, so what it checks is argued or checked
-    # here.  Each (x, y) has a non-zero endomorphism space holding 1_x:
-    # u(1_x) = 1_b = g(1_y), so T·1_x is 1_y's coordinates, which vanish
-    # outside y's rows.  Its names must be distinct, and its basis names,
+    # P is not built, so what its build checks is argued or checked here.
+    # Each (x, y) has a non-zero endomorphism space holding 1_x: u(1_x) =
+    # 1_b = g(1_y), so T·1_x is 1_y's coordinates, which vanish outside
+    # y's rows.  Its names must be distinct, and its basis names,
     # "{p}>{p2}#{i}" for P(p, p2), are unless a name holds ")>(": every p
     # is "(x,y)", so in p>p2 = q>q2 with q shorter, the ")>(" at q's end
-    # lies inside p.  Then fibre_product(u, g) raises as P's constructor
-    # would, if they clash.
+    # lies inside p.  Then fibre_product(u, g) raises as P's build does
+    # (category_from_model), if they clash.
     if len(set(names.values())) != len(names):
         raise ConstructionError("duplicate object names")
     if any(")>(" in p for p in names.values()):
@@ -615,6 +615,9 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
         out[start:start + len(vec)] = vec
         return tuple(out)
 
+    # The quotient is built trusted: reps are distinct, spaces holds only
+    # non-empty bases between them, and r's identity, a non-zero vector of
+    # hom(r, r), has coordinates in spaces[(r, r)].
     identity = {r: coords(r, r, (r, cat.identity[r])) for r in reps}
     quotient = category_from_model(cat.field, reps, spaces, identity,
                                    product, coords)
@@ -630,7 +633,12 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
                 for name in cat.hom(x, y)]
         hom_matrices[(x, y)] = Matrix.from_columns(
             cat.field, cols, len(spaces[(r, r2)]))
-    projection = LinearFunctor(cat, quotient, object_map, hom_matrices)
+    # The projection is built trusted: it sends every object to its orbit's
+    # representative and has one matrix per non-zero hom of cat, with a
+    # column per basis morphism of hom(x, y) and a row per basis morphism
+    # of the quotient's (r, r2), which holds hom(r, gy) ≠ 0.
+    projection = LinearFunctor._trusted(cat, quotient, object_map,
+                                        hom_matrices)
     return quotient, projection
 
 

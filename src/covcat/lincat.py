@@ -96,6 +96,22 @@ class LinearCategory:
                 cleaned[(f, g)] = tuple(coords)
         object.__setattr__(self, "composition", cleaned)
 
+    @classmethod
+    def _trusted(cls, field: FieldSpec, objects: Iterable[str],
+                 hom_basis: dict[tuple[str, str], tuple[str, ...]],
+                 identity: dict[str, tuple],
+                 composition: dict[tuple[str, str], tuple]) -> LinearCategory:
+        """A LinearCategory built without ``__post_init__``: its objects
+        sorted, its tables neither checked nor copied.  For
+        ``category_from_model``, whose builders argue or check each of the
+        constructor's checks; the public constructor and documents keep
+        every one."""
+        cat = object.__new__(cls)
+        cat.__dict__.update(field=field, objects=tuple(sorted(objects)),
+                            hom_basis=hom_basis, identity=identity,
+                            composition=composition)
+        return cat
+
     @cached_property
     def basis_location(self) -> dict[str, tuple[str, str, int]]:
         out = {}
@@ -198,22 +214,43 @@ def category_from_model(field: FieldSpec, objects: Iterable[str],
     hom space, in basis order, and ``identity[x]`` holds the coordinates of
     1_x.  ``product(x, y, z, u, v)`` is the model element of v∘u for u in
     hom(x, y) and v in hom(y, z); ``coords(x, z, w)`` gives the coordinates
-    of a model element w in hom(x, z), ``()`` when that hom space is absent
-    and w is zero, and raises when it is absent and w is not.  The
-    composition table keeps the non-zero composites of basis pairs.
+    of a model element w in hom(x, z), one per basis element, ``()`` when
+    that hom space is absent and w is zero, and raises when it is absent
+    and w is not.  The composition table keeps the non-zero composites of
+    basis pairs.
+
+    The category is built trusted (``LinearCategory._trusted``).  Of the
+    constructor's checks, distinct basis names are checked here, after the
+    walk, with the constructor's message.  The composition table needs
+    none: the walk composes only composable basis pairs, ``coords`` gives
+    each composite at its hom space's length or raises for one in an
+    absent hom, and zeros are dropped.  The rest (distinct objects, homs
+    between them, none empty, and at each object an endomorphism space
+    holding a non-zero identity) each builder checks or argues where it
+    calls this.
     """
     composition = {}
     out_of = by_source(spaces)
     for (x, y), fbasis in spaces.items():
         for (_, z) in out_of.get(y, ()):
+            gbasis = spaces[(y, z)]
             for fname, u in fbasis:
-                for gname, v in spaces[(y, z)]:
+                for gname, v in gbasis:
                     got = coords(x, z, product(x, y, z, u, v))
-                    if any(c != field.zero for c in got):
+                    # scalars are ints and Fractions: zero exactly when falsy
+                    if any(got):
                         composition[(fname, gname)] = got
     hom_basis = {pair: tuple(name for name, _ in basis)
                  for pair, basis in spaces.items()}
-    return LinearCategory(field, tuple(objects), hom_basis, identity, composition)
+    seen = {}
+    for (x, y), basis in hom_basis.items():
+        for name in basis:
+            if name in seen:
+                raise ConstructionError(
+                    f"basis name {name!r} reused in ({x},{y}) and {seen[name]}")
+            seen[name] = (x, y)
+    return LinearCategory._trusted(field, objects, hom_basis, identity,
+                                   composition)
 
 
 def echelon_coords(field: FieldSpec, echelons: Mapping[tuple[str, str], tuple],
@@ -550,6 +587,9 @@ def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
             raise ConstructionError(f"relations annihilate the identity at {x}")
         identity[x] = coords
 
+    # Quiver keeps its vertices distinct, and survivors holds only non-empty
+    # bases between them; each identity is non-zero (checked above), so
+    # (x, x) survives and 1_x has a coordinate per survivor
     spaces = {(x, y): tuple((_path_name(p, x), p) for p in keep)
               for (x, y), keep in survivors.items()}
     category = category_from_model(field, q.vertices, spaces, identity,
@@ -647,10 +687,18 @@ def category_from_algebra(field: FieldSpec, basis: Sequence[str],
     spaces = {(ne, nf): tuple((f"{ne}>{nf}:{i}", row) for i, row in enumerate(rows))
               for (ne, nf), (rows, _) in echelons.items()}
     identity = {ne: coords(ne, ne, e) for ne, e in idems}
-    # v∘u is the algebra product v·u
-    return category_from_model(field, (name for name, _ in idems), spaces,
-                               identity, lambda x, y, z, u, v: mul_vec(v, u),
-                               coords)
+    # v∘u is the algebra product v·u.  The idempotent names are distinct
+    # (checked above), and only non-empty echelon bases are spaces.
+    cat = category_from_model(field, (name for name, _ in idems), spaces,
+                              identity, lambda x, y, z, u, v: mul_vec(v, u),
+                              coords)
+    for x in cat.objects:
+        # a zero idempotent e has e·A·e = 0.  Otherwise e = e·e·e lies in
+        # e·A·e, and its coordinates there are 1_x: one per basis row, and
+        # not all zero, as e is not
+        if (x, x) not in cat.hom_basis:
+            raise ConstructionError(f"object {x} has no endomorphism space")
+    return cat
 
 
 # connectedness --------------------------------------------------------------

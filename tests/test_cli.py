@@ -907,7 +907,7 @@ def test_unwritable_output_path_is_an_input_error(workspace, argv):
     pytest.param(["check", "covering", "F1", "--frob"], "check",
                  "unrecognized arguments: --frob", id="unrecognized"),
     pytest.param(["build", "quotient"], "build",
-                 "the following arguments are required: args",
+                 "the following arguments are required: operand",
                  id="build-no-operand")])
 def test_a_usage_error_is_one_json_input_error(capsys, argv, command,
                                                message):

@@ -1,9 +1,11 @@
-"""Every error that the public Matrix and LinearFunctor constructors raise,
-raised through the constructor and, where a document can carry the fault,
-through ``documents.functor_from_json``.
+"""Every error that the public Matrix, LinearFunctor and LinearCategory
+constructors raise, raised through the constructor and, where a document
+can carry the fault, through ``documents.functor_from_json`` or
+``documents.category_from_json``.
 
-Deck lifts and their matrices are built by private trusted constructors
-that skip these checks; the public paths must keep every one of them.
+Deck lifts and their matrices, and every built category, are made by
+private trusted constructors that skip these checks; the public paths must
+keep every one of them.
 """
 
 import pytest
@@ -12,6 +14,7 @@ from covcat import documents as docs
 from covcat.errors import ConstructionError, DocumentError
 from covcat.exactalg import GF, QQ, Matrix
 from covcat.examples import triangle_base, triangle_cover
+from covcat.lincat import LinearCategory, Quiver, path_category
 from covcat.linfun import LinearFunctor
 
 
@@ -109,3 +112,112 @@ def test_functor_constructor_and_documents_keep_each_check(message, fault,
     if in_documents:
         with pytest.raises(DocumentError, match=message):
             docs.functor_from_json(doc, {"C": fun.source, "B": target})
+
+
+# LinearCategory.__post_init__, on the chain x -a-> y -b-> z with b∘a = 0:
+# each fault returns the constructor's objects, hom bases, identities and
+# composition, and puts the fault into the category document in step
+
+
+def _chain():
+    q = Quiver(("x", "y", "z"), (("a", "x", "y"), ("b", "y", "z")))
+    return path_category(q, [[(1, ["b", "a"])]], QQ)
+
+
+def _parts(cat, objects=(), homs=None, identity=None, composition=None):
+    """The chain's parts, with ``objects`` added and each given entry added
+    or replaced."""
+    return (cat.objects + tuple(objects),
+            {**cat.hom_basis, **(homs or {})},
+            {**cat.identity, **(identity or {})},
+            {**cat.composition, **(composition or {})})
+
+
+def _duplicate_object(cat, doc):
+    doc["objects"].append("x")
+    return _parts(cat, objects=["x"])
+
+
+def _unknown_object(cat, doc):
+    doc["homs"].append({"src": "x", "dst": "w", "basis": ["w0"]})
+    return _parts(cat, homs={("x", "w"): ("w0",)})
+
+
+def _empty_hom(cat, doc):
+    doc["homs"].append({"src": "x", "dst": "z", "basis": []})
+    return _parts(cat, homs={("x", "z"): ()})
+
+
+def _reused_name(cat, doc):
+    """A document refuses a reused name itself, with its own message."""
+    return _parts(cat, homs={("x", "z"): ("a",)})
+
+
+def _no_endomorphisms(cat, doc):
+    doc["objects"].append("w")
+    return _parts(cat, objects=["w"])
+
+
+def _identity_of_wrong_size(cat, doc):
+    doc["identity"]["y"] = ["1", "0"]
+    return _parts(cat, identity={"y": (1, 0)})
+
+
+def _zero_identity(cat, doc):
+    doc["identity"]["y"] = ["0"]
+    return _parts(cat, identity={"y": (0,)})
+
+
+def _unknown_morphism(cat, doc):
+    """A document refuses an unknown name itself, with its own message."""
+    return _parts(cat, composition={("a", "c"): (1,)})
+
+
+def _not_composable(cat, doc):
+    doc["composition"].append({"f": "b", "g": "a", "result": []})
+    return _parts(cat, composition={("b", "a"): (0,)})
+
+
+def _into_a_zero_hom(cat, doc):
+    """A document writes each composite in the hom its ends name, and
+    refuses any term outside it; here that hom has no basis."""
+    return _parts(cat, composition={("a", "b"): (1,)})
+
+
+def _composite_of_wrong_length(cat, doc):
+    """A document writes each composite at its hom's length."""
+    return _parts(cat, composition={("1_x", "a"): (1, 0)})
+
+
+CATEGORY_ERRORS = [
+    ("duplicate object names", _duplicate_object, True),
+    (r"hom \(x,w\) references unknown object", _unknown_object, True),
+    (r"hom \(x,z\) present but empty; omit it", _empty_hom, True),
+    (r"basis name 'a' reused in \(x,z\) and \('x', 'y'\)", _reused_name,
+     False),
+    ("object w has no endomorphism space", _no_endomorphisms, True),
+    ("identity coordinates missing or wrong size at y",
+     _identity_of_wrong_size, True),
+    ("identity at y is zero", _zero_identity, True),
+    (r"composition \(a,c\) references unknown morphism", _unknown_morphism,
+     False),
+    (r"composition \(b,a\) is not composable", _not_composable, True),
+    (r"composition \(a,b\) lands in the zero hom \(x,z\)", _into_a_zero_hom,
+     False),
+    (r"composition \(1_x,a\) has wrong length", _composite_of_wrong_length,
+     False),
+]
+
+
+@pytest.mark.parametrize(
+    "message, fault, in_documents", CATEGORY_ERRORS,
+    ids=[fault.__name__.lstrip("_") for _, fault, _ in CATEGORY_ERRORS])
+def test_category_constructor_and_documents_keep_each_check(message, fault,
+                                                            in_documents):
+    cat = _chain()
+    doc = docs.category_to_json(cat, "X")
+    with pytest.raises(ConstructionError, match=message):
+        LinearCategory(cat.field, *fault(cat, doc))
+    if in_documents:
+        with pytest.raises(DocumentError, match=message):
+            docs.category_from_json(doc)

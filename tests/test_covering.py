@@ -242,6 +242,28 @@ def test_monomial_blocks_hold_their_sparse_inverse_when_read(galois_corpus,
     assert kinds == {True, False}
 
 
+def test_monomial_blocks_build_their_matrices_when_read(
+        monkeypatch, cyclic_corpus, gf7_corpus):
+    """Every block of a cyclic cover is monomial: check_covering builds no
+    matrix for it, and its matrix and inverse are each built on their
+    first read, once."""
+    built = []
+    trusted = Matrix._trusted.__func__
+    monkeypatch.setattr(Matrix, "_trusted", classmethod(
+        lambda cls, *parts: built.append(parts) or trusted(cls, *parts)))
+    for name, fun in cyclic_corpus + gf7_corpus:
+        built.clear()
+        cert = check_covering(fun)
+        assert built == [], name
+        for key, block in cert.blocks.items():
+            assert not {"matrix", "inverse"} & vars(block).keys(), (name, key)
+            matrix = block.matrix
+            assert "inverse" not in vars(block) and block.matrix is matrix
+            assert matrix @ block.inverse == Matrix.identity(matrix.field,
+                                                             matrix.nrows)
+        assert len(built) == 2 * len(cert.blocks), name
+
+
 def _kronecker_with(field, unit, columns):
     """The identity functor of the Kronecker category, with 1_x and 1_y
     sent to ``unit`` and hom(x, y) to the 2×2 matrix of ``columns``, all

@@ -13,8 +13,9 @@ from covcat.covering import CoveringCertificate, CoveringFailure, \
     check_covering
 from covcat.fibprod import fibre_product
 from covcat import fibprod
-from covcat.examples import cyclic_cover, kronecker, triangle_base, \
-    triangle_cover
+from covcat.examples import cyclic_cover, kronecker, standard_bases, \
+    triangle_base, triangle_cover
+from covcat.galois import check_universal_against, is_galois
 
 from oracles import S3_SWAP, S3_UNIT, full_subcategory, kronecker_covers, \
     kronecker_quiver, naive_fibre_dims, onto_kronecker, s3_kronecker_cover, \
@@ -168,6 +169,34 @@ def test_fibre_product_solves_kernels_only_over_nonzero_homs(monkeypatch):
     one_sided = sum(len(homs) for (b, b2), homs in over.items()
                     if len(homs) < len(f.fibre(b)) * len(f.fibre(b2)))
     assert len(calls) <= joined + 2 * one_sided
+
+
+def test_decisions_on_a_covering_solve_no_kernel_of_it(monkeypatch):
+    """The fibre method and universality hold u's covering certificate, so
+    they solve no kernel of a hom matrix u(x, x2): each is zero.  Only
+    spaces of several owners are solved for, and on the square of a Z/n
+    cover there are none; fibre_product(f, f) reads f's certificate too,
+    as f is g.  fibre_product(f, g) solves one kernel per C-hom while f's
+    covering check has not been made."""
+    calls = []
+    solve = fibprod.kernel_basis
+    monkeypatch.setattr(fibprod, "kernel_basis",
+                        lambda m: calls.append(id(m)) or solve(m))
+    for wq in standard_bases():
+        for field in (QQ, GF(7)):
+            member = cyclic_cover(wq, 2, field)
+            for n in (1, 2, 3, 4):
+                name, f = f"{wq.name}/n{n}/{field}", cyclic_cover(wq, n, field)
+                own = sorted(map(id, f.hom_matrices.values()))
+                fibre_product(f, member)
+                assert sorted(m for m in calls if m in own) == own, name
+                calls.clear()
+                assert is_galois(f, "fibre").is_galois, name
+                fibre_product(f, f)
+                assert calls == [], name
+                check_universal_against(f, [f, member])
+                assert not set(calls) & set(own), name
+                calls.clear()
 
 
 def _serialized(fp) -> tuple[str, str, str]:

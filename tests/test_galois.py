@@ -393,6 +393,85 @@ def test_trusted_lifts_rebuild_through_the_public_constructors(
                        for row in m.entries), name
 
 
+def _trusted_path_categories() -> list:
+    """(name, category) for path categories with and without relations,
+    among them one whose relation kills a whole hom space."""
+    chain = Quiver(("x", "y", "z"), (("a", "x", "y"), ("b", "y", "z")))
+    square = Quiver(("p", "q", "r", "s"),
+                    (("f", "p", "q"), ("g", "q", "s"),
+                     ("h", "p", "r"), ("k", "r", "s")))
+    cats = [(f"{wq.name}/{field}", base_category(wq, field))
+            for wq in standard_bases() for field in (QQ, GF(7))]
+    cats.append(("killed-hom", path_category(chain, [[(1, ["b", "a"])]], QQ)))
+    cats.append(("killed-arrow",
+                 path_category(triangle().quiver, [[(1, ["a"])]], GF(7))))
+    cats.append(("commuting-square", path_category(
+        square, [[(1, ["g", "f"]), (-1, ["k", "h"])]], QQ)))
+    return cats
+
+
+def _trusted_algebra_categories() -> list:
+    """(name, category) for the diagonal algebra, the 2×2 matrix algebra
+    and k[x]/(x²), over Q and GF(7)."""
+    units = {(1, 1): "E11", (1, 2): "E12", (2, 1): "E21", (2, 2): "E22"}
+    matrix_mult = {(a, b): {units[(i, l)]: 1}
+                   for (i, j), a in units.items()
+                   for (k, l), b in units.items() if j == k}
+    algebras = [
+        ("diagonal", ["e1", "e2"],
+         {("e1", "e1"): {"e1": 1}, ("e2", "e2"): {"e2": 1}},
+         [("e1", [1, 0]), ("e2", [0, 1])]),
+        ("matrix", ["E11", "E12", "E21", "E22"], matrix_mult,
+         [("E11", [1, 0, 0, 0]), ("E22", [0, 0, 0, 1])]),
+        ("dual-numbers", ["one", "x"],
+         {("one", "one"): {"one": 1}, ("one", "x"): {"x": 1},
+          ("x", "one"): {"x": 1}}, [("star", [1, 0])])]
+    return [(f"{name}/{field}",
+             lincat.category_from_algebra(field, basis, mult, idempotents))
+            for name, basis, mult, idempotents in algebras
+            for field in (QQ, GF(7))]
+
+
+def _assert_rebuilds(cat, name):
+    rebuilt = LinearCategory(cat.field, cat.objects, dict(cat.hom_basis),
+                             dict(cat.identity), dict(cat.composition))
+    assert rebuilt == cat, name
+    assert validate_category(cat).ok, name
+
+
+def _assert_functor_rebuilds(fun, name):
+    rebuilt = LinearFunctor(fun.source, fun.target, dict(fun.object_map),
+                            dict(fun.hom_matrices))
+    assert functor_equal(rebuilt, fun), name
+
+
+def test_trusted_categories_rebuild_through_the_public_constructor(
+        galois_corpus, gf7_corpus, fibre_product_corpus, pullback_pairs):
+    """Path categories, algebra categories, fibre products and quotients are
+    built without the constructor's checks; each passes them, and the
+    category axioms, when rebuilt, and so does each quotient's projection."""
+    corpus = galois_corpus + gf7_corpus
+    for name, cat in _trusted_path_categories() + [
+            (f"{name}/source", fun.source) for name, fun in corpus]:
+        _assert_rebuilds(cat, name)
+    for name, cat in _trusted_algebra_categories():
+        _assert_rebuilds(cat, name)
+    # squares of coverings are built over the covering, and pullbacks along
+    # an inclusion that is not one (most of them) through the kernel join
+    assert all(isinstance(fun.covering, CoveringCertificate)
+               for _, fun in galois_corpus)
+    assert not all(isinstance(incl.covering, CoveringCertificate)
+                   for _, _, incl in pullback_pairs)
+    for name, fp in fibre_product_corpus:
+        _assert_rebuilds(fp.category, name)
+        _assert_functor_rebuilds(fp.pr1, name)
+        _assert_functor_rebuilds(fp.pr2, name)
+    for name, fun in corpus:
+        quotient, projection = quotient_by_group(fun.source, deck_group(fun))
+        _assert_rebuilds(quotient, name)
+        _assert_functor_rebuilds(projection, name)
+
+
 def test_galois_stability(f1, f2):
     for fun in (f1, f2):
         for h in deck_group(fun).elements:

@@ -7,6 +7,11 @@ error instead of a traceback).
 
 covcat builds no reference cycles, so ``main`` runs each command with the
 cyclic garbage collector paused and then gives the caller's setting back.
+
+``main`` builds its argument parser once per process, on its first call,
+and every later call parses with that one; ``build_parser`` still returns
+a fresh parser.  The command that runs (``cmd_validate``, ``cmd_check``
+or ``cmd_build``) is looked up by name at each call.
 """
 
 from __future__ import annotations
@@ -541,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="validate category/functor/quiver documents")
     p_validate.add_argument("files", nargs="+")
     p_validate.add_argument("--json", default=None)
-    p_validate.set_defaults(func=cmd_validate)
 
     p_check = sub.add_parser("check", help="run a decision procedure on a functor")
     p_check.add_argument("kind", choices=["covering", "trivial", "galois", "universal"])
@@ -550,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--family", default=None)
     p_check.add_argument("--json", default=None)
     p_check.add_argument("--dir", default=None)
-    p_check.set_defaults(func=cmd_check)
 
     p_build = sub.add_parser("build", help="construct categories and functors")
     p_build.add_argument("kind", choices=["path-category", "from-algebra",
@@ -560,15 +563,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--by-deck-of", default=None)
     p_build.add_argument("--out", default=".")
     p_build.add_argument("--dir", default=None)
-    p_build.set_defaults(func=cmd_build)
     return parser
 
 
+_parser = None  # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
+    global _parser
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # parse_args only reads the parser, so one serves every call
+        args = _parser.parse_args(argv)
     except _UsageError as exc:
         report = {"error": str(exc)}
         if argv and argv[0] in ("validate", "check", "build"):
@@ -581,7 +589,9 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        # looked up now, so that a command rebound since the parser was
+        # built is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as exc:  # a bug, not a verdict: never exit 1 for it
         return _emit(args, {"command": args.command,
                             "error": f"internal error: {exc!r}"}, EXIT_INTERNAL)

@@ -13,8 +13,8 @@ from typing import Mapping
 
 from .errors import ConstructionError, DocumentError
 from .exactalg import FieldSpec, Matrix
-from .lincat import LinearCategory, Quiver
-from .linfun import LinearFunctor
+from .lincat import LinearCategory, Quiver, _check_tables, _not_composable
+from .linfun import LinearFunctor, _check_maps
 from .covering import CoveringCertificate, CoveringFailure
 from .galois import DeckGroup, GaloisVerdict, TrivialityResult
 
@@ -204,12 +204,18 @@ def category_from_json(doc: dict, path=None) -> tuple[str, LinearCategory]:
             if b in location:
                 raise DocumentError(f"basis name {b!r} is not unique", path)
             location[b] = (x, y, i)
-    composition = {}
+    # the constructor's composition checks ride on this walk: names and
+    # lengths hold by the checks here; the first non-composable pair is
+    # raised after _check_tables, in the constructor's order
+    composition, clash = {}, None
     for entry in _need(doc, "composition", path):
         f, g = _need(entry, "f", path), _need(entry, "g", path)
         if f not in location or g not in location:
             raise DocumentError(f"composition ({f},{g}) references unknown basis", path)
-        xf, yg = location[f][0], location[g][1]
+        xf, yf, _ = location[f]
+        xg, yg, _ = location[g]
+        if yf != xg and clash is None:
+            clash = (f, g)
         coords = [field.zero] * len(hom_basis.get((xf, yg), ()))
         for term in _need(entry, "result", path):
             b = _need(term, "basis", path)
@@ -219,12 +225,21 @@ def category_from_json(doc: dict, path=None) -> tuple[str, LinearCategory]:
                     f"composition ({f},{g}) result uses foreign basis {b!r}", path)
             coords[i] = field.add(
                 coords[i], coefficient(_need(term, "coeff", path)))
-        composition[(f, g)] = tuple(coords)
+        # scalars are ints and Fractions: zero exactly when falsy; a later
+        # entry for (f, g) replaces an earlier one, or removes it when zero
+        if any(coords):
+            composition[(f, g)] = tuple(coords)
+        else:
+            composition.pop((f, g), None)
+    objects = tuple(sorted(objects))
     try:
-        cat = LinearCategory(field, objects, hom_basis, identity, composition)
+        _check_tables(field, objects, hom_basis, identity)
+        if clash is not None:
+            raise _not_composable(*clash)
     except ConstructionError as exc:
         raise DocumentError(str(exc), path)
-    return name, cat
+    return name, LinearCategory._trusted(field, objects, hom_basis, identity,
+                                         composition)
 
 
 # functors --------------------------------------------------------------------
@@ -282,10 +297,13 @@ def functor_from_json(doc: dict, categories: Mapping[str, LinearCategory],
         # rows tuples of cols parsed scalars each, by the length check above
         hom_matrices[(x, y)] = Matrix._trusted(field, rows, cols, data)
     try:
-        fun = LinearFunctor(source, target, object_map, hom_matrices)
+        _check_maps(source, target, object_map, hom_matrices)
     except ConstructionError as exc:
         raise DocumentError(str(exc), path)
-    return name, fun
+    # each matrix is in the source's field at its categories' shape, by
+    # the count above: the constructor's last checks hold
+    return name, LinearFunctor._trusted(source, target, object_map,
+                                        hom_matrices)
 
 
 # quivers ---------------------------------------------------------------------

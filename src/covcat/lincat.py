@@ -54,36 +54,15 @@ class LinearCategory:
 
     def __post_init__(self):
         objs = tuple(sorted(self.objects))
-        if len(set(objs)) != len(objs):
-            raise ConstructionError("duplicate object names")
+        seen = _check_tables(self.field, objs, self.hom_basis, self.identity)
         object.__setattr__(self, "objects", objs)
-        oset = set(objs)
-        seen = {}
-        for (x, y), basis in self.hom_basis.items():
-            if x not in oset or y not in oset:
-                raise ConstructionError(f"hom ({x},{y}) references unknown object")
-            if not basis:
-                raise ConstructionError(f"hom ({x},{y}) present but empty; omit it")
-            for name in basis:
-                if name in seen:
-                    raise ConstructionError(
-                        f"basis name {name!r} reused in ({x},{y}) and {seen[name]}")
-                seen[name] = (x, y)
-        for x in objs:
-            if (x, x) not in self.hom_basis:
-                raise ConstructionError(f"object {x} has no endomorphism space")
-            coords = self.identity.get(x)
-            if coords is None or len(coords) != len(self.hom_basis[(x, x)]):
-                raise ConstructionError(f"identity coordinates missing or wrong size at {x}")
-            if all(c == self.field.zero for c in coords):
-                raise ConstructionError(f"identity at {x} is zero")
         hom, zero, cleaned = self.hom_basis, self.field.zero, {}
         for (f, g), coords in self.composition.items():
             if f not in seen or g not in seen:
                 raise ConstructionError(f"composition ({f},{g}) references unknown morphism")
             (xf, yf), (xg, yg) = seen[f], seen[g]
             if yf != xg:
-                raise ConstructionError(f"composition ({f},{g}) is not composable")
+                raise _not_composable(f, g)
             dim = len(hom.get((xf, yg), ()))
             if dim == 0:
                 if any(c != zero for c in coords):
@@ -104,8 +83,8 @@ class LinearCategory:
         """A LinearCategory built without ``__post_init__``: its objects
         sorted, its tables neither checked nor copied.  For
         ``category_from_model``, whose builders argue or check each of the
-        constructor's checks; the public constructor and documents keep
-        every one."""
+        constructor's checks, and for ``documents.category_from_json``,
+        which makes every one of them itself."""
         cat = object.__new__(cls)
         cat.__dict__.update(field=field, objects=tuple(sorted(objects)),
                             hom_basis=hom_basis, identity=identity,
@@ -189,6 +168,42 @@ class LinearCategory:
                 for t, c in coords:
                     out[t] = add(out[t], mul(s, c))
         return tuple(out)
+
+
+def _check_tables(field: FieldSpec, objects: tuple[str, ...],
+                  hom_basis: Mapping[tuple[str, str], tuple[str, ...]],
+                  identity: Mapping[str, tuple]) -> dict[str, tuple[str, str]]:
+    """``LinearCategory``'s checks of its sorted ``objects``, hom bases and
+    identities, in its order; the constructor and
+    ``documents.category_from_json`` both make them here.  Returns the hom
+    (x, y) of each basis name."""
+    if len(set(objects)) != len(objects):
+        raise ConstructionError("duplicate object names")
+    oset = set(objects)
+    seen = {}
+    for (x, y), basis in hom_basis.items():
+        if x not in oset or y not in oset:
+            raise ConstructionError(f"hom ({x},{y}) references unknown object")
+        if not basis:
+            raise ConstructionError(f"hom ({x},{y}) present but empty; omit it")
+        for name in basis:
+            if name in seen:
+                raise ConstructionError(
+                    f"basis name {name!r} reused in ({x},{y}) and {seen[name]}")
+            seen[name] = (x, y)
+    for x in objects:
+        if (x, x) not in hom_basis:
+            raise ConstructionError(f"object {x} has no endomorphism space")
+        coords = identity.get(x)
+        if coords is None or len(coords) != len(hom_basis[(x, x)]):
+            raise ConstructionError(f"identity coordinates missing or wrong size at {x}")
+        if all(c == field.zero for c in coords):
+            raise ConstructionError(f"identity at {x} is zero")
+    return seen
+
+
+def _not_composable(f: str, g: str) -> ConstructionError:
+    return ConstructionError(f"composition ({f},{g}) is not composable")
 
 
 def by_source(keys: Iterable[tuple]) -> dict:

@@ -34,15 +34,8 @@ class LinearFunctor:
     hom_matrices: dict[tuple[str, str], Matrix]
 
     def __post_init__(self):
-        if self.source.field != self.target.field:
-            raise ConstructionError("source and target live over different fields")
-        if set(self.object_map) != set(self.source.objects):
-            raise ConstructionError("object map does not cover the source objects")
-        for x, fx in self.object_map.items():
-            if fx not in self.target.objects:
-                raise ConstructionError(f"object map sends {x} outside the target")
-        if set(self.hom_matrices) != set(self.source.hom_basis):
-            raise ConstructionError("hom matrices must match the non-zero source homs")
+        _check_maps(self.source, self.target, self.object_map,
+                    self.hom_matrices)
         for (x, y), m in self.hom_matrices.items():
             if m.field != self.source.field:
                 raise ConstructionError("matrix field mismatch")
@@ -60,7 +53,9 @@ class LinearFunctor:
         """A LinearFunctor built without ``__post_init__``, for library code
         that has just derived an object map of every source object and one
         matrix of the right shape per non-zero source hom.  Each call site
-        argues that; the public constructor and documents keep every check."""
+        argues that, or checks it: ``documents.functor_from_json`` makes
+        the constructor's checks through ``_check_maps`` and builds each
+        matrix in the source's field at the categories' shape."""
         fun = object.__new__(cls)
         fun.__dict__.update(source=source, target=target,
                             object_map=object_map, hom_matrices=hom_matrices)
@@ -124,6 +119,24 @@ class LinearFunctor:
         if m is None:
             return self.target.zero_vector(self.object_map[x], self.object_map[y])
         return m.apply(coords)
+
+
+def _check_maps(source: LinearCategory, target: LinearCategory,
+                object_map: dict[str, str], hom_matrices: dict) -> None:
+    """``LinearFunctor``'s checks of its fields, its object map and the
+    keys of its hom matrices, in its order; the constructor and
+    ``documents.functor_from_json`` both make them here.  Membership is
+    tested on the target's tuple of objects, so an unhashable image is
+    refused as outside the target."""
+    if source.field != target.field:
+        raise ConstructionError("source and target live over different fields")
+    if set(object_map) != set(source.objects):
+        raise ConstructionError("object map does not cover the source objects")
+    for x, fx in object_map.items():
+        if fx not in target.objects:
+            raise ConstructionError(f"object map sends {x} outside the target")
+    if set(hom_matrices) != set(source.hom_basis):
+        raise ConstructionError("hom matrices must match the non-zero source homs")
 
 
 def identity_functor(cat: LinearCategory) -> LinearFunctor:

@@ -15,7 +15,7 @@ from covcat import cli, documents as docs
 from covcat.cli import main
 from covcat.lincat import PATH_BUDGET, LinearCategory, Quiver, product_with_set, \
     validate_category
-from covcat.linfun import identity_functor
+from covcat.linfun import LinearFunctor, identity_functor
 from covcat.fibprod import fibre_product
 from covcat.galois import deck_group, quotient_by_group
 from covcat.exactalg import GF, QQ
@@ -293,6 +293,21 @@ def test_a_command_builds_only_the_documents_it_reaches(
     code, _ = run(capsys, *argv)
     assert code == 0
     assert sorted(built) == reached
+
+
+def test_loading_a_workspace_runs_no_public_constructor_check(workspace,
+                                                             monkeypatch):
+    """The loaders make every check of ``LinearCategory`` and
+    ``LinearFunctor`` themselves and build each document trusted."""
+    checked = []
+    for cls in (LinearCategory, LinearFunctor):
+        def recording(self, cls=cls):
+            checked.append(cls.__name__)
+        monkeypatch.setattr(cls, "__post_init__", recording)
+    ws = cli.Workspace()
+    ws.load_all(sorted(workspace.glob("*.json")))
+    assert ws.get(docs.FORMAT_LINFUN, "F1")[0].source.objects
+    assert checked == []
 
 
 def test_an_unreached_broken_document_changes_no_report(workspace, capsys):
@@ -929,6 +944,44 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: covcat check")
 
 
+def _exit_and_stdout(capsys, argv) -> tuple:
+    """``main(argv)``'s exit code, or the code of the SystemExit it raises,
+    and what it printed on stdout."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
+    return code, capsys.readouterr().out
+
+
+def test_main_builds_its_parser_once_per_process(workspace, capsys,
+                                                 monkeypatch, tmp_path):
+    """A valid check, a usage error, --help and a valid build, in one
+    process, build one parser between them, and each prints and exits as
+    it does with a parser of its own."""
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    commands = [
+        ["check", "covering", str(workspace / "F1.json")],
+        ["check", "galois", str(workspace / "F1.json"), "--method", "nope"],
+        ["check", "--help"],
+        ["build", "product-set", "B", "2", "--dir", str(workspace),
+         "--out", str(tmp_path / "out")]]
+    shared = [_exit_and_stdout(capsys, argv) for argv in commands]
+    assert len(built) == 1
+    assert [code for code, _ in shared] == [0, 2, 0, 0]
+    for argv, seen in zip(commands, shared):
+        monkeypatch.setattr(cli, "_parser", None)
+        assert _exit_and_stdout(capsys, argv) == seen
+
+
 def test_reports_are_byte_identical_across_runs(workspace, capsys, tmp_path):
     report = tmp_path / "reports" / "r.json"
     report.parent.mkdir()
@@ -1189,9 +1242,10 @@ def _cyclic_garbage(call) -> Counter:
     pytest.param(["check", "covering", "F1.json"], 5, id="exit-5")])
 def test_a_command_makes_no_reference_cycle(workspace, capsys, monkeypatch,
                                             argv, code):
-    """What the collector would find after a command is what parsing its
-    arguments alone leaves: the parser's own cycles.  This is what lets
-    ``main`` pause the collector for free."""
+    """A command leaves the collector nothing to find: ``main`` parses with
+    the one parser it built on its first call, and the command itself
+    makes no cycle.  This is what lets ``main`` pause the collector for
+    free."""
     (workspace / "diag.json").write_text(docs.dumps(DIAGONAL_ALGEBRA))
     monkeypatch.chdir(workspace)
     if code == cli.EXIT_INTERNAL:
@@ -1203,9 +1257,8 @@ def test_a_command_makes_no_reference_cycle(workspace, capsys, monkeypatch,
     _cyclic_garbage(lambda: codes.extend((main(argv), main(argv))))
     assert codes == [code, code]
     command = _cyclic_garbage(lambda: main(argv))
-    parse = _cyclic_garbage(lambda: cli.build_parser().parse_args(argv))
     capsys.readouterr()
-    assert command == parse
+    assert command == Counter()
 
 
 @pytest.mark.parametrize("outcome", ["return", "internal-error", "interrupt"])

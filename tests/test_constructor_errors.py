@@ -3,9 +3,12 @@ constructors raise, raised through the constructor and, where a document
 can carry the fault, through ``documents.functor_from_json`` or
 ``documents.category_from_json``.
 
-Deck lifts and their matrices, and every built category, are made by
-private trusted constructors that skip these checks; the public paths must
-keep every one of them.
+Deck lifts and their matrices, every built category, and every category
+and functor a document loads are made by private trusted constructors that
+skip these checks.  The loaders carry the checks themselves, through the
+helpers the constructors call (``lincat._check_tables``,
+``linfun._check_maps``), and raise each with the constructor's message;
+the public paths must keep every one of them.
 """
 
 import pytest

@@ -8,18 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from covcat import documents as docs
 from covcat.errors import DocumentError
-from covcat.exactalg import GF, QQ, FieldSpec
-from covcat.lincat import path_category
-from covcat.linfun import identity_functor
+from covcat.exactalg import GF, QQ, FieldSpec, Matrix
+from covcat.lincat import LinearCategory, Quiver, path_category, \
+    product_with_set
+from covcat.linfun import LinearFunctor, identity_functor
 from covcat.covering import check_covering
 from covcat.fibprod import fibre_product
-from covcat.galois import is_galois
+from covcat.galois import deck_group, is_galois, quotient_by_group
 from covcat.examples import (
     rel_square,
     triangle,
     triangle_base,
     triangle_cover,
 )
+
+from oracles import full_subcategory
 
 
 def test_category_round_trip(f1):
@@ -42,6 +45,129 @@ def test_functor_round_trip(f1, f2, kron_twisted):
         name, back = docs.functor_from_json(doc, cats)
         assert name == "F"
         assert back == fun
+
+
+def _constructed_category(doc: dict) -> LinearCategory:
+    """The category that the public constructor builds from ``doc``'s
+    tables, each composition entry read in full, a later entry for (f, g)
+    replacing an earlier one."""
+    field = docs.field_from_json(doc["field"])
+    hom_basis = {(e["src"], e["dst"]): tuple(e["basis"]) for e in doc["homs"]}
+    identity = {x: tuple(field.parse(c) for c in coords)
+                for x, coords in doc["identity"].items()}
+    location = {b: (x, y, i) for (x, y), basis in hom_basis.items()
+                for i, b in enumerate(basis)}
+    composition = {}
+    for entry in doc["composition"]:
+        xf, yg = location[entry["f"]][0], location[entry["g"]][1]
+        coords = [field.zero] * len(hom_basis.get((xf, yg), ()))
+        for term in entry["result"]:
+            i = location[term["basis"]][2]
+            coords[i] = field.add(coords[i], field.parse(term["coeff"]))
+        composition[(entry["f"], entry["g"])] = tuple(coords)
+    return LinearCategory(field, tuple(doc["objects"]), hom_basis, identity,
+                          composition)
+
+
+def _constructed_functor(doc: dict, categories: dict) -> LinearFunctor:
+    """The functor that the public constructors build from ``doc``."""
+    source, target = categories[doc["source"]], categories[doc["target"]]
+    object_map, field = dict(doc["object_map"]), source.field
+    matrices = {}
+    for entry in doc["hom_matrices"]:
+        x, y = entry["src"], entry["dst"]
+        rows = target.dim(object_map[x], object_map[y])
+        cols = source.dim(x, y)
+        flat = [field.parse(c) for c in entry["matrix"]]
+        matrices[(x, y)] = Matrix(field, rows, cols, tuple(
+            tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows)))
+    return LinearFunctor(source, target, object_map, matrices)
+
+
+def _repeated_composites() -> list:
+    """The base category's document with its first composite listed again
+    as the last entry: with an empty result, and with each coefficient 2."""
+    out = []
+    for result in ([], [{**term, "coeff": "2"} for term in
+                        docs.category_to_json(triangle_base(), "B")
+                        ["composition"][0]["result"]]):
+        doc = docs.category_to_json(triangle_base(), "B")
+        doc["composition"].append({**doc["composition"][0], "result": result})
+        out.append(doc)
+    return out
+
+
+def test_documents_load_as_the_public_constructors_build_them(
+        small_corpus, galois_corpus, cyclic_corpus, fibre_product_corpus,
+        arrow_functors):
+    """Every category and functor document of the corpus, of the CLI's
+    workspace and of the builders loads equal to what ``LinearCategory``
+    and ``LinearFunctor`` build from the same tables."""
+    functors = [fun for _, fun in small_corpus + galois_corpus]
+    functors += [fp.pr1 for _, fp in fibre_product_corpus]
+    functors += [fp.pr2 for _, fp in fibre_product_corpus]
+    functors += [product_with_set(triangle_base(), ["0", "1"])[1],
+                 full_subcategory(triangle_base(), ("t", "u"))[1],
+                 *arrow_functors]
+    functors += [quotient_by_group(fun.source, deck_group(fun))[1]
+                 for _, fun in cyclic_corpus]
+    categories = [triangle_base(), *(fun.source for fun in functors),
+                  path_category(rel_square().quiver, rel_square().relations,
+                                GF(5))]
+    cat_docs = [docs.category_to_json(cat, "X") for cat in categories]
+    for doc in cat_docs + _repeated_composites():
+        _, loaded = docs.category_from_json(doc)
+        assert loaded == _constructed_category(doc)
+    emptied = _repeated_composites()[0]
+    first = (emptied["composition"][0]["f"], emptied["composition"][0]["g"])
+    assert first in triangle_base().composition
+    assert first not in docs.category_from_json(emptied)[1].composition
+    for fun in functors:
+        cats = {"S": fun.source, "T": fun.target}
+        doc = docs.functor_to_json(fun, "F", "S", "T")
+        _, loaded = docs.functor_from_json(doc, cats)
+        assert loaded == _constructed_functor(doc, cats) == fun
+
+
+def _chain_document() -> dict:
+    """x -a-> y -b-> z with b∘a = 0."""
+    q = Quiver(("x", "y", "z"), (("a", "x", "y"), ("b", "y", "z")))
+    return docs.category_to_json(path_category(q, [[(1, ["b", "a"])]], QQ),
+                                 "X")
+
+
+def _not_composable_and_zero_identity(doc):
+    doc["identity"]["y"] = ["0"]
+
+
+def _not_composable_and_duplicate_object(doc):
+    doc["objects"].append("x")
+
+
+@pytest.mark.parametrize("message, fault", [
+    ("identity at y is zero", _not_composable_and_zero_identity),
+    ("duplicate object names", _not_composable_and_duplicate_object)])
+def test_a_category_document_with_two_faults_reports_the_first(message,
+                                                               fault):
+    """The constructor's order: a non-composable entry is reported after
+    the checks of objects, homs and identities, wherever it is listed."""
+    doc = _chain_document()
+    doc["composition"].insert(0, {"f": "b", "g": "a", "result": []})
+    fault(doc)
+    with pytest.raises(DocumentError, match=message):
+        docs.category_from_json(doc)
+
+
+def test_an_object_sent_to_an_array_is_outside_the_target(f1):
+    """s0, with no matrix listed, sent to ["t"]: refused as outside the
+    target before the missing matrices, as the constructor refuses it."""
+    doc = docs.functor_to_json(f1, "F1", "C2", "B")
+    doc["object_map"]["s0"] = ["t"]
+    doc["hom_matrices"] = [e for e in doc["hom_matrices"]
+                           if "s0" not in (e["src"], e["dst"])]
+    with pytest.raises(DocumentError,
+                       match="object map sends s0 outside the target"):
+        docs.functor_from_json(doc, {"C2": f1.source, "B": f1.target})
 
 
 def test_quiver_round_trip():

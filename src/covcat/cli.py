@@ -27,7 +27,7 @@ from .errors import ConstructionError, CovcatError, DocumentError, \
     NotConnectedError, NotCoveringError
 from .lincat import path_category, product_with_set, validate_category, \
     category_from_algebra
-from .linfun import validate_functor
+from .linfun import _faithful, validate_functor
 from .covering import CoveringFailure, check_covering
 from .fibprod import fibre_product
 from .galois import GaloisStatus, check_universal_against, deck_group, \
@@ -248,7 +248,32 @@ def cmd_validate(args) -> int:
 def _validate(ws: Workspace) -> list[dict]:
     """One result per document name: categories, quivers, algebras, then
     functors.  A quiver or an algebra is checked by building its category,
-    as `build` would; one that does not build is an input error."""
+    as `build` would; one that does not build is an input error.
+
+    A category passes unscanned when a valid faithful functor out of it
+    goes to another category whose own scan passed, which reflects the
+    axioms (``linfun._faithful``).  Each category is scanned and each
+    functor checked at most once."""
+    functors = [doc[0] for _, _, doc in ws.resolved(docs.FORMAT_LINFUN)]
+    scans, checks = {}, {}
+
+    def scan(cat):
+        if id(cat) not in scans:
+            scans[id(cat)] = validate_category(cat).violations
+        return scans[id(cat)]
+
+    def check(fun):
+        if id(fun) not in checks:
+            checks[id(fun)] = validate_functor(fun).violations
+        return checks[id(fun)]
+
+    def category_violations(cat):
+        if any(fun.source is cat and fun.target is not cat
+               and not scan(fun.target) and not check(fun) and _faithful(fun)
+               for fun in functors):
+            return ()
+        return scan(cat)
+
     results = []
     for fmt, kind in ((docs.FORMAT_LINCAT, "category"),
                       (docs.FORMAT_QUIVER, "quiver"),
@@ -257,9 +282,9 @@ def _validate(ws: Workspace) -> list[dict]:
         for name, path, doc in ws.resolved(fmt):
             violations = []
             if fmt == docs.FORMAT_LINCAT:
-                violations = validate_category(doc).violations
+                violations = category_violations(doc)
             elif fmt == docs.FORMAT_LINFUN:
-                violations = validate_functor(doc[0]).violations
+                violations = check(doc[0])
             else:
                 build = path_category if fmt == docs.FORMAT_QUIVER \
                     else category_from_algebra
@@ -316,12 +341,20 @@ def _check(args, ws: Workspace, name: str) -> tuple[dict, int]:
     if found is None:
         return error(f"unknown functor {name!r}")
     fun = found[0]
-    for cat, which in ((fun.source, "source"), (fun.target, "target")):
-        if not validate_category(cat).ok:
-            return error(f"{which} category of {name} is invalid")
+    target_ok = validate_category(fun.target).ok
+    fun_ok = target_ok and validate_functor(fun).ok
+    # a valid faithful functor onto a valid target reflects the category
+    # axioms (linfun._faithful); otherwise the source is scanned, and the
+    # errors keep their order: source, target, functor
+    if not (fun_ok and _faithful(fun)):
+        if not validate_category(fun.source).ok:
+            return error(f"source category of {name} is invalid")
+        if not target_ok:
+            return error(f"target category of {name} is invalid")
+    if not fun_ok:
+        return error(f"functor {name} is invalid")
 
     try:
-        _require_valid(fun, name)
         if args.kind != "universal":
             ws.release()
         if args.kind == "covering":

@@ -17,10 +17,11 @@ Z/n covers is), the block is invertible and its inverse is read off: 1/e
 at (j, i) for each e at (i, j).  Such a block stores its layout, its one
 (row, entry) pair per column and the sparse rows of its inverse, written
 as the block is read, so no reader scans them.  Its dense ``matrix`` and
-``inverse`` are built on their first read, which only the certificate
-writer, equality and the tests make.  Every other block is eliminated as
-``[m | I]``, which gives its rank, its ``block-singular`` witness and its
-dense matrix and inverse, stored at once.
+``inverse`` are built on their first read, which only equality and the
+tests make; the certificate writer reads the pairs (``_row_major``).
+Every other block is eliminated as ``[m | I]``, which gives its rank, its
+``block-singular`` witness and its dense matrix and inverse, stored at
+once.
 
 ``LinearFunctor.covering`` caches ``check_covering``; a certificate holds
 no reference to its functor, so that cache makes no reference cycle.
@@ -96,6 +97,22 @@ class FibreBlock:
         parts[name] = Matrix._trusted(field, len(pairs), len(pairs),
                                       tuple(dense))
         return parts[name]
+
+    def _row_major(self) -> list[str]:
+        """The block's matrix in row-major order, each entry as its field
+        writes it; a monomial block's is written from its pairs, zero but
+        for e at i·dim + j for the pair (i, e) of column j, without
+        building its matrix."""
+        parts = self.__dict__
+        if "_pairs" not in parts:
+            fmt = self.matrix.field.format
+            return [fmt(c) for row in self.matrix.entries for c in row]
+        field, pairs = parts["_field"], parts["_pairs"]
+        dim = len(pairs)
+        flat = [field.format(field.zero)] * (dim * dim)
+        for j, (i, e) in enumerate(pairs):
+            flat[i * dim + j] = field.format(e)
+        return flat
 
     @cached_property
     def _sparse_inverse(self) -> dict[str, tuple]:

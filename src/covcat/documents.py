@@ -385,15 +385,14 @@ def certificate_to_json(cert: CoveringCertificate, functor_name: str) -> dict:
     blocks = []
     for key in sorted(cert.blocks):
         block = cert.blocks[key]
-        fmt = block.matrix.field.format
         blocks.append({
             "base_src": block.base_src,
             "base_dst": block.base_dst,
             "lift": block.lift,
             "direction": block.direction,
             "columns": [{"object": o, "basis": b} for o, b in block.column_layout],
-            "rows": block.matrix.nrows,
-            "matrix": [fmt(c) for row in block.matrix.entries for c in row],
+            "rows": len(block.column_layout),
+            "matrix": block._row_major(),
         })
     return {
         "format": FORMAT_COVCERT,

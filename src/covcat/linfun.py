@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import ConstructionError
-from .exactalg import Matrix, rank_and_inverse
+from .exactalg import Matrix, echelon_basis, rank_and_inverse
 from .lincat import LinearCategory, ValidationReport, Violation, _sparse_sum
 
 __all__ = [
@@ -189,6 +189,44 @@ def validate_functor(fun: LinearFunctor) -> ValidationReport:
                                 "composition", (f, g),
                                 f"F({g}∘{f}) differs from F({g})∘F({f})"))
     return ValidationReport(not problems, tuple(problems))
+
+
+def _faithful(fun: LinearFunctor) -> bool:
+    """Whether ``fun`` is injective on every non-zero source hom space,
+    read off its reduced image columns (``LinearFunctor._columns``).
+
+    A faithful functor F: C → B that passes ``validate_functor`` reflects
+    the category axioms from a B that passes ``validate_category``.  F
+    preserves composites and units on basis pairs, so by bilinearity on
+    all vectors, and for basis f, g, h:
+
+        F((h∘g)∘f) = (F(h)F(g))F(f) = F(h)(F(g)F(f)) = F(h∘(g∘f)),
+        F(1_y∘f) = 1_{Fy}F(f) = F(f) = F(f)1_{Fx} = F(f∘1_x).
+
+    Each pair of sides lies in one hom space of C, where F is injective,
+    so they are equal in C: associativity and both unit laws hold, and
+    centrality, 1_x∘e = e = e∘1_x, follows from the two.
+
+    A hom passes at once when each column has one entry and no two share
+    a row; otherwise when its columns' rank is their count.  A killed hom
+    (no rows) does not pass.
+    """
+    field, columns = fun.source.field, fun._columns
+    for pair, basis in fun.source.hom_basis.items():
+        cols = [columns[name] for name in basis]
+        if all(len(col) == 1 for col in cols) \
+                and len({col[0][0] for col in cols}) == len(cols):
+            continue
+        rows = fun.hom_matrices[pair].nrows
+        dense = []
+        for col in cols:
+            vector = [field.zero] * rows
+            for i, e in col:
+                vector[i] = e
+            dense.append(vector)
+        if len(echelon_basis(field, dense)[1]) < len(cols):
+            return False
+    return True
 
 
 def compose(g: LinearFunctor, f: LinearFunctor) -> LinearFunctor:

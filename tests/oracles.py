@@ -18,7 +18,9 @@ subcategory and ``is_isomorphism``, not from the object count that
 ``is_trivial_covering`` decides by.  Group-graded covers, whose deck groups
 are known from group theory, are built over permutation tuples.  Functors
 from free quivers onto Kronecker bases, with a chosen matrix on hom(x, y),
-feed the fibre-product suites.
+feed the fibre-product suites.  A valid functor onto a valid category that
+kills the one hom space where its source breaks associativity shows when
+the source must still be scanned.
 """
 
 from __future__ import annotations
@@ -765,3 +767,40 @@ def kronecker_covers() -> list[LinearFunctor]:
     bases, over Q and over GF(7)."""
     return [cyclic_cover(wq, d, field) for field in (QQ, GF(7))
             for wq in (kronecker(), kronecker_quiver(3)) for d in (1, 2, 3)]
+
+
+# a functor that kills a failure of associativity ---------------------------------
+
+
+def killed_nonassociative_functor(field: FieldSpec = QQ) -> LinearFunctor:
+    """A functor F: C → B that passes the functor axioms onto a B that
+    passes the category axioms, while C breaks associativity: B is the
+    chain 0 → 1 → 2 → 3 of arrows a, b, c with composites ba and cb and
+    cba = 0; C adds hom(0, 3) with basis p, q, where c∘(ba) = p but
+    (cb)∘a = q.  F is the identity on B's part and kills hom(0, 3), so it
+    is not faithful."""
+    objects = ("0", "1", "2", "3")
+    chain = {("0", "1"): ("a",), ("1", "2"): ("b",), ("2", "3"): ("c",),
+             ("0", "2"): ("ba",), ("1", "3"): ("cb",)}
+
+    def category(extra: dict, products: dict) -> LinearCategory:
+        hom = {**{(x, x): (f"1_{x}",) for x in objects}, **chain, **extra}
+        coords = {f: tuple(field.one if j == i else field.zero
+                           for j in range(len(basis)))
+                  for basis in hom.values() for i, f in enumerate(basis)}
+        composition = {}
+        for (x, y), basis in hom.items():
+            for f in basis:
+                composition[(f"1_{x}", f)] = composition[(f, f"1_{y}")] = coords[f]
+        for pair, gf in products.items():
+            composition[pair] = coords[gf]
+        return LinearCategory(field, objects, hom,
+                              {x: (field.one,) for x in objects}, composition)
+
+    chain_products = {("a", "b"): "ba", ("b", "c"): "cb"}
+    base = category({}, chain_products)
+    source = category({("0", "3"): ("p", "q")},
+                      {**chain_products, ("ba", "c"): "p", ("a", "cb"): "q"})
+    matrices = {pair: Matrix.identity(field, 1) for pair in base.hom_basis}
+    matrices[("0", "3")] = Matrix.zeros(field, 0, 2)
+    return LinearFunctor(source, base, {x: x for x in objects}, matrices)

@@ -29,7 +29,8 @@ from covcat.examples import (
     triangle_cover_twisted,
 )
 
-from oracles import full_subcategory, kronecker_quiver, onto_kronecker
+from oracles import category_axiom_violations, full_subcategory, \
+    killed_nonassociative_functor, kronecker_quiver, onto_kronecker
 
 
 @pytest.fixture()
@@ -1191,6 +1192,101 @@ def test_check_covering_on_a_broken_source_matches_pinned_bytes(workspace,
     assert capsys.readouterr().out == (
         '{\n  "command": "check",\n'
         '  "error": "source category of F1 is invalid"\n}\n')
+
+
+# the source scan that a faithful functor makes needless -------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "covering", "{ws}/F1.json"],
+    ["validate", "{ws}/B.json", "{ws}/C2.json", "{ws}/F1.json"]])
+def test_a_faithful_functor_spares_its_source_the_category_scan(
+        workspace, capsys, monkeypatch, argv):
+    """F1 is a covering, so faithful, and valid onto a valid B: neither
+    command scans C2, B is scanned once, and each prints what it prints
+    when C2 is scanned."""
+    argv = [arg.format(ws=workspace) for arg in argv]
+    scanned, scan = [], cli.validate_category
+    monkeypatch.setattr(cli, "validate_category",
+                        lambda cat: scanned.append(cat.objects) or scan(cat))
+    faithful = cli._faithful
+    monkeypatch.setattr(cli, "_faithful", lambda fun: False)
+    full = main(argv), capsys.readouterr().out
+    b, c2 = triangle_base().objects, triangle_cover(2).source.objects
+    assert sorted(scanned) == sorted([b, c2])
+    scanned.clear()
+    monkeypatch.setattr(cli, "_faithful", faithful)
+    assert (main(argv), capsys.readouterr().out) == full
+    assert scanned == [b]
+    assert full[0] == 0
+    if argv[0] == "check":
+        certificate = json.loads(full[1])["evidence"]["certificate"]
+        assert docs.dumps(certificate) == _golden("f1-covcert.json")
+
+
+def _write_killed_nonassociative(where: Path, fun) -> None:
+    for doc in (docs.category_to_json(fun.source, "C"),
+                docs.category_to_json(fun.target, "B"),
+                docs.functor_to_json(fun, "F", "C", "B")):
+        (where / f"{doc['name']}.json").write_text(docs.dumps(doc))
+
+
+def test_a_functor_that_kills_a_hom_leaves_its_source_scanned(tmp_path,
+                                                              capsys):
+    """F is valid onto a valid B, but kills the hom space where C breaks
+    associativity, so F vouches for nothing and C is scanned: ``check``
+    refuses C and ``validate`` lists its violations.  Were every functor
+    taken as faithful, C would pass unscanned."""
+    fun = killed_nonassociative_functor()
+    violations = category_axiom_violations(fun.source)
+    assert violations and validate_category(fun.target).ok
+    _write_killed_nonassociative(tmp_path, fun)
+    code, report = run(capsys, "check", "covering", str(tmp_path / "F.json"))
+    assert (code, report) == (2, {"command": "check",
+                                  "error": "source category of F is invalid"})
+    code, report = run(capsys, "validate",
+                       *(str(tmp_path / f"{name}.json") for name in "BCF"))
+    assert code == 1
+    assert [(r["name"], r["ok"]) for r in report["results"]] == [
+        ("B", True), ("C", False), ("F", True)]
+    assert [(v["kind"], tuple(v["witness"]), v["message"])
+            for v in report["results"][1]["violations"]] == violations
+
+
+_INVALID = {"C2": "source category of F1", "B": "target category of F1",
+            "F1": "functor F1"}
+
+
+@pytest.mark.parametrize("bad", [
+    (), ("C2",), ("B",), ("F1",), ("C2", "B"), ("C2", "F1"), ("B", "F1"),
+    ("C2", "B", "F1")])
+def test_check_reports_the_first_invalid_of_source_target_and_functor(
+        workspace, capsys, monkeypatch, bad):
+    """With any of C2, B and F1 broken, ``check`` names the first of them
+    in the order source, target, functor; and ``validate`` prints what it
+    prints when every category is scanned."""
+    for name in bad:
+        doc = json.loads((workspace / f"{name}.json").read_text())
+        if name == "F1":
+            for entry in doc["hom_matrices"]:
+                if (entry["src"], entry["dst"]) == ("t0", "t0"):
+                    entry["matrix"] = ["2"]
+        else:
+            doc["identity"][min(doc["identity"])] = ["2"]
+        (workspace / f"{name}.json").write_text(docs.dumps(doc))
+    code, report = run(capsys, "check", "covering", str(workspace / "F1.json"))
+    first = next((_INVALID[name] for name in _INVALID if name in bad), None)
+    if first is None:
+        assert (code, report["status"]) == (0, "Covering")
+    else:
+        assert (code, report) == (2, {"command": "check",
+                                      "error": f"{first} is invalid"})
+    argv = ["validate", *(str(workspace / f"{name}.json")
+                          for name in ("B", "C2", "F1"))]
+    derived = main(argv), capsys.readouterr().out
+    monkeypatch.setattr(cli, "_faithful", lambda fun: False)
+    assert (main(argv), capsys.readouterr().out) == derived
+    assert derived[0] == (1 if bad else 0)
 
 
 # the cyclic collector ---------------------------------------------------------

@@ -3,7 +3,9 @@
 Every violation tuple (kind, witness, message), in report order, must equal
 the oracle's on the corpora, on their fibre products, on the one-object
 group algebras of Z/d, and on categories and functors with one to three
-structure constants, composites or identity coordinates mutated.
+structure constants, composites or identity coordinates mutated.  Under
+the same mutations, a valid functor that ``_faithful`` accepts, onto a
+valid category, leaves its source no violation.
 """
 
 import pytest
@@ -13,9 +15,11 @@ from covcat.exactalg import GF, QQ, Matrix
 from covcat.examples import cyclic_cover, kronecker_cover_twisted, rel_square, \
     triangle_cover
 from covcat.lincat import LinearCategory, category_from_algebra, validate_category
-from covcat.linfun import LinearFunctor, validate_functor
+from covcat.linfun import LinearFunctor, _faithful, identity_functor, \
+    validate_functor
 
-from oracles import category_axiom_violations, functor_axiom_violations
+from oracles import category_axiom_violations, functor_axiom_violations, \
+    killed_nonassociative_functor, naive_rank
 
 
 def _tuples(report) -> list:
@@ -134,9 +138,9 @@ def test_validate_category_matches_the_oracle_under_mutation(data):
     _assert_category_matches(_mutate_category(data, cat))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_validate_functor_matches_the_oracle_under_mutation(data):
+def _mutated_functor(data) -> LinearFunctor:
+    """A functor of ``_BASES`` with its source, its target or one to three
+    matrix entries mutated."""
     fun = data.draw(st.sampled_from(_BASES))
     source, target = fun.source, fun.target
     matrices = dict(fun.hom_matrices)
@@ -157,8 +161,53 @@ def test_validate_functor_matches_the_oracle_under_mutation(data):
             rows[i][j] = field.scalar(data.draw(_COEFFS))
             matrices[pair] = Matrix(field, m.nrows, m.ncols,
                                   tuple(tuple(r) for r in rows))
-    _assert_functor_matches(LinearFunctor(source, target, fun.object_map,
-                                          matrices))
+    return LinearFunctor(source, target, fun.object_map, matrices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_validate_functor_matches_the_oracle_under_mutation(data):
+    _assert_functor_matches(_mutated_functor(data))
+
+
+def _injective_by_rank(fun: LinearFunctor) -> bool:
+    """Every hom matrix has rank equal to its column count, by the
+    textbook row reduction."""
+    return all(naive_rank(m.entries, fun.source.field) == m.ncols
+               for m in fun.hom_matrices.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_valid_faithful_functor_onto_a_valid_category_reflects_its_axioms(
+        data):
+    """The argument that lets ``check`` and ``validate`` skip a source
+    scan: when the target passes, the functor passes and ``_faithful``
+    holds, the source has no violation by the oracle's dense scan."""
+    fun = _mutated_functor(data)
+    assert _faithful(fun) == _injective_by_rank(fun)
+    if validate_category(fun.target).ok and validate_functor(fun).ok \
+            and _faithful(fun):
+        assert category_axiom_violations(fun.source) == []
+
+
+def test_faithful_refuses_a_killed_or_rank_deficient_hom():
+    killed = killed_nonassociative_functor()
+    assert not _faithful(killed) and not _injective_by_rank(killed)
+    # hom(x0, y0) goes to a column with two entries, injective by its rank
+    assert _faithful(kronecker_cover_twisted())
+    fun = identity_functor(kronecker_cover_twisted().target)
+    assert _faithful(fun) and _injective_by_rank(fun)
+    field, matrices = fun.source.field, dict(fun.hom_matrices)
+    [pair] = [p for p, m in matrices.items() if m.ncols == 2]
+    # two equal non-zero columns: neither monomial nor of full rank
+    matrices[pair] = Matrix(field, 2, 2, ((1, 1), (1, 1)))
+    singular = LinearFunctor(fun.source, fun.target, fun.object_map, matrices)
+    assert not _faithful(singular) and not _injective_by_rank(singular)
+    # a dense invertible block passes by its rank
+    matrices[pair] = Matrix(field, 2, 2, ((1, 1), (0, 1)))
+    dense = LinearFunctor(fun.source, fun.target, fun.object_map, matrices)
+    assert _faithful(dense) and _injective_by_rank(dense)
 
 
 # work guard --------------------------------------------------------------------

@@ -10,24 +10,25 @@ matrices and a precise first-failure witness.
 Blocks are read off ``LinearFunctor.homs_over`` and the functor's image
 columns (``LinearFunctor._columns``, shared with ``validate_functor``):
 the source homs over (b, c), grouped by their source and by their target
-lift, are each lift's block, in fibre order.  A block is decided by its
-non-zero pattern first.  When every column has one non-zero entry and no
-two share a row (a monomial block, as every block of the standard bases'
-Z/n covers is), the block is invertible and its inverse is read off: 1/e
-at (j, i) for each e at (i, j).  Such a block stores its layout, its one
-(row, entry) pair per column and the sparse rows of its inverse, written
-as the block is read, so no reader scans them.  Its dense ``matrix`` and
-``inverse`` are built on their first read, which only equality and the
-tests make; the certificate writer reads the pairs (``_row_major``).
-Every other block is eliminated as ``[m | I]``, which gives its rank, its
-``block-singular`` witness and its dense matrix and inverse, stored at
-once.
+lift, are each lift's block, in fibre order.  Every block is held in one
+sparse form: its layout, its columns' non-zero (row, entry) pairs and its
+inverse's rows as non-zero (column, entry) pairs, grouped by the fibre
+object that owns each row.  A block is decided by its non-zero pattern
+first.  When every column has one non-zero entry and no two share a row
+(a monomial block, as every block of the standard bases' Z/n covers is),
+the block is invertible and its inverse's rows are read off: 1/e at
+(j, i) for each e at (i, j).  Every other block is eliminated as
+``[m | I]``, which gives its rank and its ``block-singular`` witness, and
+its inverse is scanned once, straight after.  The dense ``matrix`` and
+``inverse`` are views built on their first read, which only equality and
+the tests make; the certificate writer reads the columns
+(``_row_major``).
 
 ``LinearFunctor.covering`` caches ``check_covering``; a certificate holds
 no reference to its functor, so that cache makes no reference cycle.
-``_transport`` reads block⁻¹·matrix through a block's sparse inverse rows;
-deck lifts and the fibre-product hom spaces both read the certificate
-through it.
+``_transport`` reads block⁻¹·matrix through a block's inverse rows; deck
+lifts and the fibre-product hom spaces both read the certificate through
+it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from operator import mul
 from typing import Optional, Union
 
 from .errors import NotCoveringError
-from .exactalg import Matrix, rank_and_inverse
+from .exactalg import FieldSpec, Matrix, rank_and_inverse
 from .linfun import LinearFunctor
 
 __all__ = [
@@ -49,83 +50,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen __init__ sets each field through object.__setattr__,
+# which costs check_covering a fifth of its time on a cyclic cover
+@dataclass
 class FibreBlock:
     """One invertible block of a covering: the functor restricted to the
-    morphisms between a lift and an entire fibre, against one base hom."""
+    morphisms between a lift and an entire fibre, against one base hom.
+
+    It is held sparse: each column's non-zero (row, entry) pairs, and the
+    inverse's rows as their non-zero (column, entry) pairs, grouped by the
+    fibre object that owns each row in ``column_layout``, in layout order.
+    ``matrix`` and ``inverse`` are dense views, built on their first read."""
 
     base_src: str
     base_dst: str
     lift: str
     direction: str  # "source": lift of base_src; "target": lift of base_dst
     column_layout: tuple[tuple[str, str], ...]  # (fibre object, basis name)
-    matrix: Matrix
-    inverse: Matrix
+    field: FieldSpec
+    columns: tuple[tuple[tuple[int, object], ...], ...]
+    inverse_rows: dict[str, tuple[tuple[tuple[int, object], ...], ...]]
 
-    @classmethod
-    def _monomial(cls, base_src: str, base_dst: str, lift: str,
-                  direction: str, column_layout: tuple, field,
-                  pairs: tuple, sparse_inverse: dict) -> FibreBlock:
-        """A monomial block, built without the dataclass ``__init__`` for
-        ``check_covering``, which has just read it: its one (row, entry)
-        pair per column, and its inverse's rows as ``_sparse_inverse`` holds
-        them, stored so that they are never scanned.  Its ``matrix`` and
-        ``inverse`` are built on their first read."""
-        block = object.__new__(cls)
-        block.__dict__.update(base_src=base_src, base_dst=base_dst, lift=lift,
-                              direction=direction, column_layout=column_layout,
-                              _field=field, _pairs=pairs,
-                              _sparse_inverse=sparse_inverse)
-        return block
+    @cached_property
+    def matrix(self) -> Matrix:
+        return _square(self.field, self.columns, columns=True)
 
-    def __getattr__(self, name: str):
-        """A monomial block's ``matrix`` or ``inverse``, the only attributes
-        that an instance can lack, built on its first read: an entry e at
-        (i, j) of the block puts 1/e at (j, i) of its inverse."""
-        parts = self.__dict__
-        if name not in ("matrix", "inverse") or "_pairs" not in parts:
-            raise AttributeError(name)
-        field, pairs = parts["_field"], parts["_pairs"]
-        unit = (field.zero,) * len(pairs)
-        dense = [unit] * len(pairs)
-        for j, (i, e) in enumerate(pairs):
-            if name == "matrix":
-                dense[i] = unit[:j] + (e,) + unit[j + 1:]
-            else:
-                dense[j] = unit[:i] + (field.inv(e),) + unit[i + 1:]
-        # a row per column, each with one reduced entry: 1/e is reduced
-        parts[name] = Matrix._trusted(field, len(pairs), len(pairs),
-                                      tuple(dense))
-        return parts[name]
+    @cached_property
+    def inverse(self) -> Matrix:
+        owned = {w: iter(rows) for w, rows in self.inverse_rows.items()}
+        return _square(self.field, [next(owned[w])
+                                    for w, _ in self.column_layout])
 
     def _row_major(self) -> list[str]:
         """The block's matrix in row-major order, each entry as its field
-        writes it; a monomial block's is written from its pairs, zero but
-        for e at i·dim + j for the pair (i, e) of column j, without
-        building its matrix."""
-        parts = self.__dict__
-        if "_pairs" not in parts:
-            fmt = self.matrix.field.format
-            return [fmt(c) for row in self.matrix.entries for c in row]
-        field, pairs = parts["_field"], parts["_pairs"]
-        dim = len(pairs)
-        flat = [field.format(field.zero)] * (dim * dim)
-        for j, (i, e) in enumerate(pairs):
-            flat[i * dim + j] = field.format(e)
+        writes it, written from its columns: zero but for e at i·dim + j
+        for each pair (i, e) of column j."""
+        fmt, dim = self.field.format, len(self.columns)
+        flat = [fmt(self.field.zero)] * (dim * dim)
+        for j, col in enumerate(self.columns):
+            for i, e in col:
+                flat[i * dim + j] = fmt(e)
         return flat
 
-    @cached_property
-    def _sparse_inverse(self) -> dict[str, tuple]:
-        """The inverse's rows as their non-zero (column, entry) pairs, grouped
-        by the fibre object that owns each row in ``column_layout``, in
-        layout order.  ``check_covering`` stores a monomial block's rows as
-        it reads the block; an eliminated block's inverse is scanned on the
-        first read, by a deck element or a pullback hom space."""
-        zero, grouped = self.inverse.field.zero, {}
-        for (w, _), row in zip(self.column_layout, self.inverse.entries):
-            grouped.setdefault(w, []).append(
-                tuple((j, e) for j, e in enumerate(row) if e != zero))
-        return {w: tuple(rows) for w, rows in grouped.items()}
+
+def _square(field: FieldSpec, lines, columns: bool = False) -> Matrix:
+    """The square matrix with the sparse rows, or else ``columns``,
+    ``lines``: each line's non-zero (index, entry) pairs, reduced."""
+    dense = []
+    for pairs in lines:
+        line = [field.zero] * len(lines)
+        for k, e in pairs:
+            line[k] = e
+        dense.append(tuple(line))
+    rows = tuple(zip(*dense)) if columns else tuple(dense)
+    return Matrix._trusted(field, len(rows), len(rows), rows)
 
 
 @dataclass(frozen=True)
@@ -162,23 +140,30 @@ class CoveringFailure:
         return f"{where} is singular"
 
 
-def _monomial_parts(field, layout, cols) -> Optional[tuple]:
-    """Each column's one (row, entry) pair, and the rows of the inverse as
-    ``FibreBlock._sparse_inverse`` holds them, for the square block with
-    sparse columns ``cols`` (each column's non-zero (row, entry) pairs,
-    reduced) when each column has exactly one entry and no two columns
-    share a row; else None.  An entry e at (i, j) puts 1/e at (j, i) of the
-    inverse, the one entry of its row j."""
-    inv, sparse, taken, pairs = field.inv, {}, set(), []
-    for (w, _), col in zip(layout, cols):
+def _invert(field: FieldSpec, cols: list) -> tuple[int, Optional[list]]:
+    """The rank of the square block with sparse columns ``cols`` (each
+    column's non-zero (row, entry) pairs, reduced), and its inverse's rows
+    in layout order, each as its non-zero (column, entry) pairs; None for
+    the rows of a singular block.  When each column has one entry and no
+    two share a row (a monomial block) the inverse is read off: an entry e
+    at (i, j) puts 1/e at (j, i), the one entry of row j.  Every other
+    block is eliminated as ``[m | I]`` and its inverse scanned once."""
+    inv, rows, taken = field.inv, [], set()
+    for col in cols:
         if len(col) != 1 or col[0][0] in taken:
-            return None
+            break
         [(i, e)] = col
         taken.add(i)
-        pairs.append(col[0])
         # 1, every entry of a plain cyclic cover, is its own inverse
-        sparse.setdefault(w, []).append(((i, e if e == 1 else inv(e)),))
-    return tuple(pairs), {w: tuple(rs) for w, rs in sparse.items()}
+        rows.append(((i, e if e == 1 else inv(e)),))
+    else:
+        return len(cols), rows
+    rank, inverse = rank_and_inverse(_square(field, cols, columns=True))
+    if inverse is None:
+        return rank, None
+    zero = field.zero
+    return rank, [tuple((j, e) for j, e in enumerate(row) if e != zero)
+                  for row in inverse.entries]
 
 
 def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFailure]:
@@ -189,7 +174,7 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
         if not fun.fibre(b):
             return CoveringFailure("not-surjective", missing_object=b)
 
-    field, zero = base.field, base.field.zero
+    field = base.field
     hom, columns = fun.source.hom_basis, fun._columns
     blocks: dict[tuple[str, str, str, str], FibreBlock] = {}
     for b in base.objects:
@@ -218,24 +203,16 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
                 if dim == 0:
                     continue
                 cols = [columns[name] for _, name in layout]
-                read = _monomial_parts(field, layout, cols)
-                if read is not None:
-                    blocks[(b, c, lift, direction)] = FibreBlock._monomial(
-                        b, c, lift, direction, layout, field, *read)
-                    continue
-                dense = [[zero] * dim for _ in range(dim)]
-                for j, col in enumerate(cols):
-                    for i, e in col:
-                        dense[i][j] = e
-                # dim rows of dim reduced entries, as from_columns gives
-                matrix = Matrix._trusted(field, dim, dim,
-                                         tuple(map(tuple, dense)))
-                rank, inverse = rank_and_inverse(matrix)
-                if inverse is None:
+                rank, rows = _invert(field, cols)
+                if rows is None:
                     return CoveringFailure("block-singular", b, c, lift,
                                            direction, dim, rank)
+                owned: dict[str, list] = {}
+                for (w, _), row in zip(layout, rows):
+                    owned.setdefault(w, []).append(row)
                 blocks[(b, c, lift, direction)] = FibreBlock(
-                    b, c, lift, direction, layout, matrix, inverse)
+                    b, c, lift, direction, layout, field, tuple(cols),
+                    {w: tuple(rs) for w, rs in owned.items()})
 
     fibres = {b: fun.fibre(b) for b in base.objects}
     return CoveringCertificate(fibres, blocks)
@@ -252,14 +229,14 @@ def _transport(block: FibreBlock, matrix: Matrix) -> dict[str, tuple]:
     object that owns each row, in layout order.
 
     Each row is the sum of ``matrix``'s rows weighted by the non-zero
-    entries of one row of the inverse (``FibreBlock._sparse_inverse``),
+    entries of one row of the inverse (``FibreBlock.inverse_rows``),
     reduced mod p over F_p: the exact values of ``block.inverse @ matrix``.
     A row whose one entry is 1 is ``matrix``'s row itself, whose F_p
     scalars already lie in range(p).
     """
     rows_of, p = matrix.entries, matrix.field.p
     transported = {}
-    for w, sparse_rows in block._sparse_inverse.items():
+    for w, sparse_rows in block.inverse_rows.items():
         rows = []
         for pairs in sparse_rows:
             if len(pairs) == 1:

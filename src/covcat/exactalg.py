@@ -270,9 +270,6 @@ class Matrix:
         return Matrix(k, self.nrows, self.ncols,
                       tuple(tuple(k.neg(a) for a in r) for r in self.entries))
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
-
     def apply(self, vec) -> tuple:
         """Multiply by a coordinate column vector, returning a tuple."""
         if len(vec) != self.ncols:

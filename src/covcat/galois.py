@@ -15,12 +15,13 @@ Uniqueness of lifts fixes a deck transformation by the image of one anchor
 object, and a product of deck transformations is the lift to wherever it
 sends the anchor.  So only the anchor's fibre objects that no element found
 so far reaches are lifted, and after each lift the object maps are closed
-under composition; a refused lift that a product later reaches is an
-error, and the group is checked to act freely.  An element's matrices are
-read only when something asks for them, by the same transport through the
-source block at its image, whose non-zero rows must all be the image's
-(the lifts' sole-owner test).  ``quotient_by_group`` reads the group's
-object maps as they are.
+by walking s∘e for each lift s and each element e: every element is a word
+in the lifts, so that closes them under composition.  A refused lift that
+a product later reaches is an error, and the group is checked to act
+freely.  An element's matrices are read only when something asks for
+them, by the same transport through the source block at its image, whose
+non-zero rows must all be the image's (the lifts' sole-owner test).
+``quotient_by_group`` reads the group's object maps as they are.
 
 The fibre method and universality decide whether the first projection of
 P = u ×_B g is a trivial covering, on a table of P's hom spaces read
@@ -40,7 +41,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError, CovcatError, NotConnectedError
@@ -276,12 +276,6 @@ def deck_group(fun: LinearFunctor) -> DeckGroup:
     return fun._deck
 
 
-def _after(g: tuple[int, ...]):
-    """h ↦ h∘g on index tuples: the images of g's entries under h.  A
-    one-object source has one map, the identity, and then h∘g is h."""
-    return itemgetter(*g) if len(g) > 1 else tuple
-
-
 def _deck_table(fun: LinearFunctor) -> DeckGroup:
     """``deck_group(fun)``, generated and checked; read it through the
     cache, ``LinearFunctor._deck``."""
@@ -303,10 +297,9 @@ def _deck_table(fun: LinearFunctor) -> DeckGroup:
     fibre = cert.fibres[fun.target.objects[0]]
     anchor, a = fibre[0], index[fibre[0]]
     unit = tuple(range(len(objects)))
-    maps, after, by_anchor = [unit], [_after(unit)], {a: unit}
+    maps, by_anchor, lifts = [unit], {a: unit}, []
     lifted = {}  # anchor image -> the matrices its lift read
     refused = set()
-    checked = 0  # the products of every two of maps[:checked] are compared
 
     def include(p: tuple[int, ...]) -> None:
         # The identity stays by_anchor[a]: a map is added only at an anchor
@@ -315,23 +308,10 @@ def _deck_table(fun: LinearFunctor) -> DeckGroup:
         q = by_anchor.get(p[a])
         if q is None and p[a] not in refused:
             maps.append(p)
-            after.append(_after(p))
             by_anchor[p[a]] = p
         elif q != p:
             raise CovcatError("deck lifts are not closed under composition")
 
-    def close() -> None:
-        # every pair of maps is composed both ways once, when the later of
-        # the two is checked: |G|² products in all
-        nonlocal checked
-        while checked < len(maps):
-            k, after_k = maps[checked], after[checked]
-            for g, after_g in zip(maps[:checked + 1], after):
-                include(after_g(k))
-                include(after_k(g))
-            checked += 1
-
-    close()
     for y in fibre:
         if index[y] in by_anchor:
             continue
@@ -341,10 +321,18 @@ def _deck_table(fun: LinearFunctor) -> DeckGroup:
         if h is None:
             refused.add(index[y])
             continue
-        m = tuple(index[h.object_map[x]] for x in objects)
-        include(m)
-        lifted[m[a]] = h.hom_matrices
-        close()
+        lifts.append(tuple(index[h.object_map[x]] for x in objects))
+        lifted[index[y]] = h.hom_matrices
+        # Every element is a word in the lifts and composition is
+        # associative, so the set is closed under composition iff it is
+        # closed under left composition by each lift: s∘(w∘e) = (s∘w)∘e
+        # puts every product w∘e of two elements in the set, by induction
+        # on the length of the word w.  So s∘e is walked for each lift s
+        # and each element e, re-reading maps as it grows (s∘1 adds the new
+        # lift): |G|·k products for k lifts.
+        for e in maps:
+            for s in lifts:
+                include(tuple(map(s.__getitem__, e)))
 
     position = {index[y]: i for i, y in enumerate(fibre)}
     maps.sort(key=lambda m: position[m[a]])

@@ -9,7 +9,9 @@ ideal closed over a fresh path walk, lifts are found by exhaustive
 backtracking over fibre-constrained object maps with per-hom linear solves
 (and by the deck-lift rule, with dense products through fibre blocks
 inverted by textbook solves), and mediating functors are found by
-brute-force coordinate solving.
+brute-force coordinate solving.  Deck groups are closed over every pair of
+their object maps; that oracle is of the closure alone, so it takes its
+lifts from ``lift_endofunctor``, which the lift oracles check.
 Category and functor axioms are checked by a dense scan over every basis
 tuple, composing straight from the composition table, never through
 ``compose_vectors`` or the validators' own index of non-zero composites.
@@ -25,11 +27,13 @@ the source must still be scanned.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
-from covcat.errors import ConstructionError
+from covcat.errors import ConstructionError, CovcatError
 from covcat.exactalg import GF, QQ, FieldSpec, Matrix
 from covcat.examples import WeightedQuiver, cyclic_cover, kronecker
+from covcat.galois import lift_endofunctor
 from covcat.lincat import LinearCategory, Quiver, _path_category_data, \
     path_category, product_with_set
 from covcat.linfun import LinearFunctor, compose, is_isomorphism
@@ -501,7 +505,7 @@ def fibre_block(fun: LinearFunctor, direction: str, lift: str, far: str):
         m = fun.hom_matrices[(x, y)]
         for j, name in enumerate(src.hom_basis[(x, y)]):
             layout.append((other, name))
-            cols.append(m.column(j))
+            cols.append(tuple(row[j] for row in m.entries))
     return layout, cols
 
 
@@ -665,6 +669,57 @@ def solve_mediating(fp, p: LinearFunctor, q: LinearFunctor):
     built = {key: Matrix(field, len(m), t.dim(*key), m)
              for key, m in matrices.items()}
     return [LinearFunctor(t, cat, object_map, built)]
+
+
+# all-pairs deck closure ------------------------------------------------------
+
+
+def all_pairs_deck_maps(fun: LinearFunctor) -> list[dict]:
+    """The deck group's object maps by closing over every pair: the least
+    object of the least-named base fibre is lifted (``lift_endofunctor``)
+    to each object of its fibre that no map found so far reaches, and
+    after each lift every two maps are composed both ways, |G|² products in
+    all, until no new map appears.  Each product is compared with the map
+    found at its anchor image, and one that reaches a refused lift raises
+    ``CovcatError``, as ``deck_group`` does.  The maps are sorted by the
+    anchor's image, in fibre order."""
+    objects = fun.source.objects
+    index = {x: i for i, x in enumerate(objects)}
+    fibre = fun.fibre(fun.target.objects[0])
+    a = index[fibre[0]]
+    unit = tuple(range(len(objects)))
+    maps, by_anchor, refused = [unit], {a: unit}, set()
+
+    def after(g):
+        # h ↦ h∘g on index tuples; a one-object source has only the identity
+        return itemgetter(*g) if len(g) > 1 else tuple
+
+    def include(p) -> None:
+        q = by_anchor.get(p[a])
+        if q is None and p[a] not in refused:
+            maps.append(p)
+            by_anchor[p[a]] = p
+        elif q != p:
+            raise CovcatError("deck lifts are not closed under composition")
+
+    checked = 0  # the products of every two of maps[:checked] are compared
+    for y in fibre:
+        if index[y] in by_anchor:
+            continue
+        h = lift_endofunctor(fun, fibre[0], y)
+        if h is None:
+            refused.add(index[y])
+            continue
+        include(tuple(index[h.object_map[x]] for x in objects))
+        while checked < len(maps):
+            k = maps[checked]
+            for g in maps[:checked + 1]:
+                include(after(g)(k))
+                include(after(k)(g))
+            checked += 1
+    position = {index[y]: i for i, y in enumerate(fibre)}
+    return [{x: objects[i] for x, i in zip(objects, m)}
+            for m in sorted(maps, key=lambda m: position[m[a]])]
 
 
 # group-graded covers ---------------------------------------------------------

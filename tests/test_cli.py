@@ -1009,6 +1009,43 @@ def test_built_documents_are_byte_identical_across_runs(workspace, capsys, tmp_p
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(workspace, tmp_path):
+    """Each command run under PYTHONHASHSEED=0 and =1 in fresh interpreters
+    prints the same stdout and writes the same bytes: covering, trivial,
+    both Galois methods and universality on a Z/4 cover of rel_square, and
+    a fibre product over the non-covering R2, which joins kernels over a
+    set union of base hom pairs."""
+    _rank_two_workspace(workspace)
+    s4, s2 = cyclic_cover(rel_square(), 4), cyclic_cover(rel_square(), 2)
+    for doc in (docs.category_to_json(s4.target, "SQB"),
+                docs.category_to_json(s4.source, "SQ4C"),
+                docs.category_to_json(s2.source, "SQ2C"),
+                docs.functor_to_json(s4, "SQ4", "SQ4C", "SQB"),
+                docs.functor_to_json(s2, "SQ2", "SQ2C", "SQB")):
+        (workspace / f"{doc['name']}.json").write_text(docs.dumps(doc))
+    commands = [["check", "covering", "SQ4", "--json", "covering.json"],
+                ["check", "trivial", "SQ4", "--json", "trivial.json"],
+                ["check", "galois", "SQ4", "--method", "direct",
+                 "--json", "direct.json"],
+                ["check", "galois", "SQ4", "--method", "fibre",
+                 "--json", "fibre.json"],
+                ["check", "universal", "SQ4", "--family", "SQ2",
+                 "--json", "universal.json"],
+                ["build", "fibre-product", "K4", "R2", "--out", "fp"]]
+    seen = []
+    for seed in ("0", "1"):
+        cwd = tmp_path / f"seed{seed}"
+        cwd.mkdir()
+        runs = [_run_cli(cwd, *argv, "--dir", str(workspace),
+                         env={"PYTHONHASHSEED": seed}) for argv in commands]
+        written = {path.relative_to(cwd): path.read_bytes()
+                   for path in sorted(cwd.rglob("*.json"))}
+        seen.append(([(r.returncode, r.stdout) for r in runs], written))
+    assert [code for code, _ in seen[0][0]] == [0, 1, 0, 0, 0, 0]
+    assert len(seen[0][1]) == 8  # five reports and three built documents
+    assert seen[0] == seen[1]
+
+
 def test_build_writes_no_document_over_the_size_bound(workspace, capsys,
                                                       tmp_path, monkeypatch):
     argv = ["build", "product-set", "B", "2", "--dir", str(workspace)]

@@ -11,7 +11,7 @@ from covcat.lincat import Quiver, connected_components, path_category, \
     product_with_set
 from covcat.linfun import LinearFunctor, identity_functor
 from covcat.covering import CoveringCertificate, CoveringFailure, \
-    FibreBlock, check_covering
+    check_covering
 from covcat.fibprod import fibre_product
 from covcat.examples import base_category, cyclic_cover, kronecker, \
     kronecker_cover_twisted, triangle_base
@@ -144,10 +144,11 @@ def test_product_projections_certify_for_all_bases():
 
 
 def _by_elimination(fun):
-    """``check_covering`` with every block eliminated: each non-empty block
-    is ``Matrix.from_columns`` of its columns, found by the oracle's own
-    scan (``fibre_block``), and ``rank_and_inverse`` of that gives its
-    verdict, its rank and its inverse."""
+    """``check_covering`` with every block eliminated, as dense views: each
+    non-empty block is ``Matrix.from_columns`` of its columns, found by the
+    oracle's own scan (``fibre_block``), and ``rank_and_inverse`` of that
+    gives its verdict, its rank and its inverse.  A certificate is its
+    fibres and each block's layout, matrix and inverse."""
     base = fun.target
     for b in base.objects:
         if not fun.fibre(b):
@@ -170,15 +171,25 @@ def _by_elimination(fun):
                 if inverse is None:
                     return CoveringFailure("block-singular", b, c, lift,
                                            direction, dim, rank)
-                blocks[(b, c, lift, direction)] = FibreBlock(
-                    b, c, lift, direction, tuple(layout), matrix, inverse)
-    return CoveringCertificate({b: fun.fibre(b) for b in base.objects}, blocks)
+                blocks[(b, c, lift, direction)] = (tuple(layout), matrix,
+                                                   inverse)
+    return {b: fun.fibre(b) for b in base.objects}, blocks
+
+
+def _dense_views(result):
+    """A certificate as ``_by_elimination`` gives one; a failure as is."""
+    if isinstance(result, CoveringFailure):
+        return result
+    return result.fibres, {key: (block.column_layout, block.matrix,
+                                 block.inverse)
+                           for key, block in result.blocks.items()}
 
 
 def _assert_read_off_agrees(fun, name=None):
     """Same verdict; for a certificate the same blocks, each with the same
-    matrix and inverse; for a failure the same witness, kind and rank."""
-    assert check_covering(fun) == _by_elimination(fun), name
+    layout, matrix and inverse; for a failure the same witness, kind and
+    rank."""
+    assert _dense_views(check_covering(fun)) == _by_elimination(fun), name
 
 
 def test_read_off_agrees_with_elimination_on_the_corpora(
@@ -192,11 +203,12 @@ def test_read_off_agrees_with_elimination_on_the_corpora(
 
 
 def _scanned_sparse_rows(block):
-    """The non-zero (column, entry) pairs of each row of ``block.inverse``,
-    found by a scan of every entry, grouped by the fibre object owning the
-    row."""
+    """The non-zero (column, entry) pairs of each row of the inverse of
+    ``block.matrix``, eliminated afresh and found by a scan of every entry,
+    grouped by the fibre object owning the row."""
     grouped = {}
-    for (w, _), row in zip(block.column_layout, block.inverse.entries):
+    _, inverse = rank_and_inverse(block.matrix)
+    for (w, _), row in zip(block.column_layout, inverse.entries):
         grouped.setdefault(w, []).append(
             tuple((j, e) for j, e in enumerate(row) if e != 0))
     return {w: tuple(rows) for w, rows in grouped.items()}
@@ -212,15 +224,16 @@ def _is_monomial(block) -> bool:
 
 def test_sparse_inverse_rows_equal_a_scan_of_the_inverse(galois_corpus,
                                                          gf7_corpus):
-    """A monomial block's sparse rows are written as check_covering reads
+    """A monomial block's inverse rows are read off as check_covering reads
     it; an eliminated block's come from a scan.  Both equal a scan of the
-    dense inverse."""
+    inverse of the block's matrix, eliminated afresh: the ``inverse`` view
+    is built from those rows, so it is not what they are compared with."""
     kinds = set()
     for name, fun in galois_corpus + gf7_corpus + [
             ("kronecker/twisted/GF7", kronecker_cover_twisted(GF(7)))]:
         for key, block in check_covering(fun).blocks.items():
             kinds.add(_is_monomial(block))
-            assert block._sparse_inverse == _scanned_sparse_rows(block), \
+            assert block.inverse_rows == _scanned_sparse_rows(block), \
                 (name, key)
     # the twisted Kronecker covers have blocks of both kinds
     assert kinds == {True, False}
@@ -228,17 +241,20 @@ def test_sparse_inverse_rows_equal_a_scan_of_the_inverse(galois_corpus,
 
 def test_monomial_blocks_hold_their_sparse_inverse_when_read(galois_corpus,
                                                              gf7_corpus):
-    """Straight after check_covering, before anything reads a block, every
-    monomial block holds its sparse inverse rows and no eliminated block
-    (the twisted Kronecker covers' two) does: only those are ever
-    scanned."""
+    """Straight after check_covering every block, monomial or eliminated
+    (the twisted Kronecker covers' two), holds its inverse rows and neither
+    dense view: _transport reads those rows, and builds no view."""
     kinds = set()
     for name, fun in galois_corpus + gf7_corpus + [
             ("kronecker/twisted/GF7", kronecker_cover_twisted(GF(7)))]:
         for key, block in check_covering(fun).blocks.items():
-            monomial = _is_monomial(block)
-            assert ("_sparse_inverse" in vars(block)) == monomial, (name, key)
-            kinds.add(monomial)
+            dim = len(block.column_layout)
+            transported = covering._transport(
+                block, Matrix.identity(block.field, dim))
+            assert not {"matrix", "inverse"} & vars(block).keys(), (name, key)
+            assert [row for rows in transported.values() for row in rows] \
+                == list(block.inverse.entries), (name, key)
+            kinds.add(_is_monomial(block))
     assert kinds == {True, False}
 
 

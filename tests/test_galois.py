@@ -33,10 +33,10 @@ from covcat.examples import base_category, cyclic_cover, \
     kronecker, kronecker_cover_twisted, rel_square, standard_bases, \
     triangle, triangle_base, triangle_cover, triangle_cover_twisted
 
-from oracles import S3_SWAP, S3_UNIT, dense_lift, exhaustive_lifts, \
-    full_subcategory, functor_axioms_hold, kronecker_covers, \
-    kronecker_quiver, naive_fibre_dims, naive_rank, onto_kronecker, \
-    product_iso, s3_kronecker_cover, sections_by_restriction
+from oracles import S3_SWAP, S3_UNIT, all_pairs_deck_maps, dense_lift, \
+    exhaustive_lifts, full_subcategory, functor_axioms_hold, \
+    kronecker_covers, kronecker_quiver, naive_fibre_dims, naive_rank, \
+    onto_kronecker, product_iso, s3_kronecker_cover, sections_by_restriction
 
 
 # lifts -----------------------------------------------------------------------
@@ -331,6 +331,28 @@ def test_the_s3_coset_cover_of_a_non_normal_subgroup_is_not_galois(field):
     assert [len(exhaustive_lifts(cover, fibre[0], y)) for y in fibre] == \
         [1, 0, 0]
     _assert_deck_group_is_all_lifts(cover)
+
+
+def test_deck_group_maps_equal_the_all_pairs_closure(galois_corpus,
+                                                     gf7_corpus, f2,
+                                                     kron_twisted):
+    """The walk over s∘e for each lift s and element e finds the maps that
+    closing over every pair of maps finds, in the same order: on the
+    corpora, the twisted covers, the Kronecker covers, both S₃ covers (two
+    lifts that do not commute) and a Z/128 cover."""
+    covers = galois_corpus + gf7_corpus + [
+        ("triangle/twisted", f2), ("kronecker/twisted", kron_twisted),
+        ("kronecker/twisted/GF7", kronecker_cover_twisted(GF(7))),
+        ("triangle/twisted/n3", triangle_cover_twisted(3))]
+    covers += [(f"kronecker_covers/{i}", fun)
+               for i, fun in enumerate(kronecker_covers())]
+    covers += [(f"S3/{len(h)}/{field.kind}", s3_kronecker_cover(h, field))
+               for h in ({S3_UNIT}, {S3_UNIT, S3_SWAP}) for field in (QQ, GF(7))]
+    covers.append(("rel_square/n128/GF7", cyclic_cover(rel_square(), 128, GF(7))))
+    for name, fun in covers:
+        deck = deck_group(fun)
+        assert [{x: deck.act(i, x) for x in fun.source.objects}
+                for i in range(deck.order)] == all_pairs_deck_maps(fun), name
 
 
 def test_deck_matrices_are_read_only_when_asked_for():
@@ -963,8 +985,8 @@ def _with_arrow_images(plain: LinearFunctor, images) -> LinearFunctor:
     matrices = dict(plain.hom_matrices)
     for (u, v), m in plain.hom_matrices.items():
         if u != v:
-            cols = [images[sheet[u]][m.column(j).index(1)]
-                    for j in range(m.ncols)]
+            cols = [images[sheet[u]][col.index(1)]
+                    for col in zip(*m.entries)]
             matrices[(u, v)] = Matrix.from_columns(field, cols, m.nrows)
     return LinearFunctor(plain.source, plain.target, plain.object_map, matrices)
 

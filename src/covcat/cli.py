@@ -62,7 +62,6 @@ class Workspace:
         self._claims = {}    # (format, name) -> claiming paths, in load order
         self._parsed = {}    # path -> parsed document, until it is built
         self._built = {}     # path -> built document, or None if it failed
-        self._resolved = {}  # (format, name) -> path it resolves to, or None
         self._named = None   # files that must build; None: every file
         self._skipped = []   # files reached that did not parse or build
 
@@ -125,12 +124,12 @@ class Workspace:
         return self.names.get(Path(ref), ref)
 
     def _resolve(self, fmt: str, name: str):
-        key = (fmt, name)
-        if key not in self._resolved:
-            self._resolved[key] = next(
-                (path for path in reversed(self._claims.get(key, ()))
-                 if self._build(path) is not None), None)
-        return self._resolved[key]
+        """The last path claiming (fmt, name) that builds, or None.  Each
+        outcome is kept by ``_build``, so a second resolution builds
+        nothing: it walks only the files the first one built."""
+        claims = self._claims.get((fmt, name), ())
+        return next((path for path in reversed(claims)
+                     if self._build(path) is not None), None)
 
     def _build(self, path: Path):
         if path not in self._built:

@@ -238,13 +238,6 @@ class Matrix:
         rows = [[field.scalar(col[i]) for col in cols] for i in range(nrows)]
         return Matrix(field, nrows, len(cols), tuple(tuple(r) for r in rows))
 
-    @staticmethod
-    def hstack(left: Matrix, right: Matrix) -> Matrix:
-        if left.nrows != right.nrows or left.field != right.field:
-            raise ValueError("hstack shape/field mismatch")
-        rows = tuple(l + r for l, r in zip(left.entries, right.entries))
-        return Matrix(left.field, left.nrows, left.ncols + right.ncols, rows)
-
     # basic ops ----------------------------------------------------------
 
     def __matmul__(self, other: Matrix) -> Matrix:
@@ -264,11 +257,6 @@ class Matrix:
                 row.append(acc)
             rows.append(tuple(row))
         return Matrix(k, self.nrows, other.ncols, tuple(rows))
-
-    def neg(self) -> Matrix:
-        k = self.field
-        return Matrix(k, self.nrows, self.ncols,
-                      tuple(tuple(k.neg(a) for a in r) for r in self.entries))
 
     def apply(self, vec) -> tuple:
         """Multiply by a coordinate column vector, returning a tuple."""

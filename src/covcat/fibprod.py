@@ -1,9 +1,12 @@
 """Fibre products of functors over a common base, with projection functors.
 
-Objects are the pairs agreeing in the base; the hom space between two pairs
-is the canonical kernel basis of (φ, ψ) ↦ Fφ − Gψ on the direct sum of the
-two hom spaces, so every basis morphism satisfies Fφ = Gψ exactly and
-composition is componentwise.
+Objects are the pairs agreeing in the base, named "(x,y)"; the hom space
+between two pairs is the canonical kernel basis of (φ, ψ) ↦ Fφ − Gψ on the
+direct sum of the two hom spaces, so every basis morphism satisfies
+Fφ = Gψ exactly and composition is componentwise.  ``_pair_objects`` makes
+the pairs, in name order, for ``fibre_product`` and for the fibre-product
+decisions of ``galois``, and refuses two pairs of one name.  P is built by
+``category_from_model``, which makes the constructor's table checks.
 
 P's hom spaces come from one routine, ``_pullback_spaces``, whenever G is
 a covering: it reads them through G's covering certificate, and both the
@@ -149,12 +152,15 @@ def _pair_objects(f: LinearFunctor, g: LinearFunctor) -> dict:
     different bases, an empty P and two pairs of one name."""
     if f.target != g.target:
         raise ConstructionError("functors do not share a base category")
-    pairs = sorted((x, y) for x in f.source.objects for y in g.source.objects
-                   if f.object_map[x] == g.object_map[y])
-    if not pairs:
+    over = {}  # base object -> the objects of D over it
+    for y in g.source.objects:
+        over.setdefault(g.object_map[y], []).append(y)
+    named = sorted((_pair_name(x, y), (x, y)) for x in f.source.objects
+                   for y in over.get(f.object_map[x], ()))
+    if not named:
         raise ConstructionError("fibre product has no objects")
-    pair_of = {_pair_name(x, y): (x, y) for x, y in pairs}
-    if len(pair_of) != len(pairs):
+    pair_of = dict(named)
+    if len(pair_of) != len(named):
         raise ConstructionError("duplicate object names")
     return pair_of
 
@@ -239,13 +245,19 @@ def _kernel_join(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
     # pair of pair-objects with a non-zero hom: a join of the non-zero homs
     # of C and of D over the base hom pair they lie over
     found: dict[tuple, tuple] = {}
-    over_c, over_d = f.homs_over, g.homs_over
+    field, over_c, over_d = f.target.field, f.homs_over, g.homs_over
     for (b, b2) in over_c.keys() | over_d.keys():
         c_homs, d_homs = over_c.get((b, b2), []), over_d.get((b, b2), [])
         for (x, x2) in c_homs:
             mc = f.hom_matrices[(x, x2)]
             for (y, y2) in d_homs:
-                kernel = kernel_basis(Matrix.hstack(mc, g.hom_matrices[(y, y2)].neg()))
+                # [mc | −md]: both have a row per basis morphism of B(b, b2),
+                # and field.neg keeps F_p entries in range(p)
+                md = g.hom_matrices[(y, y2)]
+                rows = tuple(row + tuple(map(field.neg, drow))
+                             for row, drow in zip(mc.entries, md.entries))
+                kernel = kernel_basis(Matrix._trusted(
+                    field, mc.nrows, mc.ncols + md.ncols, rows))
                 if kernel[0]:
                     found[((x, y), (x2, y2))] = kernel
         # opposite a zero hom the kernel is that of the one matrix present
@@ -261,7 +273,7 @@ def _kernel_join(f: LinearFunctor, g: LinearFunctor) -> FibreProduct:
             for (x, x2) in c_zero if kernel[0] else ():
                 found[((x, y), (x2, y2))] = kernel
 
-    field, homs, kernels = f.target.field, {}, {}
+    homs, kernels = {}, {}
     for (q, q2), (rows, pivots) in found.items():
         dim_c = f.source.dim(q[0], q2[0])
         key = (_pair_name(*q), _pair_name(*q2))
@@ -305,10 +317,6 @@ def _built(f: LinearFunctor, g: LinearFunctor, pair_of: dict, homs: dict,
     spaces = {(p, p2): tuple((f"{p}>{p2}#{i}", v)
                              for i, v in enumerate(homs[(p, p2)][0]))
               for p, p2 in keys}
-    # P is built trusted.  Its pair names are distinct (_pair_objects), and
-    # ``homs`` holds only non-empty bases between them.  (1_x, 1_y) is not
-    # zero, so coords raises unless P(p, p) is present, and then gives its
-    # non-zero coordinates there.
     identity = {p: coords(p, p, (tuple(cat_c.identity[x]),
                                  tuple(cat_d.identity[y])))
                 for p, (x, y) in pair_of.items()}

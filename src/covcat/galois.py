@@ -6,8 +6,9 @@ A lift of one object to an endofunctor H with FH = F is read off the
 inverse fibre blocks of that certificate in one breadth-first pass.  Each
 block's inverse is read once, as the non-zero entries of its rows grouped
 by fibre object, and every non-zero hom is transported once through those
-sparse rows (``covering._transport``); the lifts are built without
-re-checking the shapes that the transport fixes.
+sparse rows by ``_lifted``: it takes the one fibre object owning every
+non-zero transported row, and argues once the shape of the matrix it reads
+off, so the lifts are built without re-checking it.
 
 A deck group is generated once per functor and cached on it
 (``LinearFunctor._deck``): ``deck_group`` returns that one ``DeckGroup``.
@@ -19,8 +20,8 @@ by walking s∘e for each lift s and each element e: every element is a word
 in the lifts, so that closes them under composition.  A refused lift that
 a product later reaches is an error, and the group is checked to act
 freely.  An element's matrices are read only when something asks for
-them, by the same transport through the source block at its image, whose
-non-zero rows must all be the image's (the lifts' sole-owner test).
+them, by ``_lifted`` through the source block at its image, whose
+non-zero rows must all be the image's.
 ``quotient_by_group`` reads the group's object maps as they are.
 
 The fibre method and universality decide whether the first projection of
@@ -28,8 +29,10 @@ P = u ×_B g is a trivial covering, on a table of P's hom spaces read
 through g's certificate by the same sparse transport as the lifts: each
 entry is a hom space's image under the projection.  The table comes from
 ``fibprod._pullback_spaces``, the one routine that also gives
-``fibre_product`` P's hom spaces when g is a covering.  The projection's
-blocks and P's components are decided on that table; neither is built.
+``fibre_product`` P's hom spaces when g is a covering, and P's objects
+come from ``fibprod._pair_objects``, as ``fibre_product``'s do.  The
+projection's blocks and P's components are decided on that table; neither
+is built.
 
 Every procedure here takes functors as input; the CLI validates each
 functor document before it decides.
@@ -48,9 +51,10 @@ from .exactalg import Matrix, echelon_basis
 from .lincat import LinearCategory, _walk_components, category_from_model, \
     connected_components
 from .linfun import LinearFunctor, compose, functor_equal, is_isomorphism
-from .covering import CoveringCertificate, CoveringFailure, \
+from .covering import CoveringCertificate, CoveringFailure, FibreBlock, \
     _ensure_certificate, _transport
-from .fibprod import _WHOLE, _pair_name, _pullback_spaces, fibre_product
+from .fibprod import _WHOLE, _pair_name, _pair_objects, _pullback_spaces, \
+    fibre_product
 
 __all__ = [
     "DeckGroup",
@@ -108,7 +112,7 @@ def _lift(fun: LinearFunctor, x: str, x_prime: str,
     # The visiting order does not change the result: at most one H exists,
     # every step is forced by assign[u], and a pass that ends has built an H
     # (see below).
-    src, om, field = fun.source, fun.object_map, fun.source.field
+    src, om = fun.source, fun.object_map
     assign, matrices = {x: x_prime}, {}
     queue = deque([x])
     while queue:
@@ -117,15 +121,11 @@ def _lift(fun: LinearFunctor, x: str, x_prime: str,
             if (u, v) in matrices:
                 # read through the target block at H(v), which reached u
                 continue
-            m = fun.hom_matrices[(u, v)]
-            lifted = _sole_owner(_transport(
-                cert.block(om[u], om[v], assign[u], "source"), m))
+            lifted = _lifted(cert.block(om[u], om[v], assign[u], "source"),
+                             fun.hom_matrices[(u, v)])
             if lifted is None:
                 return None
-            w, rows = lifted
-            # w's rows of the source block at H(u) are a basis of
-            # hom(H(u), w), one row each, and m has dim hom(u, v) columns
-            matrices[(u, v)] = Matrix._trusted(field, len(rows), m.ncols, rows)
+            w, matrices[(u, v)] = lifted
             if v not in assign:
                 assign[v] = w
                 queue.append(v)
@@ -134,15 +134,11 @@ def _lift(fun: LinearFunctor, x: str, x_prime: str,
         for _, v in src.into[u]:
             if v in assign:
                 continue
-            m = fun.hom_matrices[(v, u)]
-            lifted = _sole_owner(_transport(
-                cert.block(om[v], om[u], assign[u], "target"), m))
+            lifted = _lifted(cert.block(om[v], om[u], assign[u], "target"),
+                             fun.hom_matrices[(v, u)])
             if lifted is None:
                 return None
-            w, rows = lifted
-            # w's rows of the target block at H(u) are a basis of
-            # hom(w, H(u)), one row each
-            matrices[(v, u)] = Matrix._trusted(field, len(rows), m.ncols, rows)
+            w, matrices[(v, u)] = lifted
             assign[v] = w
             queue.append(v)
 
@@ -167,16 +163,25 @@ def _lift(fun: LinearFunctor, x: str, x_prime: str,
     #   on each hom(u, v) → hom(Hu, Hv), and so an isomorphism.
     # Nor are its shapes re-checked: the pass over the connected source
     # reaches every object and transports every non-zero hom, each into a
-    # matrix of the shape argued above.
+    # matrix of the shape _lifted argues.
     return LinearFunctor._trusted(src, src, assign, matrices)
 
 
-def _sole_owner(transported: dict[str, tuple]) -> Optional[tuple[str, tuple]]:
-    """The one object owning every non-zero transported row, with all of its
-    rows; None when zero objects or several own one."""
-    owners = [(w, rows) for w, rows in transported.items()
+def _lifted(block: FibreBlock, m: Matrix) -> Optional[tuple[str, Matrix]]:
+    """The one fibre object owning every non-zero row of block⁻¹·m, with
+    its rows as a matrix; None when no object or several own one.
+
+    The matrix is built trusted.  The owner w's rows of a block at z are a
+    basis of hom(z, w) for a source block, or of hom(w, z) for a target
+    block, one row each, and m has a column per basis morphism of the hom
+    it maps: so they are H's matrix on that hom, in its shape.
+    """
+    owners = [(w, rows) for w, rows in _transport(block, m).items()
               if any(map(any, rows))]
-    return owners[0] if len(owners) == 1 else None
+    if len(owners) != 1:
+        return None
+    w, rows = owners[0]
+    return w, Matrix._trusted(m.field, len(rows), m.ncols, rows)
 
 
 class DeckGroup:
@@ -219,30 +224,25 @@ class DeckGroup:
             return None
         # With M the invertible source block at h(x) over (Fx, Fy), FH = F
         # on hom(x, y) says M·T = F(x, y) for T = H(x, y) in h(y)'s rows and
-        # zero in every other row; so T is M⁻¹·F(x, y), read by _transport
+        # zero in every other row; so T is M⁻¹·F(x, y), read by _lifted
         # as _lift reads it.  An element composed from lifts is not re-proved
-        # to satisfy FH = F: the sole-owner test checks it here.  It asks
+        # to satisfy FH = F: _lifted's sole-owner test checks it here.  It asks
         # for one object's rows to hold every non-zero row, which is the
         # same test: F is injective on each hom of a covering, so T ≠ 0 for
         # the non-zero hom(x, y), and some object owns a non-zero row.
         h, om = self._maps[i], self._object_map
-        owner = _sole_owner(_transport(
-            self._cert.block(om[x], om[y], h[x], "source"), f))
-        if owner is None or owner[0] != h[y]:
+        lifted = _lifted(self._cert.block(om[x], om[y], h[x], "source"), f)
+        if lifted is None or lifted[0] != h[y]:
             raise CovcatError(
                 f"deck element {i} does not lie over the covering "
                 f"on hom({x}, {y})")
-        # h(y)'s rows of that block are a basis of hom(h(x), h(y)), one row
-        # each, and F(x, y) has dim hom(x, y) columns
-        rows = owner[1]
-        m = read[(x, y)] = Matrix._trusted(self.source.field, len(rows),
-                                           f.ncols, rows)
+        m = read[(x, y)] = lifted[1]
         return m
 
     @cached_property
     def elements(self) -> tuple[LinearFunctor, ...]:
         # each map sends every source object, and each element gets one
-        # matrix, of the shape argued in matrix(), per non-zero source hom
+        # matrix, of the shape _lifted argues, per non-zero source hom
         src = self.source
         return tuple(LinearFunctor._trusted(
             src, src, h,
@@ -436,24 +436,22 @@ def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
         over.setdefault((q[0], q2[0]), []).append(
             (q[1], q2[1], space if space is _WHOLE else space[0]))
         homs.append((q, q2))
-    cat_c, fibres = u.source, g.covering.fibres
-    names = {(x, y): _pair_name(x, y)
-             for x in cat_c.objects for y in fibres[u.object_map[x]]}
+    cat_c = u.source
     # P is not built, so what its build checks is argued or checked here.
-    # Each (x, y) has a non-zero endomorphism space holding 1_x: u(1_x) =
-    # 1_b = g(1_y), so T·1_x is 1_y's coordinates, which vanish outside
-    # y's rows.  Its names must be distinct, and its basis names,
-    # "{p}>{p2}#{i}" for P(p, p2), are unless a name holds ")>(": every p
-    # is "(x,y)", so in p>p2 = q>q2 with q shorter, the ")>(" at q's end
-    # lies inside p.  Then fibre_product(u, g) raises as P's build does
-    # (category_from_model), if they clash.
-    if len(set(names.values())) != len(names):
-        raise ConstructionError("duplicate object names")
-    if any(")>(" in p for p in names.values()):
+    # _pair_objects gives P's objects, and refuses them as fibre_product
+    # does.  Each (x, y) has a non-zero endomorphism space holding 1_x:
+    # u(1_x) = 1_b = g(1_y), so T·1_x is 1_y's coordinates, which vanish
+    # outside y's rows.  P's basis names, "{p}>{p2}#{i}" for P(p, p2), are
+    # distinct unless an object name holds ")>(": every p is "(x,y)", so in
+    # p>p2 = q>q2 with q shorter, the ")>(" at q's end lies inside p.  Then
+    # fibre_product(u, g) raises as P's build does, if they clash.
+    pair_of = _pair_objects(u, g)
+    if any(")>(" in p for p in pair_of):
         fibre_product(u, g)
     # pr1's fibre over x: its lifts (x, y), in name order
-    lifts = {x: sorted((names[(x, y)], y) for y in fibres[u.object_map[x]])
-             for x in cat_c.objects}
+    lifts = {x: [] for x in cat_c.objects}
+    for p, (x, y) in pair_of.items():
+        lifts[x].append((p, y))
 
     # This is check_covering(pr1), then is_trivial_covering(pr1), without
     # the inverses that only a certificate holds.
@@ -491,12 +489,13 @@ def _pullback_triviality(u: LinearFunctor, g: LinearFunctor,
                     return CoveringFailure("block-singular", b, c, lift,
                                            direction, dim, rank)
 
-    adjacent = {p: [] for p in names.values()}
+    adjacent = {p: [] for p in pair_of}
     for q, q2 in homs:
-        adjacent[names[q]].append(names[q2])
-        adjacent[names[q2]].append(names[q])
+        p, p2 = _pair_name(*q), _pair_name(*q2)
+        adjacent[p].append(p2)
+        adjacent[p2].append(p)
     return _component_triviality(
-        _walk_components(names.values(), adjacent.__getitem__), cat_c)
+        _walk_components(pair_of, adjacent.__getitem__), cat_c)
 
 
 def is_galois(fun: LinearFunctor, method: str = "direct") -> GaloisVerdict:
@@ -603,9 +602,6 @@ def quotient_by_group(cat: LinearCategory, group: DeckGroup):
         out[start:start + len(vec)] = vec
         return tuple(out)
 
-    # The quotient is built trusted: reps are distinct, spaces holds only
-    # non-empty bases between them, and r's identity, a non-zero vector of
-    # hom(r, r), has coordinates in spaces[(r, r)].
     identity = {r: coords(r, r, (r, cat.identity[r])) for r in reps}
     quotient = category_from_model(cat.field, reps, spaces, identity,
                                    product, coords)

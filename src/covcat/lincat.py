@@ -82,9 +82,9 @@ class LinearCategory:
                  composition: dict[tuple[str, str], tuple]) -> LinearCategory:
         """A LinearCategory built without ``__post_init__``: its objects
         sorted, its tables neither checked nor copied.  For
-        ``category_from_model``, whose builders argue or check each of the
-        constructor's checks, and for ``documents.category_from_json``,
-        which makes every one of them itself."""
+        ``category_from_model`` and ``documents.category_from_json``, which
+        make the table checks through ``_check_tables``; the one argues its
+        composition table, the other checks it."""
         cat = object.__new__(cls)
         cat.__dict__.update(field=field, objects=tuple(sorted(objects)),
                             hom_basis=hom_basis, identity=identity,
@@ -174,12 +174,12 @@ def _check_tables(field: FieldSpec, objects: tuple[str, ...],
                   hom_basis: Mapping[tuple[str, str], tuple[str, ...]],
                   identity: Mapping[str, tuple]) -> dict[str, tuple[str, str]]:
     """``LinearCategory``'s checks of its sorted ``objects``, hom bases and
-    identities, in its order; the constructor and
-    ``documents.category_from_json`` both make them here.  Returns the hom
+    identities, in its order; the constructor, ``category_from_model`` and
+    ``documents.category_from_json`` all make them here.  Returns the hom
     (x, y) of each basis name."""
-    if len(set(objects)) != len(objects):
-        raise ConstructionError("duplicate object names")
     oset = set(objects)
+    if len(oset) != len(objects):
+        raise ConstructionError("duplicate object names")
     seen = {}
     for (x, y), basis in hom_basis.items():
         if x not in oset or y not in oset:
@@ -192,12 +192,13 @@ def _check_tables(field: FieldSpec, objects: tuple[str, ...],
                     f"basis name {name!r} reused in ({x},{y}) and {seen[name]}")
             seen[name] = (x, y)
     for x in objects:
-        if (x, x) not in hom_basis:
+        basis = hom_basis.get((x, x))
+        if basis is None:
             raise ConstructionError(f"object {x} has no endomorphism space")
         coords = identity.get(x)
-        if coords is None or len(coords) != len(hom_basis[(x, x)]):
+        if coords is None or len(coords) != len(basis):
             raise ConstructionError(f"identity coordinates missing or wrong size at {x}")
-        if all(c == field.zero for c in coords):
+        if coords.count(field.zero) == len(coords):
             raise ConstructionError(f"identity at {x} is zero")
     return seen
 
@@ -234,15 +235,12 @@ def category_from_model(field: FieldSpec, objects: Iterable[str],
     and w is not.  The composition table keeps the non-zero composites of
     basis pairs.
 
-    The category is built trusted (``LinearCategory._trusted``).  Of the
-    constructor's checks, distinct basis names are checked here, after the
-    walk, with the constructor's message.  The composition table needs
-    none: the walk composes only composable basis pairs, ``coords`` gives
-    each composite at its hom space's length or raises for one in an
-    absent hom, and zeros are dropped.  The rest (distinct objects, homs
-    between them, none empty, and at each object an endomorphism space
-    holding a non-zero identity) each builder checks or argues where it
-    calls this.
+    The category is built trusted (``LinearCategory._trusted``).  The
+    constructor's checks of objects, hom bases and identities are made
+    here, after the walk, by ``_check_tables``.  The composition table
+    needs none: the walk composes only composable basis pairs, ``coords``
+    gives each composite at its hom space's length or raises for one in an
+    absent hom, and zeros are dropped.
     """
     composition = {}
     out_of = by_source(spaces)
@@ -257,13 +255,8 @@ def category_from_model(field: FieldSpec, objects: Iterable[str],
                         composition[(fname, gname)] = got
     hom_basis = {pair: tuple(name for name, _ in basis)
                  for pair, basis in spaces.items()}
-    seen = {}
-    for (x, y), basis in hom_basis.items():
-        for name in basis:
-            if name in seen:
-                raise ConstructionError(
-                    f"basis name {name!r} reused in ({x},{y}) and {seen[name]}")
-            seen[name] = (x, y)
+    objects = tuple(sorted(objects))
+    _check_tables(field, objects, hom_basis, identity)
     return LinearCategory._trusted(field, objects, hom_basis, identity,
                                    composition)
 
@@ -602,9 +595,6 @@ def _path_category_data(q: Quiver, relations: Sequence[Sequence[tuple]],
             raise ConstructionError(f"relations annihilate the identity at {x}")
         identity[x] = coords
 
-    # Quiver keeps its vertices distinct, and survivors holds only non-empty
-    # bases between them; each identity is non-zero (checked above), so
-    # (x, x) survives and 1_x has a coordinate per survivor
     spaces = {(x, y): tuple((_path_name(p, x), p) for p in keep)
               for (x, y), keep in survivors.items()}
     category = category_from_model(field, q.vertices, spaces, identity,
@@ -702,18 +692,10 @@ def category_from_algebra(field: FieldSpec, basis: Sequence[str],
     spaces = {(ne, nf): tuple((f"{ne}>{nf}:{i}", row) for i, row in enumerate(rows))
               for (ne, nf), (rows, _) in echelons.items()}
     identity = {ne: coords(ne, ne, e) for ne, e in idems}
-    # v∘u is the algebra product v·u.  The idempotent names are distinct
-    # (checked above), and only non-empty echelon bases are spaces.
-    cat = category_from_model(field, (name for name, _ in idems), spaces,
-                              identity, lambda x, y, z, u, v: mul_vec(v, u),
-                              coords)
-    for x in cat.objects:
-        # a zero idempotent e has e·A·e = 0.  Otherwise e = e·e·e lies in
-        # e·A·e, and its coordinates there are 1_x: one per basis row, and
-        # not all zero, as e is not
-        if (x, x) not in cat.hom_basis:
-            raise ConstructionError(f"object {x} has no endomorphism space")
-    return cat
+    # v∘u is the algebra product v·u
+    return category_from_model(field, (name for name, _ in idems), spaces,
+                               identity, lambda x, y, z, u, v: mul_vec(v, u),
+                               coords)
 
 
 # connectedness --------------------------------------------------------------

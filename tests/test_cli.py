@@ -311,6 +311,31 @@ def test_loading_a_workspace_runs_no_public_constructor_check(workspace,
     assert checked == []
 
 
+def test_a_name_resolves_once_and_stays_resolved_after_release(
+        tmp_path, monkeypatch):
+    """Two files claim one category name and the later one does not build:
+    the name resolves to the earlier file, each file is built once, and a
+    second ``get`` after ``release`` returns the same category."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(docs.dumps(docs.category_to_json(triangle_base(), "B")))
+    bad.write_text(_malformed_category(identity=[["1"]]))
+    built = Counter()
+    parse = docs.category_from_json
+
+    def counting(doc, where=None):
+        built[where] += 1
+        return parse(doc, where)
+
+    monkeypatch.setattr(docs, "category_from_json", counting)
+    ws = cli.Workspace()
+    ws.load_all([good, bad], named=set())
+    first = ws.get(docs.FORMAT_LINCAT, "B")
+    ws.release()
+    assert ws.get(docs.FORMAT_LINCAT, "B") is first is not None
+    assert built == {str(good): 1, str(bad): 1}
+    assert ws.skipped == [str(bad)]
+
+
 def test_an_unreached_broken_document_changes_no_report(workspace, capsys):
     argv = ["check", "covering", str(workspace / "F1.json")]
     assert main(list(argv)) == 0

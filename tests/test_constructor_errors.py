@@ -8,7 +8,9 @@ and functor a document loads are made by private trusted constructors that
 skip these checks.  The loaders carry the checks themselves, through the
 helpers the constructors call (``lincat._check_tables``,
 ``linfun._check_maps``), and raise each with the constructor's message;
-the public paths must keep every one of them.
+every built category makes the table checks through
+``lincat.category_from_model``, which calls ``_check_tables`` too.  The
+public paths must keep every one of them.
 """
 
 import pytest
@@ -17,7 +19,8 @@ from covcat import documents as docs
 from covcat.errors import ConstructionError, DocumentError
 from covcat.exactalg import GF, QQ, Matrix
 from covcat.examples import triangle_base, triangle_cover
-from covcat.lincat import LinearCategory, Quiver, path_category
+from covcat.lincat import LinearCategory, Quiver, category_from_model, \
+    path_category
 from covcat.linfun import LinearFunctor
 
 
@@ -224,3 +227,22 @@ def test_category_constructor_and_documents_keep_each_check(message, fault,
     if in_documents:
         with pytest.raises(DocumentError, match=message):
             docs.category_from_json(doc)
+
+
+# the faults of the objects, hom bases and identities: category_from_model
+# makes these checks for every built category, through _check_tables
+TABLE_ERRORS = CATEGORY_ERRORS[:7]
+
+
+@pytest.mark.parametrize(
+    "message, fault, in_documents", TABLE_ERRORS,
+    ids=[fault.__name__.lstrip("_") for _, fault, _ in TABLE_ERRORS])
+def test_built_categories_keep_each_table_check(message, fault,
+                                                in_documents):
+    cat = _chain()
+    objects, homs, identity, _ = fault(cat, docs.category_to_json(cat, "X"))
+    spaces = {pair: tuple((name, None) for name in basis)
+              for pair, basis in homs.items()}
+    with pytest.raises(ConstructionError, match=message):
+        category_from_model(cat.field, objects, spaces, identity,
+                            lambda x, y, z, u, v: None, lambda x, z, w: ())

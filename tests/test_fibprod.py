@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from covcat import documents as docs
 from covcat.errors import ConstructionError, CovcatError
 from covcat.exactalg import GF, QQ, Matrix, echelon_basis, express_in_echelon
-from covcat.lincat import validate_category
+from covcat.lincat import LinearCategory, validate_category
 from covcat.linfun import LinearFunctor, compose, functor_equal, \
     hom_inverses, identity_functor, is_isomorphism, validate_functor
 from covcat.covering import CoveringCertificate, CoveringFailure, \
@@ -61,6 +61,37 @@ def test_fibre_product_rejects_mismatched_base(f1):
     other = identity_functor(f1.source)
     with pytest.raises(ConstructionError):
         fibre_product(f1, other)
+
+
+def _objects_renamed(fun: LinearFunctor, rename: dict) -> LinearFunctor:
+    """``fun`` with its source's objects renamed; basis names stay."""
+    cat = fun.source
+
+    def pairs(table):
+        return {(rename[x], rename[y]): v for (x, y), v in table.items()}
+
+    source = LinearCategory(cat.field, [rename[x] for x in cat.objects],
+                            pairs(cat.hom_basis),
+                            {rename[x]: v for x, v in cat.identity.items()},
+                            cat.composition)
+    return LinearFunctor(source, fun.target,
+                         {rename[x]: b for x, b in fun.object_map.items()},
+                         pairs(fun.hom_matrices))
+
+
+def test_pair_objects_are_in_name_order():
+    """With x0, x1, y0, y1 named a, a(, b, b(, the pairs' name order is not
+    the order of the (x, y) tuples: "(" sorts before ","."""
+    cover = _objects_renamed(cyclic_cover(kronecker(), 2),
+                             {"x0": "a", "x1": "a(", "y0": "b", "y1": "b("})
+    pair_of = fibprod._pair_objects(cover, cover)
+    names = list(pair_of)
+    assert names == sorted(names)
+    assert list(pair_of.values()) != sorted(pair_of.values())
+    fp = fibre_product(cover, cover)
+    assert list(fp.category.objects) == names
+    fibre, direct = is_galois(cover, "fibre"), is_galois(cover, "direct")
+    assert fibre.status is direct.status
 
 
 def test_composite_outside_a_present_hom_space_is_a_covcat_error(f1):

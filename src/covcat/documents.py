@@ -29,9 +29,10 @@ FORMAT_VERDICT = "verdict/v1"
 def dumps(doc: dict) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
     With ``indent`` set, ``json`` walks the document in its pure-Python
-    encoder; ``_write`` walks it in fewer steps, and escapes strings with
-    the same ``encode_basestring_ascii``.  Keys must be strings, as in
-    every covcat document."""
+    encoder; ``_write`` walks it in fewer steps, escapes strings with the
+    same ``encode_basestring_ascii``, and writes ints, ``true``, ``false``
+    and ``null`` as ``json`` spells them; floats still go through
+    ``json``.  Keys must be strings, as in every covcat document."""
     out = []
     _write(doc, "\n", out)
     out.append("\n")
@@ -68,8 +69,16 @@ def _write(value, newline: str, out: list) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
+    elif type(value) is int:
+        # json's spelling of an int; a bool's type is bool, not int
+        out.append(str(value))
+    elif value is None or type(value) is bool:
+        out.append(_LITERALS[value])
     else:
         out.append(json.dumps(value))
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _need(doc: dict, key: str, path=None):
@@ -415,10 +424,10 @@ def covering_failure_to_json(failure: CoveringFailure) -> dict:
 def deck_group_to_json(deck: DeckGroup) -> dict:
     return {
         "order": deck.order,
-        "action": [{"element": i,
-                    "map": {x: deck.act(i, x)
-                            for x in deck.source.objects}}
-                   for i in range(deck.order)],
+        # each element's object map, copied whole: it maps every source
+        # object, and the writer sorts its keys
+        "action": [{"element": i, "map": dict(m)}
+                   for i, m in enumerate(deck._maps)],
     }
 
 

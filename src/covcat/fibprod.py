@@ -15,10 +15,10 @@ covering is injective on every hom space, so the first projection embeds
 each hom space of P in one of C; the routine yields that image V and the
 matrix T with ψ = Tφ, and the basis is the graph of T over V's reduced
 echelon rows.  No kernel of [F | −G] is solved.  The kernel of each F(x, x2)
-is solved once, unless F's cached covering check holds a certificate, as
-both decisions make it first: then every column of F(x, x2) lies in an
-invertible block, so that kernel is zero.  Only a space of several owners
-then needs a kernel.
+is solved once, unless it is zero by F's cached covering check, as both
+decisions make it first (every column of F(x, x2) then lies in an
+invertible block), or by F(x, x2)'s column pattern: one entry per column,
+no two in one row.  Only a space of several owners then needs a kernel.
 
 Only for a G that is not a covering are the hom spaces found by a join of
 the non-zero homs of C and of D, grouped by the base hom pair they lie over
@@ -38,7 +38,7 @@ from .covering import CoveringCertificate, CoveringFailure, \
 from .errors import ConstructionError, CovcatError
 from .exactalg import Matrix, express_in_echelon, kernel_basis
 from .lincat import LinearCategory, category_from_model, echelon_coords
-from .linfun import LinearFunctor
+from .linfun import LinearFunctor, _monomial
 
 __all__ = [
     "FibreProduct",
@@ -120,9 +120,12 @@ def _pullback_spaces(u: LinearFunctor, g: LinearFunctor):
         #   D(y, y2) = 0 (its blocks over a zero base hom are empty), so ψ = 0
         #   and there is no block to transport through.
         # - For a covering u that kernel is zero, as each column of u(x, x2)
-        #   lies in u's invertible source block at x: it is not solved, and
-        #   only the y2 that own rows of T are walked.
-        kernel = ((), ()) if u_covers else kernel_basis(m)
+        #   lies in u's invertible source block at x; so it is when u(x, x2)
+        #   has a _monomial column pattern.  Then it is not solved, and only
+        #   the y2 that own rows of T are walked.
+        injective = u_covers or _monomial(
+            [u._columns[name] for name in u.source.hom_basis[(x, x2)]])
+        kernel = ((), ()) if injective else kernel_basis(m)
         for y in fibres[b]:
             transported, owned = {}, {}  # owned: y2 -> its non-zero rows of T
             if m.nrows:

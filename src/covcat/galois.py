@@ -22,7 +22,9 @@ a product later reaches is an error, and the group is checked to act
 freely.  An element's matrices are read only when something asks for
 them, by ``_lifted`` through the source block at its image, whose
 non-zero rows must all be the image's.
-``quotient_by_group`` reads the group's object maps as they are.
+``quotient_by_group`` reads the group's object maps as they are, and
+composes in the base through the covering's source blocks at the orbit
+representatives: it reads one element's matrix per hom it projects.
 
 The fibre method and universality decide whether the first projection of
 P = u ×_B g is a trivial covering, on a table of P's hom spaces read
@@ -201,6 +203,7 @@ class DeckGroup:
         self.source = fun.source  # the category the group acts on
         self._maps, self._cert = maps, cert
         self._object_map, self._homs = fun.object_map, fun.hom_matrices
+        self._base = fun.target  # the category F covers
         self._read = read  # per element: (x, y) -> its matrix, once read
 
     @property
@@ -248,15 +251,6 @@ class DeckGroup:
             src, src, h,
             {pair: self.matrix(i, *pair) for pair in src.hom_basis})
             for i, h in enumerate(self._maps))
-
-    def _apply(self, i: int, x: str, y: str, coords) -> tuple:
-        """Element i on the morphism of hom(x, y) with coordinates
-        ``coords``."""
-        m = self.matrix(i, x, y)
-        if m is None:
-            h = self._maps[i]
-            return self.source.zero_vector(h[x], h[y])
-        return m.apply(coords)
 
 
 def _check_free(maps: Sequence[tuple[int, ...]]) -> None:
@@ -547,82 +541,119 @@ def is_galois_both(fun: LinearFunctor) -> GaloisVerdict:
 # quotients and the structure theorem -----------------------------------------
 
 
+_ESCAPED_ORBIT = "quotient composite escaped its hom space"
+
+
 def quotient_by_group(cat: LinearCategory, group: DeckGroup):
     """The categorical quotient of ``cat`` by a deck group acting on it, with
     the projection functor; ``cat`` must be the group's source.
 
     Orbits are named by their least member; the hom space from one orbit to
     another is the direct sum of the homs from the representative to every
-    member of the other orbit, and composition is transported through the
-    unique aligning group element.  It reads the group by element index, so
-    an element's matrix is read only where a hom is transported by it.
+    member of the other orbit, in orbit order.  The quotient is built
+    through the covering F the group lies over (C/Aut₁(F) ≅ B for a Galois
+    F): F·h = F for each element h, and F is invertible on each fibre block.
+    It reads the group by element index, so an element's matrix is read
+    only where it projects a hom.
+
+    Let h be the element with h(x) = r, the representative of x's orbit.
+    - Projection: P(φ) = h(φ) lies in hom(r, h(y)) and F(hφ) = F(φ), so
+      P(x, y) is ``DeckGroup.matrix``'s read of h on hom(x, y), which asks
+      h(y) to own every non-zero row of the transport through F's source
+      block at r; its rows go at h(y)'s offset.
+    - Composition: for u in hom(r, y), y in orbit(r2), and v in hom(r2, z),
+      the composite is g(v)∘u for the element g with g(r2) = y, and
+      F(g(v)∘u) = F(v)·F(u) is a composite in B.  So a basis morphism is
+      modelled by its image column in B(Fr, Fr2), the product is taken in
+      B, and the coordinates of w in B(Fr, Fr3) are M⁻¹·w for F's source
+      block M at r over (Fr, Fr3), read by ``_transport``, in orbit(r3)'s
+      rows.  The block's rows run in fibre order, and orbits and fibres
+      are sorted, so those rows are the quotient basis in its order.  A non-zero row
+      outside orbit(r3), or a non-zero w where the quotient hom is absent,
+      is a composite escaping its hom space, and raises.
     """
     if cat != group.source:
         raise ConstructionError("the group does not act on this category")
     # deck_group checked the action free (_deck_table)
-    maps = group._maps
+    maps, om, cert = group._maps, group._object_map, group._cert
+    base, field, zero = group._base, cat.field, cat.field.zero
 
-    orbit_of = {x: group.orbit(x) for x in cat.objects}
-    reps = sorted({orbit[0] for orbit in orbit_of.values()})
+    # each orbit walked once, at its least member: the objects are sorted
+    orbits, rep_of = {}, {}
+    for x in cat.objects:
+        if x not in rep_of:
+            orbits[x] = sorted({h[x] for h in maps})
+            rep_of.update(dict.fromkeys(orbits[x], x))
+    reps = list(orbits)
 
-    # the index of the group element carrying x to h(x), unique by freeness
-    aligner: dict[tuple[str, str], int] = {}
+    # aligner[x]: the index of the element carrying x to rep_of[x], unique
+    # by freeness.  Element i carries h_i⁻¹(r) to each representative r, and
+    # h_i⁻¹ is the element j with h_j(r0) = z for the z of r0's orbit that
+    # h_i sends to r0.  So each element scans r0's orbit, and no element
+    # is applied to every object.
+    r0 = reps[0]
+    carrying = {h[r0]: j for j, h in enumerate(maps)}  # h_j(r0) -> j
+    aligner = {}
     for i, h in enumerate(maps):
-        for x in cat.objects:
-            aligner.setdefault((x, h[x]), i)
+        inverse = maps[carrying[next(z for z in carrying if h[z] == r0)]]
+        for r in reps:
+            aligner[inverse[r]] = i
 
-    # quotient hom bases reuse the names of morphisms out of representatives;
-    # a morphism is modelled by (orbit member it ends at, its coordinates)
-    spaces: dict[tuple[str, str], tuple] = {}
-    offsets: dict[tuple[str, str, str], int] = {}
+    # A basis morphism out of r is modelled by its image column under F.
+    # F covers, so each non-zero hom(r, y) lies in a block of dimension
+    # dim B(Fr, Fy) and its matrix has a row per basis morphism there.
+    spaces, offsets = {}, {}
     for r in reps:
-        for r2 in reps:
+        for r2, orbit in orbits.items():
             basis = []
-            for y in orbit_of[r2]:
-                offsets[(r, r2, y)] = len(basis)
-                basis.extend((name, (y, cat.basis_vector(name)))
-                             for name in cat.hom(r, y))
+            for y in orbit:
+                names = cat.hom(r, y)
+                if names:
+                    offsets[(r, y)] = len(basis)
+                    basis.extend(zip(names, zip(*group._homs[(r, y)].entries)))
             if basis:
                 spaces[(r, r2)] = tuple(basis)
 
     def product(r, r2, r3, u, v) -> tuple:
-        (y, phi), (z, psi) = u, v
-        i = aligner[(r2, y)]
-        hz = maps[i][z]
-        return hz, cat.compose_vectors(r, y, hz, phi,
-                                       group._apply(i, r2, z, psi))
+        return base.compose_vectors(om[r], om[r2], om[r3], u, v)
 
-    def coords(r, r3, member) -> tuple:
-        # an empty vector is the zero of hom(r, y), which may be absent
-        y, vec = member
-        if not vec:
+    def coords(r, r3, w) -> tuple:
+        if (r, r3) not in spaces:
+            if any(w):
+                raise CovcatError(_ESCAPED_ORBIT)
             return ()
-        out = [cat.field.zero] * len(spaces[(r, r3)])
-        start = offsets[(r, r3, y)]
-        out[start:start + len(vec)] = vec
+        column = Matrix._trusted(field, len(w), 1, tuple((a,) for a in w))
+        out = []
+        for y, rows in _transport(cert.block(om[r], om[r3], r, "source"),
+                                  column).items():
+            if rep_of[y] == r3:
+                out.extend(row[0] for row in rows)
+            elif any(row[0] for row in rows):
+                raise CovcatError(_ESCAPED_ORBIT)
         return tuple(out)
 
-    identity = {r: coords(r, r, (r, cat.identity[r])) for r in reps}
-    quotient = category_from_model(cat.field, reps, spaces, identity,
+    # r leads its orbit, so 1_r's coordinates lead the basis of (r, r)
+    identity = {r: tuple(cat.identity[r])
+                + (zero,) * (len(spaces[(r, r)]) - cat.dim(r, r))
+                for r in reps}
+    quotient = category_from_model(field, reps, spaces, identity,
                                    product, coords)
 
-    object_map = {x: orbit_of[x][0] for x in cat.objects}
     hom_matrices = {}
     for (x, y) in cat.hom_basis:
-        r, r2 = object_map[x], object_map[y]
-        i = aligner[(x, r)]
-        gy = maps[i][y]
-        cols = [coords(r, r2,
-                       (gy, group._apply(i, x, y, cat.basis_vector(name))))
-                for name in cat.hom(x, y)]
-        hom_matrices[(x, y)] = Matrix.from_columns(
-            cat.field, cols, len(spaces[(r, r2)]))
+        r, i = rep_of[x], aligner[x]
+        m = group.matrix(i, x, y)
+        start = offsets[(r, maps[i][y])]
+        size, pad = len(spaces[(r, rep_of[y])]), (zero,) * m.ncols
+        hom_matrices[(x, y)] = Matrix._trusted(
+            field, size, m.ncols, (pad,) * start + m.entries
+            + (pad,) * (size - start - m.nrows))
     # The projection is built trusted: it sends every object to its orbit's
     # representative and has one matrix per non-zero hom of cat, with a
     # column per basis morphism of hom(x, y) and a row per basis morphism
-    # of the quotient's (r, r2), which holds hom(r, gy) ≠ 0.
-    projection = LinearFunctor._trusted(cat, quotient, object_map,
-                                        hom_matrices)
+    # of the quotient's (r, r2), which holds hom(r, h(y)) at its offset.
+    projection = LinearFunctor._trusted(
+        cat, quotient, {x: rep_of[x] for x in cat.objects}, hom_matrices)
     return quotient, projection
 
 

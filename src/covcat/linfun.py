@@ -191,6 +191,14 @@ def validate_functor(fun: LinearFunctor) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
+def _monomial(columns) -> bool:
+    """Whether sparse columns (each column's non-zero (row, entry) pairs)
+    have one entry each and no two in one row: a matrix of that pattern is
+    injective."""
+    return len({col[0][0] for col in columns if len(col) == 1}) \
+        == len(columns)
+
+
 def _faithful(fun: LinearFunctor) -> bool:
     """Whether ``fun`` is injective on every non-zero source hom space,
     read off its reduced image columns (``LinearFunctor._columns``).
@@ -207,15 +215,13 @@ def _faithful(fun: LinearFunctor) -> bool:
     so they are equal in C: associativity and both unit laws hold, and
     centrality, 1_x∘e = e = e∘1_x, follows from the two.
 
-    A hom passes at once when each column has one entry and no two share
-    a row; otherwise when its columns' rank is their count.  A killed hom
-    (no rows) does not pass.
+    A hom passes at once when its columns are ``_monomial``; otherwise
+    when their rank is their count.  A killed hom (no rows) does not pass.
     """
     field, columns = fun.source.field, fun._columns
     for pair, basis in fun.source.hom_basis.items():
         cols = [columns[name] for name in basis]
-        if all(len(col) == 1 for col in cols) \
-                and len({col[0][0] for col in cols}) == len(cols):
+        if _monomial(cols):
             continue
         rows = fun.hom_matrices[pair].nrows
         dense = []

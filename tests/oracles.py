@@ -11,7 +11,9 @@ backtracking over fibre-constrained object maps with per-hom linear solves
 inverted by textbook solves), and mediating functors are found by
 brute-force coordinate solving.  Deck groups are closed over every pair of
 their object maps; that oracle is of the closure alone, so it takes its
-lifts from ``lift_endofunctor``, which the lift oracles check.
+lifts from ``lift_endofunctor``, which the lift oracles check.  The
+quotient by a deck group is composed in the source, each element's matrix
+applied to coordinates, and not in the base through the covering's blocks.
 Category and functor axioms are checked by a dense scan over every basis
 tuple, composing straight from the composition table, never through
 ``compose_vectors`` or the validators' own index of non-zero composites.
@@ -35,7 +37,7 @@ from covcat.exactalg import GF, QQ, FieldSpec, Matrix
 from covcat.examples import WeightedQuiver, cyclic_cover, kronecker
 from covcat.galois import lift_endofunctor
 from covcat.lincat import LinearCategory, Quiver, _path_category_data, \
-    path_category, product_with_set
+    category_from_model, path_category, product_with_set
 from covcat.linfun import LinearFunctor, compose, is_isomorphism
 
 
@@ -720,6 +722,74 @@ def all_pairs_deck_maps(fun: LinearFunctor) -> list[dict]:
     position = {index[y]: i for i, y in enumerate(fibre)}
     return [{x: objects[i] for x, i in zip(objects, m)}
             for m in sorted(maps, key=lambda m: position[m[a]])]
+
+
+# deck quotient composed in the source ----------------------------------------
+
+
+def source_composed_quotient(cat: LinearCategory, group):
+    """The quotient of ``cat`` by a deck group, with its projection, composed
+    in ``cat`` itself: an orbit is named by its least member, the hom space
+    from one orbit to another is the direct sum of the homs from the
+    representative to every member of the other, and v∘u, for u ending at
+    y = h(r2), is h(v)∘u, h's matrix applied to v's coordinates.  The
+    projection applies the element carrying x to its representative to each
+    basis vector of hom(x, y) and places the image at its end's offset.
+    The group is read through ``act``, ``orbit`` and ``matrix`` alone."""
+    field, order = cat.field, range(group.order)
+    orbit_of = {x: group.orbit(x) for x in cat.objects}
+    reps = sorted({orbit[0] for orbit in orbit_of.values()})
+    aligner = {}  # (x, h(x)) -> the index of the element h, unique by freeness
+    for i in order:
+        for x in cat.objects:
+            aligner.setdefault((x, group.act(i, x)), i)
+
+    def apply(i, x, y, vec) -> tuple:
+        m = group.matrix(i, x, y)
+        if m is None:
+            return cat.zero_vector(group.act(i, x), group.act(i, y))
+        return m.apply(vec)
+
+    spaces, offsets = {}, {}
+    for r in reps:
+        for r2 in reps:
+            basis = []
+            for y in orbit_of[r2]:
+                offsets[(r, r2, y)] = len(basis)
+                basis.extend((name, (y, cat.basis_vector(name)))
+                             for name in cat.hom(r, y))
+            if basis:
+                spaces[(r, r2)] = tuple(basis)
+
+    def product(r, r2, r3, u, v) -> tuple:
+        (y, phi), (z, psi) = u, v
+        i = aligner[(r2, y)]
+        hz = group.act(i, z)
+        return hz, cat.compose_vectors(r, y, hz, phi, apply(i, r2, z, psi))
+
+    def coords(r, r3, member) -> tuple:
+        y, vec = member
+        if not vec:
+            return ()
+        out = [field.zero] * len(spaces[(r, r3)])
+        start = offsets[(r, r3, y)]
+        out[start:start + len(vec)] = vec
+        return tuple(out)
+
+    identity = {r: coords(r, r, (r, cat.identity[r])) for r in reps}
+    quotient = category_from_model(field, reps, spaces, identity, product,
+                                   coords)
+    object_map = {x: orbit_of[x][0] for x in cat.objects}
+    hom_matrices = {}
+    for (x, y) in cat.hom_basis:
+        r, r2 = object_map[x], object_map[y]
+        i = aligner[(x, r)]
+        gy = group.act(i, y)
+        cols = [coords(r, r2, (gy, apply(i, x, y, cat.basis_vector(name))))
+                for name in cat.hom(x, y)]
+        hom_matrices[(x, y)] = Matrix.from_columns(field, cols,
+                                                   len(spaces[(r, r2)]))
+    return quotient, LinearFunctor(cat, quotient, object_map, hom_matrices)
 
 
 # group-graded covers ---------------------------------------------------------

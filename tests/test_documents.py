@@ -365,3 +365,12 @@ def test_dumps_matches_json_dumps(value):
     tuples, nesting and empty containers, byte for byte."""
     assert docs.dumps(value) == json.dumps(value, indent=2,
                                            sort_keys=True) + "\n"
+
+
+def test_dumps_writes_scalars_as_json_does():
+    """Exact ints, big and negative, the three literals, and the floats
+    that ``dumps`` leaves to ``json``: a finite one, inf and nan."""
+    doc = {"ints": [0, -5, 2**70], "literals": [True, False, None],
+           "floats": [1.5, float("inf"), float("nan")], "zero": 0,
+           "yes": True, "none": None}
+    assert docs.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -13,8 +13,8 @@ from covcat.covering import CoveringCertificate, CoveringFailure, \
     check_covering
 from covcat.fibprod import fibre_product
 from covcat import fibprod
-from covcat.examples import cyclic_cover, kronecker, standard_bases, \
-    triangle_base, triangle_cover
+from covcat.examples import cyclic_cover, kronecker, kronecker_cover_twisted, \
+    standard_bases, triangle_base, triangle_cover
 from covcat.galois import check_universal_against, is_galois
 
 from oracles import S3_SWAP, S3_UNIT, full_subcategory, kronecker_covers, \
@@ -207,8 +207,9 @@ def test_decisions_on_a_covering_solve_no_kernel_of_it(monkeypatch):
     they solve no kernel of a hom matrix u(x, x2): each is zero.  Only
     spaces of several owners are solved for, and on the square of a Z/n
     cover there are none; fibre_product(f, f) reads f's certificate too,
-    as f is g.  fibre_product(f, g) solves one kernel per C-hom while f's
-    covering check has not been made."""
+    as f is g.  fibre_product(f, g) solves none of f's either while f's
+    covering check has not been made: each hom of a Z/n cover has one
+    entry per column, no two in one row, so its kernel is zero."""
     calls = []
     solve = fibprod.kernel_basis
     monkeypatch.setattr(fibprod, "kernel_basis",
@@ -220,7 +221,7 @@ def test_decisions_on_a_covering_solve_no_kernel_of_it(monkeypatch):
                 name, f = f"{wq.name}/n{n}/{field}", cyclic_cover(wq, n, field)
                 own = sorted(map(id, f.hom_matrices.values()))
                 fibre_product(f, member)
-                assert sorted(m for m in calls if m in own) == own, name
+                assert not set(calls) & set(own), name
                 calls.clear()
                 assert is_galois(f, "fibre").is_galois, name
                 fibre_product(f, f)
@@ -228,6 +229,28 @@ def test_decisions_on_a_covering_solve_no_kernel_of_it(monkeypatch):
                 check_universal_against(f, [f, member])
                 assert not set(calls) & set(own), name
                 calls.clear()
+
+
+def test_zero_kernels_are_read_off_the_column_pattern(monkeypatch):
+    """Without u's covering check, fibre_product(u, g) reads the kernel of
+    each hom u(x, x2) with one entry per column, no two in one row, as
+    zero: none is solved for the Z/4 covers of the standard bases.  The
+    twisted Kronecker cover's hom (x1, y0), whose column al + be has two
+    entries, is the one of its homs solved."""
+    calls = []
+    solve = fibprod.kernel_basis
+    monkeypatch.setattr(fibprod, "kernel_basis",
+                        lambda m: calls.append(m) or solve(m))
+    for wq in standard_bases():
+        u = cyclic_cover(wq, 4)
+        fibre_product(u, cyclic_cover(wq, 2))
+        assert "covering" not in vars(u), wq.name
+        assert calls == [], wq.name
+    u = kronecker_cover_twisted()
+    fibre_product(u, cyclic_cover(kronecker(), 2))
+    assert "covering" not in vars(u)
+    own = {id(m): pair for pair, m in u.hom_matrices.items()}
+    assert [own[id(m)] for m in calls if id(m) in own] == [("x1", "y0")]
 
 
 def _serialized(fp) -> tuple[str, str, str]:

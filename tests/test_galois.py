@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covcat import fibprod, galois, lincat
+from covcat import documents, fibprod, galois, lincat
 from covcat.errors import ConstructionError, CovcatError, NotConnectedError
 from covcat.exactalg import GF, QQ, Matrix, rank_and_inverse
 from covcat.lincat import LinearCategory, Quiver, connected_components, \
@@ -36,7 +36,8 @@ from covcat.examples import base_category, cyclic_cover, \
 from oracles import S3_SWAP, S3_UNIT, all_pairs_deck_maps, dense_lift, \
     exhaustive_lifts, full_subcategory, functor_axioms_hold, \
     kronecker_covers, kronecker_quiver, naive_fibre_dims, naive_rank, \
-    onto_kronecker, product_iso, s3_kronecker_cover, sections_by_restriction
+    onto_kronecker, product_iso, s3_kronecker_cover, \
+    sections_by_restriction, source_composed_quotient
 
 
 # lifts -----------------------------------------------------------------------
@@ -1091,6 +1092,78 @@ def test_quotient_by_trivial_group(kron_twisted):
     quotient, projection = quotient_by_group(kron_twisted.source, group)
     assert is_isomorphism(projection) is not None
     assert quotient.total_dim() == kron_twisted.source.total_dim()
+
+
+def _quotient_bytes(quotient, projection) -> tuple[str, str]:
+    return (documents.dumps(documents.category_to_json(quotient, "Q")),
+            documents.dumps(documents.functor_to_json(projection, "P", "C",
+                                                      "Q")))
+
+
+def test_quotient_equals_the_source_composed_quotient(galois_corpus,
+                                                      gf7_corpus, f2,
+                                                      kron_twisted):
+    """Composing in the base through the covering's blocks writes the bytes
+    of composing in the source through deck-element matrices: on the
+    corpora, the twisted triangle and Kronecker covers, the Kronecker
+    covers, both S₃ covers (the coset cover's orbits are smaller than its
+    fibres) and a Z/64 cover over GF(7)."""
+    covers = galois_corpus + gf7_corpus + [
+        ("triangle/twisted", f2), ("kronecker/twisted", kron_twisted)]
+    covers += [(f"kronecker_covers/{i}", fun)
+               for i, fun in enumerate(kronecker_covers())]
+    covers += [(f"S3/{len(h)}/{field.kind}", s3_kronecker_cover(h, field))
+               for h in ({S3_UNIT}, {S3_UNIT, S3_SWAP}) for field in (QQ, GF(7))]
+    covers.append(("rel_square/n64/GF7", cyclic_cover(rel_square(), 64, GF(7))))
+    for name, fun in covers:
+        group = deck_group(fun)
+        assert _quotient_bytes(*quotient_by_group(fun.source, group)) == \
+            _quotient_bytes(*source_composed_quotient(fun.source, group)), name
+
+
+def _shift_group(cover, shifts) -> DeckGroup:
+    """The identity and the object map moving sheet i of each base object
+    v to sheet shifts[v](i), on ``cover``'s certificate."""
+    moved = {}
+    for x in cover.source.objects:
+        v, i = x[0], int(x[1:])
+        moved[x] = f"{v}{shifts[v](i)}"
+    unit = {x: x for x in cover.source.objects}
+    return DeckGroup(cover, cover.covering, (unit, moved), [{}, {}])
+
+
+def _half(i):
+    return (i + 2) % 4
+
+
+def _flip(i):
+    return i ^ 1
+
+
+@pytest.mark.parametrize("shifts", [
+    pytest.param({"s": _half, "t": _half, "u": _flip}, id="outside-orbit"),
+    pytest.param({"s": _flip, "t": _flip, "u": _half}, id="absent-hom")])
+def test_a_quotient_composite_escaping_its_hom_space_is_refused(shifts):
+    """Free involutions of the Z/4 triangle cover that are no deck elements:
+    orbits of two sheets that do not follow the arrows.  A composite taken
+    in the base lands, through the block at its representative, in rows
+    outside its orbit, or where the quotient hom is absent; both raise."""
+    cover = triangle_cover(4)
+    with pytest.raises(CovcatError, match="escaped its hom space"):
+        quotient_by_group(cover.source, _shift_group(cover, shifts))
+
+
+def test_a_quotient_by_a_map_that_does_not_lie_over_the_covering_is_refused(
+        kron_twisted):
+    """The projection reads each hom through ``DeckGroup.matrix``: the
+    sheet swap of the twisted Kronecker cover has no matrix on the twisted
+    hom, so the quotient by it is refused there."""
+    swap = {"x0": "x1", "x1": "x0", "y0": "y1", "y1": "y0"}
+    unit = {x: x for x in swap}
+    group = DeckGroup(kron_twisted, kron_twisted.covering, (unit, swap),
+                      [{}, {}])
+    with pytest.raises(CovcatError, match="does not lie over the covering"):
+        quotient_by_group(kron_twisted.source, group)
 
 
 def test_quotient_rejects_non_free_action():

@@ -20,8 +20,8 @@ the block is invertible and its inverse's rows are read off: 1/e at
 (j, i) for each e at (i, j).  Every other block is eliminated as
 ``[m | I]``, which gives its rank and its ``block-singular`` witness, and
 its inverse is scanned once, straight after.  The dense ``matrix`` and
-``inverse`` are views built on their first read, which only equality and
-the tests make; the certificate writer reads the columns
+``inverse`` are views built on their first read, which only the tests and
+``galois.structure_iso`` make; the certificate writer reads the columns
 (``_row_major``).
 
 ``LinearFunctor.covering`` caches ``check_covering``; a certificate holds

@@ -243,20 +243,11 @@ class Matrix:
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows or self.field != other.field:
             raise ValueError("matmul shape/field mismatch")
-        k = self.field
-        ocols = list(zip(*other.entries)) if other.entries else [()] * other.ncols
-        if other.nrows == 0:
-            return Matrix.zeros(k, self.nrows, other.ncols)
-        rows = []
-        for r in self.entries:
-            row = []
-            for c in ocols:
-                acc = k.zero
-                for a, b in zip(r, c):
-                    acc = k.add(acc, k.mul(a, b))
-                row.append(acc)
-            rows.append(tuple(row))
-        return Matrix(k, self.nrows, other.ncols, tuple(rows))
+        if other.nrows == 0 or other.ncols == 0:
+            return Matrix.zeros(self.field, self.nrows, other.ncols)
+        # each column of the product is self applied to a column of other
+        columns = [self.apply(c) for c in zip(*other.entries)]
+        return Matrix(self.field, self.nrows, other.ncols, tuple(zip(*columns)))
 
     def apply(self, vec) -> tuple:
         """Multiply by a coordinate column vector, returning a tuple."""

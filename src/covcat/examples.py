@@ -117,6 +117,9 @@ def cyclic_cover(wq: WeightedQuiver, n: int,
     """
     if n < 1:
         raise ConstructionError("cover degree must be positive")
+    for name, _, _ in wq.quiver.arrows:
+        if type(wq.weights.get(name)) is not int:
+            raise ConstructionError(f"arrow {name} has no integer weight")
     base = _path_category_data(wq.quiver, wq.relations, field)
 
     vertices = tuple(f"{v}{i}" for v in wq.quiver.vertices for i in range(n))

@@ -52,7 +52,7 @@ from .errors import ConstructionError, CovcatError, NotConnectedError
 from .exactalg import Matrix, echelon_basis
 from .lincat import LinearCategory, _walk_components, category_from_model, \
     connected_components
-from .linfun import LinearFunctor, compose, functor_equal, is_isomorphism
+from .linfun import LinearFunctor
 from .covering import CoveringCertificate, CoveringFailure, FibreBlock, \
     _ensure_certificate, _transport
 from .fibprod import _WHOLE, _pair_name, _pair_objects, _pullback_spaces, \
@@ -198,13 +198,20 @@ class DeckGroup:
     not the functor: the cache makes no reference cycle.
     """
 
-    def __init__(self, fun: LinearFunctor, cert: CoveringCertificate,
-                 maps: tuple[dict[str, str], ...], read: list[dict]):
-        self.source = fun.source  # the category the group acts on
-        self._maps, self._cert = maps, cert
-        self._object_map, self._homs = fun.object_map, fun.hom_matrices
-        self._base = fun.target  # the category F covers
-        self._read = read  # per element: (x, y) -> its matrix, once read
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a DeckGroup comes only from deck_group(f)")
+
+    @classmethod
+    def _trusted(cls, fun: LinearFunctor, cert: CoveringCertificate,
+                 maps: tuple[dict[str, str], ...], read: list) -> DeckGroup:
+        """The group of the object maps ``_deck_table`` has closed and checked
+        free, with each element's matrices read so far by (x, y) in ``read``;
+        ``source`` is the category it acts on, ``_base`` the one F covers."""
+        group = object.__new__(cls)
+        group.__dict__.update(source=fun.source, _maps=maps, _cert=cert,
+                              _object_map=fun.object_map, _read=read,
+                              _homs=fun.hom_matrices, _base=fun.target)
+        return group
 
     @property
     def order(self) -> int:
@@ -331,10 +338,10 @@ def _deck_table(fun: LinearFunctor) -> DeckGroup:
     position = {index[y]: i for i, y in enumerate(fibre)}
     maps.sort(key=lambda m: position[m[a]])
     _check_free(maps)
-    return DeckGroup(fun, cert,
-                     tuple(dict(zip(objects, map(objects.__getitem__, m)))
-                           for m in maps),
-                     [lifted.get(m[a], {}) for m in maps])
+    return DeckGroup._trusted(
+        fun, cert,
+        tuple(dict(zip(objects, map(objects.__getitem__, m))) for m in maps),
+        [lifted.get(m[a], {}) for m in maps])
 
 
 # trivial coverings ----------------------------------------------------------
@@ -663,23 +670,22 @@ def structure_iso(fun: LinearFunctor) -> LinearFunctor:
     verdict = is_galois(fun, "direct")
     if not verdict.is_galois:
         raise ConstructionError("functor is not a Galois covering")
-    quotient, projection = quotient_by_group(fun.source, verdict.deck)
-
-    object_map = {r: fun.object_map[r] for r in quotient.objects}
-    hom_matrices = {}
-    for (r, r2), names in quotient.hom_basis.items():
-        cols = []
-        for name in names:
-            x, y, i = fun.source.basis_location[name]
-            cols.append(fun.apply(x, y, fun.source.basis_vector(name)))
-        hom_matrices[(r, r2)] = Matrix.from_columns(
-            fun.source.field, cols, fun.target.dim(object_map[r], object_map[r2]))
-    prime = LinearFunctor(quotient, fun.target, object_map, hom_matrices)
-    if not functor_equal(compose(prime, projection), fun):
-        raise CovcatError("structure isomorphism does not factor the covering")
-    if is_isomorphism(prime) is None:
+    quotient, _ = quotient_by_group(fun.source, verdict.deck)
+    om, cert = fun.object_map, fun.covering
+    object_map = {r: om[r] for r in quotient.objects}
+    if sorted(object_map.values()) != list(fun.target.objects):
         raise CovcatError("structure functor is not an isomorphism")
-    return prime
+    # F' on (r, r2) is F's source block M at r over (Fr, Fr2), not
+    # re-proved.  F is Galois, so the orbits are the fibres, and the
+    # quotient's basis of (r, r2) is M's column layout.  Each M is
+    # certified invertible, so F' is an isomorphism.  F'∘P = F exactly:
+    # for the element h with h(x) = r, DeckGroup.matrix's sole-owner read
+    # checked that P(x, y) puts M⁻¹·F(x, y) at h(y)'s rows and nothing
+    # elsewhere.  P is onto each quotient hom, so F' is a functor as F is.
+    hom_matrices = {(r, r2): cert.block(om[r], om[r2], r, "source").matrix
+                    for r, r2 in quotient.hom_basis}
+    return LinearFunctor._trusted(quotient, fun.target, object_map,
+                                  hom_matrices)
 
 
 # universality relative to a family -------------------------------------------

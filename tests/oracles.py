@@ -14,6 +14,9 @@ their object maps; that oracle is of the closure alone, so it takes its
 lifts from ``lift_endofunctor``, which the lift oracles check.  The
 quotient by a deck group is composed in the source, each element's matrix
 applied to coordinates, and not in the base through the covering's blocks.
+The structure isomorphism is built by applying F to each quotient basis
+vector and re-proved with ``compose``, ``functor_equal`` and
+``is_isomorphism``, not read off the covering's blocks.
 Category and functor axioms are checked by a dense scan over every basis
 tuple, composing straight from the composition table, never through
 ``compose_vectors`` or the validators' own index of non-zero composites.
@@ -35,10 +38,11 @@ from typing import Iterable
 from covcat.errors import ConstructionError, CovcatError
 from covcat.exactalg import GF, QQ, FieldSpec, Matrix
 from covcat.examples import WeightedQuiver, cyclic_cover, kronecker
-from covcat.galois import lift_endofunctor
+from covcat.galois import is_galois, lift_endofunctor, quotient_by_group
 from covcat.lincat import LinearCategory, Quiver, _path_category_data, \
     category_from_model, path_category, product_with_set
-from covcat.linfun import LinearFunctor, compose, is_isomorphism
+from covcat.linfun import LinearFunctor, compose, functor_equal, \
+    is_isomorphism
 
 
 # textbook row reduction (forward elimination, no normalization) --------------
@@ -790,6 +794,36 @@ def source_composed_quotient(cat: LinearCategory, group):
         hom_matrices[(x, y)] = Matrix.from_columns(field, cols,
                                                    len(spaces[(r, r2)]))
     return quotient, LinearFunctor(cat, quotient, object_map, hom_matrices)
+
+
+# structure isomorphism by composition ----------------------------------------
+
+
+def composed_structure_iso(fun: LinearFunctor) -> LinearFunctor:
+    """The unique isomorphism F' from the quotient by the deck group to the
+    base with F'∘P = F, for a Galois covering: F applied to each quotient
+    basis vector, built by the public constructor, with F'∘P = F and
+    invertibility re-proved."""
+    verdict = is_galois(fun, "direct")
+    if not verdict.is_galois:
+        raise ConstructionError("functor is not a Galois covering")
+    quotient, projection = quotient_by_group(fun.source, verdict.deck)
+
+    object_map = {r: fun.object_map[r] for r in quotient.objects}
+    hom_matrices = {}
+    for (r, r2), names in quotient.hom_basis.items():
+        cols = []
+        for name in names:
+            x, y, i = fun.source.basis_location[name]
+            cols.append(fun.apply(x, y, fun.source.basis_vector(name)))
+        hom_matrices[(r, r2)] = Matrix.from_columns(
+            fun.source.field, cols, fun.target.dim(object_map[r], object_map[r2]))
+    prime = LinearFunctor(quotient, fun.target, object_map, hom_matrices)
+    if not functor_equal(compose(prime, projection), fun):
+        raise CovcatError("structure isomorphism does not factor the covering")
+    if is_isomorphism(prime) is None:
+        raise CovcatError("structure functor is not an isomorphism")
+    return prime
 
 
 # group-graded covers ---------------------------------------------------------

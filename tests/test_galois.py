@@ -29,15 +29,15 @@ from covcat.galois import (
     quotient_by_group,
     structure_iso,
 )
-from covcat.examples import base_category, cyclic_cover, \
+from covcat.examples import WeightedQuiver, base_category, cyclic_cover, \
     kronecker, kronecker_cover_twisted, rel_square, standard_bases, \
     triangle, triangle_base, triangle_cover, triangle_cover_twisted
 
-from oracles import S3_SWAP, S3_UNIT, all_pairs_deck_maps, dense_lift, \
-    exhaustive_lifts, full_subcategory, functor_axioms_hold, \
-    kronecker_covers, kronecker_quiver, naive_fibre_dims, naive_rank, \
-    onto_kronecker, product_iso, s3_kronecker_cover, \
-    sections_by_restriction, source_composed_quotient
+from oracles import S3_SWAP, S3_UNIT, all_pairs_deck_maps, \
+    composed_structure_iso, dense_lift, exhaustive_lifts, full_subcategory, \
+    functor_axioms_hold, kronecker_covers, kronecker_quiver, \
+    naive_fibre_dims, naive_rank, onto_kronecker, product_iso, \
+    s3_kronecker_cover, sections_by_restriction, source_composed_quotient
 
 
 # lifts -----------------------------------------------------------------------
@@ -374,10 +374,24 @@ def test_a_deck_element_that_does_not_lie_over_the_covering_is_refused(
     """The sheet swap of the twisted Kronecker cover is no deck element: its
     matrix on the twisted hom is refused when it is read."""
     swap = {"x0": "x1", "x1": "x0", "y0": "y1", "y1": "y0"}
-    group = DeckGroup(kron_twisted, kron_twisted.covering, (swap,), [{}])
+    group = DeckGroup._trusted(kron_twisted, kron_twisted.covering, (swap,),
+                               [{}])
     assert group.matrix(0, "x0", "x0").entries == ((1,),)
     with pytest.raises(CovcatError, match="does not lie over the covering"):
         group.elements
+
+
+def test_a_deck_group_is_not_built_by_hand():
+    """Only deck_group makes a DeckGroup, so no hand-built group reaches the
+    quotient: not the identity with a swap of t0 and t1 on the Z/2 cover,
+    nor the identity with one sheet shift of the Z/3 cover (not closed)."""
+    for n, image in ((2, {"t0": "t1", "t1": "t0"}.get),
+                     (3, lambda x: f"{x[0]}{(int(x[1:]) + 1) % 3}")):
+        cover = triangle_cover(n)
+        unit = {x: x for x in cover.source.objects}
+        moved = {x: image(x) or x for x in unit}
+        with pytest.raises(TypeError, match=r"deck_group\(f\)"):
+            DeckGroup(cover, cover.covering, (unit, moved), [{}, {}])
 
 
 def test_deck_group_is_generated_once_per_functor(kron_twisted):
@@ -1129,7 +1143,7 @@ def _shift_group(cover, shifts) -> DeckGroup:
         v, i = x[0], int(x[1:])
         moved[x] = f"{v}{shifts[v](i)}"
     unit = {x: x for x in cover.source.objects}
-    return DeckGroup(cover, cover.covering, (unit, moved), [{}, {}])
+    return DeckGroup._trusted(cover, cover.covering, (unit, moved), [{}, {}])
 
 
 def _half(i):
@@ -1160,8 +1174,8 @@ def test_a_quotient_by_a_map_that_does_not_lie_over_the_covering_is_refused(
     hom, so the quotient by it is refused there."""
     swap = {"x0": "x1", "x1": "x0", "y0": "y1", "y1": "y0"}
     unit = {x: x for x in swap}
-    group = DeckGroup(kron_twisted, kron_twisted.covering, (unit, swap),
-                      [{}, {}])
+    group = DeckGroup._trusted(kron_twisted, kron_twisted.covering,
+                               (unit, swap), [{}, {}])
     with pytest.raises(CovcatError, match="does not lie over the covering"):
         quotient_by_group(kron_twisted.source, group)
 
@@ -1218,6 +1232,41 @@ def test_structure_iso_is_deterministic(f1):
     a = structure_iso(f1)
     b = structure_iso(f1)
     assert functor_equal(a, b)
+
+
+def test_structure_iso_equals_the_composed_construction(galois_corpus,
+                                                        gf7_corpus):
+    """F' read off the source blocks at the orbit representatives is the
+    functor that applying F to each quotient basis vector builds, on the
+    corpora, the twisted triangle covers at n = 2 and 3 over Q and GF(7)
+    (with eliminated blocks), the S₃ cover, the Kronecker covers and a Z/64
+    cover over GF(7); both refuse each cover that is not Galois.  In the
+    Z/3 cover of three arrows x → y of weights 0, 1 and 2, the lifts of x
+    into y0 run in the order x0, x2, x1 of weights 0, 2, 1, so the target
+    block at y0 is not the source block at x0, which it is on every cover
+    above."""
+    covers = galois_corpus + gf7_corpus
+    covers += [(f"triangle/twisted/n{n}/{field.kind}",
+                triangle_cover_twisted(n, field))
+               for n in (2, 3) for field in (QQ, GF(7))]
+    covers.append(("S3", s3_kronecker_cover({S3_UNIT})))
+    covers += [(f"kronecker_covers/{i}", fun)
+               for i, fun in enumerate(kronecker_covers())]
+    covers.append(("rel_square/n64/GF7", cyclic_cover(rel_square(), 64, GF(7))))
+    arrows = tuple((f"k{w}", "x", "y") for w in range(3))
+    covers.append(("kronecker/weights-0-1-2/n3", cyclic_cover(WeightedQuiver(
+        "k012", Quiver(("x", "y"), arrows), {"k0": 0, "k1": 1, "k2": 2}), 3)))
+    galois_seen = 0
+    for name, fun in covers:
+        if not is_galois(fun, "direct").is_galois:
+            for build in (structure_iso, composed_structure_iso):
+                with pytest.raises(ConstructionError, match="not a Galois"):
+                    build(fun)
+            continue
+        galois_seen += 1
+        assert functor_equal(structure_iso(fun), composed_structure_iso(fun)), \
+            name
+    assert galois_seen > len(covers) // 2
 
 
 # universality -------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Categories: builders, validation, components, products."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from covcat.lincat import (
     validate_category,
 )
 from covcat.linfun import is_isomorphism, validate_functor
-from covcat.examples import cyclic_cover, rel_square, standard_bases, triangle, \
-    triangle_base, triangle_cover
+from covcat.examples import cyclic_cover, kronecker, rel_square, \
+    standard_bases, triangle, triangle_base, triangle_cover
 
 from oracles import bfs_components, count_paths, full_subcategory, naive_rank, \
     quiver_paths, relation_ideal
@@ -120,6 +121,26 @@ def test_path_category_rejects_bad_relations():
         path_category(wq.quiver, [[(1, ["a", "c"])]], QQ)  # not composable
     with pytest.raises(ConstructionError):
         path_category(wq.quiver, [[(1, ["zz"])]], QQ)
+
+
+@pytest.mark.parametrize("weights, message", [
+    pytest.param({"al": 0}, "arrow be has no integer weight", id="missing"),
+    pytest.param({"al": 0, "be": 0.5}, "arrow be has no integer weight",
+                 id="not-an-int")])
+def test_cyclic_cover_refuses_a_bad_weight_naming_its_arrow(weights, message):
+    wq = replace(kronecker(), weights=weights)
+    with pytest.raises(ConstructionError, match=message):
+        cyclic_cover(wq, 2)
+
+
+def test_cyclic_cover_refuses_degree_zero_and_weights_against_its_relations():
+    with pytest.raises(ConstructionError, match="degree must be positive"):
+        cyclic_cover(triangle(), 0)
+    wq = rel_square()
+    wq = replace(wq, weights={**wq.weights, "f": 1})
+    with pytest.raises(ConstructionError,
+                       match="inconsistent with its relations"):
+        cyclic_cover(wq, 2)
 
 
 def _cover_quiver(wq, n):

@@ -124,6 +124,11 @@ def _array(value, what: str, path=None) -> list:
     return value
 
 
+def _items(doc: dict, key: str, path=None) -> list:
+    """``doc[key]``, refused when missing or not a JSON array."""
+    return _array(_need(doc, key, path), key, path)
+
+
 def _object(value, what: str, path=None) -> dict:
     """``value``, refused unless a JSON object: ``dict`` would read an array
     of pairs, or of two-character strings, as a mapping."""
@@ -194,14 +199,14 @@ def category_from_json(doc: dict, path=None) -> tuple[str, LinearCategory]:
         raise DocumentError(f"not a {FORMAT_LINCAT} document", path)
     name = _need(doc, "name", path)
     field = field_from_json(_need(doc, "field", path), path)
-    objects = tuple(_array(_need(doc, "objects", path), "objects", path))
+    objects = tuple(_items(doc, "objects", path))
     coefficient = _coefficient_reader(field, path)
     hom_basis = {}
-    for entry in _need(doc, "homs", path):
+    for entry in _items(doc, "homs", path):
         key = (_need(entry, "src", path), _need(entry, "dst", path))
         if key in hom_basis:
             raise DocumentError(f"duplicate hom entry {key}", path)
-        hom_basis[key] = tuple(_array(_need(entry, "basis", path), "basis", path))
+        hom_basis[key] = tuple(_items(entry, "basis", path))
     identity = {}
     for x, coords in _object(_need(doc, "identity", path), "identity",
                              path).items():
@@ -217,7 +222,7 @@ def category_from_json(doc: dict, path=None) -> tuple[str, LinearCategory]:
     # lengths hold by the checks here; the first non-composable pair is
     # raised after _check_tables, in the constructor's order
     composition, clash = {}, None
-    for entry in _need(doc, "composition", path):
+    for entry in _items(doc, "composition", path):
         f, g = _need(entry, "f", path), _need(entry, "g", path)
         if f not in location or g not in location:
             raise DocumentError(f"composition ({f},{g}) references unknown basis", path)
@@ -226,7 +231,7 @@ def category_from_json(doc: dict, path=None) -> tuple[str, LinearCategory]:
         if yf != xg and clash is None:
             clash = (f, g)
         coords = [field.zero] * len(hom_basis.get((xf, yg), ()))
-        for term in _need(entry, "result", path):
+        for term in _items(entry, "result", path):
             b = _need(term, "basis", path)
             x, y, i = location.get(b, (None, None, None))
             if (x, y) != (xf, yg):
@@ -287,7 +292,7 @@ def functor_from_json(doc: dict, categories: Mapping[str, LinearCategory],
     field = source.field
     coefficient = _coefficient_reader(field, path)
     hom_matrices = {}
-    for entry in _need(doc, "hom_matrices", path):
+    for entry in _items(doc, "hom_matrices", path):
         x, y = _need(entry, "src", path), _need(entry, "dst", path)
         cols = source.dim(x, y)
         if cols == 0:
@@ -296,8 +301,7 @@ def functor_from_json(doc: dict, categories: Mapping[str, LinearCategory],
         if fx is None or fy is None:
             raise DocumentError(f"object map misses {x} or {y}", path)
         rows = target.dim(fx, fy)
-        flat = [coefficient(c)
-                for c in _array(_need(entry, "matrix", path), "matrix", path)]
+        flat = [coefficient(c) for c in _items(entry, "matrix", path)]
         if len(flat) != rows * cols:
             raise DocumentError(
                 f"matrix at ({x},{y}) has {len(flat)} entries, "
@@ -341,19 +345,18 @@ def quiver_from_json(doc: dict, path=None):
     field = field_from_json(doc.get("field", {"kind": "Q"}), path)
     try:
         quiver = Quiver(tuple(_name(v, "vertex", path)
-                              for v in _array(_need(doc, "vertices", path),
-                                              "vertices", path)),
+                              for v in _items(doc, "vertices", path)),
                         tuple((_name(_need(a, "name", path), "arrow", path),
                                _need(a, "src", path), _need(a, "dst", path))
-                              for a in _need(doc, "arrows", path)))
+                              for a in _items(doc, "arrows", path)))
     except ConstructionError as exc:
         raise DocumentError(str(exc), path)
     relations = []
-    for rel in doc.get("relations", []):
+    for rel in _array(doc.get("relations", []), "relations", path):
         relations.append([(_parse_coeff(field, _need(t, "coeff", path), path),
-                           [_name(a, "relation path arrow", path) for a in
-                            _array(_need(t, "path", path), "path", path)])
-                          for t in rel])
+                           [_name(a, "relation path arrow", path)
+                            for a in _items(t, "path", path)])
+                          for t in _array(rel, "relation", path)])
     return name, quiver, relations, field
 
 
@@ -368,20 +371,19 @@ def algebra_from_json(doc: dict, path=None):
         raise DocumentError(f"not a {FORMAT_ALGEBRA} document", path)
     name = _need(doc, "name", path)
     field = field_from_json(_need(doc, "field", path), path)
-    basis = [_name(b, "basis", path)
-             for b in _array(_need(doc, "basis", path), "basis", path)]
+    basis = [_name(b, "basis", path) for b in _items(doc, "basis", path)]
     mult = {}
-    for entry in _need(doc, "table", path):
+    for entry in _items(doc, "table", path):
         a, b = _need(entry, "a", path), _need(entry, "b", path)
         result = {}
-        for term in _need(entry, "result", path):
+        for term in _items(entry, "result", path):
             result[_need(term, "basis", path)] = _parse_coeff(
                 field, _need(term, "coeff", path), path)
         mult[(a, b)] = result
     idems = []
-    for entry in _need(doc, "idempotents", path):
+    for entry in _items(doc, "idempotents", path):
         coords = [_parse_coeff(field, c, path)
-                  for c in _array(_need(entry, "coords", path), "coords", path)]
+                  for c in _items(entry, "coords", path)]
         idems.append((_name(_need(entry, "name", path), "idempotent", path),
                       coords))
     return name, field, basis, mult, idems

@@ -1,20 +1,20 @@
 """Named example categories and coverings.
 
 The central family: weighted acyclic quivers whose cyclic Z/n covers stay
-connected, built so that the covering functor simply forgets the sheet
-index.  On top of that sit two twisted variants used throughout the test
-corpus: the triangle cover whose long arrow maps to a + c*b, and the
-Kronecker double cover whose second sheet is twisted by a + b (the standard
-witness of a covering that is not Galois).
-"""
+connected, each read off its base as a smash product whose covering functor
+forgets the sheet index.  On top of that sit two twisted variants used
+throughout the test corpus: the triangle cover whose long arrow maps to
+a + c*b, and the Kronecker double cover whose second sheet is twisted by
+a + b (the standard witness of a covering that is not Galois)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConstructionError
 from .exactalg import QQ, FieldSpec, Matrix
-from .lincat import LinearCategory, Quiver, _path_category_data
+from .lincat import LinearCategory, Quiver, _path_category_data, _path_name, \
+    category_from_model
 from .linfun import LinearFunctor
 
 __all__ = [
@@ -110,57 +110,66 @@ def _lift_term(weights: dict[str, int], n: int, start: int,
 
 def cyclic_cover(wq: WeightedQuiver, n: int,
                  field: FieldSpec = QQ) -> LinearFunctor:
-    """The Z/n cover of a weighted quiver's path category.
-
-    Vertex v gets sheets v0..v(n-1); an arrow of weight w runs from sheet i
-    to sheet i+w.  The functor forgets sheet indices.
-    """
+    """The Z/n cover of a weighted quiver's path category B: the smash
+    product B#Z/n, read off B.  Vertex v gets sheets v0..v(n-1); an arrow of
+    weight w runs from sheet i to sheet i+w.  hom(b_i, c_j) is spanned by
+    the lifts from sheet i of B(b, c)'s basis paths that end on sheet j, in
+    B's order, and the functor sends each lift to its path."""
     if n < 1:
         raise ConstructionError("cover degree must be positive")
     for name, _, _ in wq.quiver.arrows:
         if type(wq.weights.get(name)) is not int:
             raise ConstructionError(f"arrow {name} has no integer weight")
     base = _path_category_data(wq.quiver, wq.relations, field)
+    for rel in wq.relations:  # sheet 0 decides: from sheet i all ends move by i
+        if len({_lift_term(wq.weights, n, 0, tuple(p))[1] for _, p in rel}) != 1:
+            raise ConstructionError(
+                f"weights of {wq.name} are inconsistent with its relations")
+    # the lifted quiver, built for its checks of the sheets' names alone
+    Quiver(tuple(f"{v}{i}" for v in wq.quiver.vertices for i in range(n)),
+           tuple((f"{a}{i}", f"{s}{i}", f"{d}{(i + wq.weights[a]) % n}")
+                 for a, s, d in wq.quiver.arrows for i in range(n)))
 
-    vertices = tuple(f"{v}{i}" for v in wq.quiver.vertices for i in range(n))
-    vertex_to_base = {f"{v}{i}": v for v in wq.quiver.vertices for i in range(n)}
-    arrow_to_base = {}
-    arrows = []
-    for name, src, dst in wq.quiver.arrows:
-        w = wq.weights[name]
+    # Each relation's terms end on one sheet, so B's ideal splits by weight
+    # mod n, and so do its unique reduced echelon rows.  With B's order, the
+    # lifted path category's survivors are exactly the lifts of B's
+    # survivors, and a composite of lifts is the lift of B's composite: a
+    # lift is modelled by its index in B(b, c), and a composite from sheet i
+    # has B's structure constants at the lifts that end on its sheet.
+    cat = base.category
+    object_map = {f"{v}{i}": v for v in wq.quiver.vertices for i in range(n)}
+    spaces: dict[tuple[str, str], list] = {}
+    for (b, c), paths in base.survivors.items():
         for i in range(n):
-            lifted = f"{name}{i}"
-            arrows.append((lifted, f"{src}{i}", f"{dst}{(i + w) % n}"))
-            arrow_to_base[lifted] = name
-    lifted_relations = []
-    for rel in wq.relations:
-        for i in range(n):
-            terms = []
-            end_sheets = set()
-            for coeff, path in rel:
-                lifted, sheet = _lift_term(wq.weights, n, i, tuple(path))
-                end_sheets.add(sheet)
-                terms.append((coeff, lifted))
-            if len(end_sheets) != 1:
-                raise ConstructionError(
-                    f"weights of {wq.name} are inconsistent with its relations")
-            lifted_relations.append(terms)
+            for k, path in enumerate(paths):
+                lifted, j = _lift_term(wq.weights, n, i, path)
+                spaces.setdefault((f"{b}{i}", f"{c}{j}"), []).append(
+                    (_path_name(lifted, f"{b}{i}"), k))
+    spaces = dict(sorted(spaces.items()))
 
-    cover = _path_category_data(Quiver(vertices, tuple(arrows)),
-                                lifted_relations, field)
+    def product(x, y, z, u, v) -> tuple:
+        b, c, d = object_map[x], object_map[y], object_map[z]
+        f, g = cat.hom_basis[b, c][u], cat.hom_basis[c, d][v]
+        return cat.composition.get((f, g)) or cat.zero_vector(b, d)
 
-    def strip(path: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(arrow_to_base[a] for a in path)
+    def coords(x, z, w) -> tuple:
+        got = tuple(w[k] for _, k in spaces.get((x, z), ()))
+        if sum(map(bool, got)) != sum(map(bool, w)):  # zero exactly when falsy
+            raise ConstructionError("a composite of lifts leaves its sheet")
+        return got
 
-    object_map = {v: vertex_to_base[v] for v in cover.category.objects}
+    # B(b, b) is spanned by 1_b, as the quiver is acyclic; 1_(b_i) lifts it
+    cover = category_from_model(field, object_map, spaces, {
+        x: cat.identity[b] for x, b in object_map.items()}, product, coords)
+    # F is built trusted: it sends each sheet b_i to b, and hom(b_i, c_j)'s
+    # matrix has B(b, c)'s rows and, per lift, the unit column at its path.
     hom_matrices = {}
-    for (x, y), _ in cover.category.hom_basis.items():
-        bx, by = object_map[x], object_map[y]
-        cols = [base.class_of_path(bx, by, strip(p))
-                for p in cover.survivors[(x, y)]]
-        hom_matrices[(x, y)] = Matrix.from_columns(
-            field, cols, base.category.dim(bx, by))
-    return LinearFunctor(cover.category, base.category, object_map, hom_matrices)
+    for (x, y), basis in spaces.items():
+        rows = cat.dim(object_map[x], object_map[y])
+        hom_matrices[(x, y)] = Matrix._trusted(field, rows, len(basis), tuple(
+            tuple(field.one if k == t else field.zero for _, k in basis)
+            for t in range(rows)))
+    return LinearFunctor._trusted(cover, cat, object_map, hom_matrices)
 
 
 # the triangle family ---------------------------------------------------------
@@ -182,29 +191,21 @@ def _replace_column(m: Matrix, j: int, column) -> Matrix:
     return Matrix(m.field, m.nrows, m.ncols, tuple(tuple(r) for r in rows))
 
 
+def _twisted(plain: LinearFunctor, lifts) -> LinearFunctor:
+    """``plain`` with each lift in ``lifts`` sent to (1, 1) in its base hom."""
+    one, hom_matrices = plain.source.field.one, dict(plain.hom_matrices)
+    for lift in lifts:
+        x, y, j = plain.source.basis_location[lift]
+        hom_matrices[(x, y)] = _replace_column(hom_matrices[(x, y)], j, (one, one))
+    return replace(plain, hom_matrices=hom_matrices)
+
+
 def triangle_cover_twisted(n: int, field: FieldSpec = QQ) -> LinearFunctor:
     """The triangle cover sending each long arrow a_i to a + c*b."""
-    plain = triangle_cover(n, field)
-    base = plain.target
-    # coordinates of a + c*b in hom(t, s), whose basis is (a, c*b)
-    twist = tuple(field.one for _ in range(base.dim("t", "s")))
-    hom_matrices = dict(plain.hom_matrices)
-    for i in range(n):
-        key = (f"t{i}", f"s{(i + 1) % n}")
-        basis = plain.source.hom(*key)
-        j = basis.index(f"a{i}")
-        hom_matrices[key] = _replace_column(hom_matrices[key], j, twist)
-    return LinearFunctor(plain.source, base, plain.object_map, hom_matrices)
+    return _twisted(triangle_cover(n, field), [f"a{i}" for i in range(n)])
 
 
 def kronecker_cover_twisted(field: FieldSpec = QQ) -> LinearFunctor:
     """The Kronecker double cover with the second sheet twisted: be1 maps to
     al + be.  A covering whose deck group is trivial, hence not Galois."""
-    plain = cyclic_cover(kronecker(), 2, field)
-    base = plain.target
-    twist = (field.one, field.one)  # al + be in the (al, be) basis
-    hom_matrices = dict(plain.hom_matrices)
-    key = ("x1", "y0")
-    j = plain.source.hom(*key).index("be1")
-    hom_matrices[key] = _replace_column(hom_matrices[key], j, twist)
-    return LinearFunctor(plain.source, base, plain.object_map, hom_matrices)
+    return _twisted(cyclic_cover(kronecker(), 2, field), ["be1"])

@@ -493,9 +493,9 @@ def path_category(q: Quiver, relations: Sequence[Sequence[tuple]],
 
 @dataclass(frozen=True)
 class PathCategoryData:
-    """A path category plus what covers of it are built from: the surviving
-    (basis) paths per hom pair, and ``class_of_path(x, y, arrows)``, the
-    quotient coordinates of a path from x to y."""
+    """A path category plus the surviving (basis) paths per hom pair, which
+    its covers lift, and ``class_of_path(x, y, arrows)``, the quotient
+    coordinates of a path from x to y."""
 
     category: LinearCategory
     survivors: dict

@@ -25,9 +25,12 @@ subcategory and ``is_isomorphism``, not from the object count that
 ``is_trivial_covering`` decides by.  Group-graded covers, whose deck groups
 are known from group theory, are built over permutation tuples.  Functors
 from free quivers onto Kronecker bases, with a chosen matrix on hom(x, y),
-feed the fibre-product suites.  A valid functor onto a valid category that
-kills the one hom space where its source breaks associativity shows when
-the source must still be scanned.
+feed the fibre-product suites.  Cyclic covers are also built the long way,
+as the path category of the lifted quiver modulo the lifted relations, with
+F read back through the base's path classes, not off the base's tables.
+A valid functor onto a valid category that kills the one hom space where
+its source breaks associativity shows when the source must still be
+scanned.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Iterable
 
 from covcat.errors import ConstructionError, CovcatError
 from covcat.exactalg import GF, QQ, FieldSpec, Matrix
-from covcat.examples import WeightedQuiver, cyclic_cover, kronecker
+from covcat.examples import WeightedQuiver, _lift_term, cyclic_cover, kronecker
 from covcat.galois import is_galois, lift_endofunctor, quotient_by_group
 from covcat.lincat import LinearCategory, Quiver, _path_category_data, \
     category_from_model, path_category, product_with_set
@@ -895,6 +898,67 @@ def s3_kronecker_cover(subgroup, field: FieldSpec = QQ) -> LinearFunctor:
                             ("ga", "x", "y")))
     return graded_cover(q, {"al": S3_UNIT, "be": S3_SWAP, "ga": S3_CYCLE},
                         subgroup, field)
+
+
+# cyclic covers through the lifted quiver ---------------------------------------
+
+
+def lifted_cyclic_cover(wq: WeightedQuiver, n: int,
+                        field: FieldSpec = QQ) -> LinearFunctor:
+    """The Z/n cover of a weighted quiver's path category, built as a second
+    path category: every arrow and relation is lifted to the n-fold quiver,
+    whose paths are enumerated and whose lifted relations are closed and
+    eliminated; F's columns are the base classes of the surviving paths.
+
+    Vertex v gets sheets v0..v(n-1); an arrow of weight w runs from sheet i
+    to sheet i+w.  The functor forgets sheet indices.
+    """
+    if n < 1:
+        raise ConstructionError("cover degree must be positive")
+    for name, _, _ in wq.quiver.arrows:
+        if type(wq.weights.get(name)) is not int:
+            raise ConstructionError(f"arrow {name} has no integer weight")
+    base = _path_category_data(wq.quiver, wq.relations, field)
+
+    vertices = tuple(f"{v}{i}" for v in wq.quiver.vertices for i in range(n))
+    vertex_to_base = {f"{v}{i}": v for v in wq.quiver.vertices for i in range(n)}
+    arrow_to_base = {}
+    arrows = []
+    for name, src, dst in wq.quiver.arrows:
+        w = wq.weights[name]
+        for i in range(n):
+            lifted = f"{name}{i}"
+            arrows.append((lifted, f"{src}{i}", f"{dst}{(i + w) % n}"))
+            arrow_to_base[lifted] = name
+    lifted_relations = []
+    for rel in wq.relations:
+        for i in range(n):
+            terms = []
+            end_sheets = set()
+            for coeff, path in rel:
+                lifted, sheet = _lift_term(wq.weights, n, i, tuple(path))
+                end_sheets.add(sheet)
+                terms.append((coeff, lifted))
+            if len(end_sheets) != 1:
+                raise ConstructionError(
+                    f"weights of {wq.name} are inconsistent with its relations")
+            lifted_relations.append(terms)
+
+    cover = _path_category_data(Quiver(vertices, tuple(arrows)),
+                                lifted_relations, field)
+
+    def strip(path: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(arrow_to_base[a] for a in path)
+
+    object_map = {v: vertex_to_base[v] for v in cover.category.objects}
+    hom_matrices = {}
+    for (x, y), _ in cover.category.hom_basis.items():
+        bx, by = object_map[x], object_map[y]
+        cols = [base.class_of_path(bx, by, strip(p))
+                for p in cover.survivors[(x, y)]]
+        hom_matrices[(x, y)] = Matrix.from_columns(
+            field, cols, base.category.dim(bx, by))
+    return LinearFunctor(cover.category, base.category, object_map, hom_matrices)
 
 
 # functors onto Kronecker bases -------------------------------------------------

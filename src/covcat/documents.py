@@ -44,38 +44,52 @@ _escape = json.encoder.encode_basestring_ascii
 
 def _write(value, newline: str, out: list) -> None:
     """Append ``value``'s JSON to ``out``; ``newline`` is a line break and
-    the indent of the line ``value`` starts on."""
-    if isinstance(value, str):
-        out.append(_escape(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
+    the indent of the line ``value`` starts on.  The exact types ``dict``,
+    ``list`` and ``tuple`` are matched first, and a ``str`` item of either
+    container is written in place; the ``isinstance`` chain handles their
+    subclasses and the scalars."""
+    kind = type(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        if isinstance(value, str):
+            out.append(_escape(value))
             return
-        inner = newline + "  "
+        if isinstance(value, dict):
+            kind = dict
+        elif not isinstance(value, (list, tuple)):
+            if type(value) is int:
+                # json's spelling of an int; a bool's type is bool, not int
+                out.append(str(value))
+            elif value is None or type(value) is bool:
+                out.append(_LITERALS[value])
+            else:
+                out.append(json.dumps(value))
+            return
+    if not value:
+        out.append("{}" if kind is dict else "[]")
+        return
+    inner = newline + "  "
+    comma = "," + inner
+    if kind is dict:
         sep = "{" + inner
         for key in sorted(value):
-            out += (sep, _escape(key), ": ")
-            _write(value[key], inner, out)
-            sep = "," + inner
+            item = value[key]
+            if type(item) is str:
+                out += (sep, _escape(key), ": ", _escape(item))
+            else:
+                out += (sep, _escape(key), ": ")
+                _write(item, inner, out)
+            sep = comma
         out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
+    else:
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
+            if type(item) is str:
+                out += (sep, _escape(item))
+            else:
+                out.append(sep)
+                _write(item, inner, out)
+            sep = comma
         out.append(newline + "]")
-    elif type(value) is int:
-        # json's spelling of an int; a bool's type is bool, not int
-        out.append(str(value))
-    elif value is None or type(value) is bool:
-        out.append(_LITERALS[value])
-    else:
-        out.append(json.dumps(value))
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}

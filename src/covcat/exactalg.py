@@ -262,9 +262,6 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def rank(self) -> int:
-        return len(echelon_basis(self.field, self.entries)[1])
-
 
 def echelon_basis(field: FieldSpec, vectors) -> tuple[list[tuple], tuple[int, ...]]:
     """The reduced echelon basis of the span of ``vectors`` (field scalars,

@@ -9,8 +9,13 @@ ideal closed over a fresh path walk, lifts are found by exhaustive
 backtracking over fibre-constrained object maps with per-hom linear solves
 (and by the deck-lift rule, with dense products through fibre blocks
 inverted by textbook solves), and mediating functors are found by
-brute-force coordinate solving.  Deck groups are closed over every pair of
-their object maps; that oracle is of the closure alone, so it takes its
+brute-force coordinate solving.  The one exception is
+``eliminated_covering``: it is an oracle of the covering checker's
+read-offs and block walk, so it finds each block by the scan and decides
+every one by the library's ``rank_and_inverse``, whose own tests check
+its rank against the textbook reduction and its inverse by products.
+Deck groups are closed over every pair of their object maps; that oracle
+is of the closure alone, so it takes its
 lifts from ``lift_endofunctor``, which the lift oracles check.  The
 quotient by a deck group is composed in the source, each element's matrix
 applied to coordinates, and not in the base through the covering's blocks.
@@ -38,8 +43,9 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable
 
+from covcat.covering import CoveringFailure
 from covcat.errors import ConstructionError, CovcatError
-from covcat.exactalg import GF, QQ, FieldSpec, Matrix
+from covcat.exactalg import GF, QQ, FieldSpec, Matrix, rank_and_inverse
 from covcat.examples import WeightedQuiver, _lift_term, cyclic_cover, kronecker
 from covcat.galois import is_galois, lift_endofunctor, quotient_by_group
 from covcat.lincat import LinearCategory, Quiver, _path_category_data, \
@@ -516,6 +522,48 @@ def fibre_block(fun: LinearFunctor, direction: str, lift: str, far: str):
             layout.append((other, name))
             cols.append(tuple(row[j] for row in m.entries))
     return layout, cols
+
+
+def eliminated_covering(fun):
+    """``check_covering`` with every block eliminated, as dense views: each
+    non-empty block is ``Matrix.from_columns`` of its columns, found by the
+    oracle's own scan (``fibre_block``), and ``rank_and_inverse`` of that
+    gives its verdict, its rank and its inverse.  A certificate is its
+    fibres and each block's layout, matrix and inverse."""
+    base = fun.target
+    for b in base.objects:
+        if not fun.fibre(b):
+            return CoveringFailure("not-surjective", missing_object=b)
+    blocks = {}
+    for b in base.objects:
+        for c in base.objects:
+            dim = base.dim(b, c)
+            for direction, lift, far in (
+                    [("source", x, c) for x in fun.fibre(b)]
+                    + [("target", z, b) for z in fun.fibre(c)]):
+                layout, cols = fibre_block(fun, direction, lift, far)
+                if len(cols) != dim:
+                    return CoveringFailure("block-dimension", b, c, lift,
+                                           direction, dim, len(cols))
+                if dim == 0:
+                    continue
+                matrix = Matrix.from_columns(base.field, cols, dim)
+                rank, inverse = rank_and_inverse(matrix)
+                if inverse is None:
+                    return CoveringFailure("block-singular", b, c, lift,
+                                           direction, dim, rank)
+                blocks[(b, c, lift, direction)] = (tuple(layout), matrix,
+                                                   inverse)
+    return {b: fun.fibre(b) for b in base.objects}, blocks
+
+
+def covering_views(result):
+    """A certificate as ``eliminated_covering`` gives one; a failure as is."""
+    if isinstance(result, CoveringFailure):
+        return result
+    return result.fibres, {key: (block.column_layout, block.matrix,
+                                 block.inverse)
+                           for key, block in result.blocks.items()}
 
 
 # dense lift transport ---------------------------------------------------------------

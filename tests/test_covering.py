@@ -13,11 +13,12 @@ from covcat.linfun import LinearFunctor, identity_functor
 from covcat.covering import CoveringCertificate, CoveringFailure, \
     check_covering
 from covcat.fibprod import fibre_product
-from covcat.examples import base_category, cyclic_cover, kronecker, \
-    kronecker_cover_twisted, triangle_base
+from covcat.examples import WeightedQuiver, base_category, cyclic_cover, \
+    double_arrows, kronecker, kronecker_cover_twisted, rel_square, \
+    triangle_base
 
-from oracles import count_paths, fibre_block, full_subcategory, naive_rank, \
-    star_dim
+from oracles import count_paths, covering_views, eliminated_covering, \
+    full_subcategory, naive_rank, star_dim
 
 
 def test_star_at_u():
@@ -143,53 +144,12 @@ def test_product_projections_certify_for_all_bases():
 # monomial read-off against elimination ----------------------------------------
 
 
-def _by_elimination(fun):
-    """``check_covering`` with every block eliminated, as dense views: each
-    non-empty block is ``Matrix.from_columns`` of its columns, found by the
-    oracle's own scan (``fibre_block``), and ``rank_and_inverse`` of that
-    gives its verdict, its rank and its inverse.  A certificate is its
-    fibres and each block's layout, matrix and inverse."""
-    base = fun.target
-    for b in base.objects:
-        if not fun.fibre(b):
-            return CoveringFailure("not-surjective", missing_object=b)
-    blocks = {}
-    for b in base.objects:
-        for c in base.objects:
-            dim = base.dim(b, c)
-            for direction, lift, far in (
-                    [("source", x, c) for x in fun.fibre(b)]
-                    + [("target", z, b) for z in fun.fibre(c)]):
-                layout, cols = fibre_block(fun, direction, lift, far)
-                if len(cols) != dim:
-                    return CoveringFailure("block-dimension", b, c, lift,
-                                           direction, dim, len(cols))
-                if dim == 0:
-                    continue
-                matrix = Matrix.from_columns(base.field, cols, dim)
-                rank, inverse = rank_and_inverse(matrix)
-                if inverse is None:
-                    return CoveringFailure("block-singular", b, c, lift,
-                                           direction, dim, rank)
-                blocks[(b, c, lift, direction)] = (tuple(layout), matrix,
-                                                   inverse)
-    return {b: fun.fibre(b) for b in base.objects}, blocks
-
-
-def _dense_views(result):
-    """A certificate as ``_by_elimination`` gives one; a failure as is."""
-    if isinstance(result, CoveringFailure):
-        return result
-    return result.fibres, {key: (block.column_layout, block.matrix,
-                                 block.inverse)
-                           for key, block in result.blocks.items()}
-
-
 def _assert_read_off_agrees(fun, name=None):
     """Same verdict; for a certificate the same blocks, each with the same
     layout, matrix and inverse; for a failure the same witness, kind and
     rank."""
-    assert _dense_views(check_covering(fun)) == _by_elimination(fun), name
+    assert covering_views(check_covering(fun)) == eliminated_covering(fun), \
+        name
 
 
 def test_read_off_agrees_with_elimination_on_the_corpora(
@@ -278,6 +238,34 @@ def test_monomial_blocks_build_their_matrices_when_read(
             assert matrix @ block.inverse == Matrix.identity(matrix.field,
                                                              matrix.nrows)
         assert len(built) == 2 * len(cert.blocks), name
+
+
+# the path p -a-> q -b-> r: every hom space has dimension at most 1
+_PATH = WeightedQuiver("path", Quiver(("p", "q", "r"),
+                                      (("a", "p", "q"), ("b", "q", "r"))),
+                       {"a": 1, "b": 0})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("wq, n, wide", [(rel_square(), 8, 16),
+                                         (double_arrows(), 4, 16),
+                                         (_PATH, 8, 0)],
+                         ids=["rel_square-8", "double_arrows-4", "path-8"])
+def test_one_column_blocks_are_read_off_in_place(monkeypatch, field, wq, n,
+                                                 wide):
+    """A block of one column with one entry is read off in place: only
+    the certificate's blocks of two or more columns reach ``_invert``, once
+    each and in the certificate's order.  A cover of the path, whose homs
+    have dimension at most 1, inverts none."""
+    calls = []
+    invert = covering._invert
+    monkeypatch.setattr(covering, "_invert", lambda field, cols:
+                        calls.append(cols) or invert(field, cols))
+    cert = check_covering(cyclic_cover(wq, n, field))
+    columns = [list(block.columns) for block in cert.blocks.values()
+               if len(block.columns) > 1]
+    assert len(columns) == wide < len(cert.blocks)
+    assert calls == columns
 
 
 def _kronecker_with(field, unit, columns):

@@ -232,7 +232,8 @@ def _matrices(field, max_dim=4):
 def test_rank_nullity(field, data):
     rows = data.draw(_matrices(field))
     m = Matrix.from_rows(field, rows)
-    assert m.rank() + len(kernel_basis(m)[0]) == m.ncols
+    assert naive_rank([list(r) for r in m.entries], field) \
+        + len(kernel_basis(m)[0]) == m.ncols
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F2", "F5"])

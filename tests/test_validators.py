@@ -11,10 +11,12 @@ valid category, leaves its source no violation.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from covcat import linfun
 from covcat.exactalg import GF, QQ, Matrix
 from covcat.examples import cyclic_cover, kronecker_cover_twisted, rel_square, \
-    triangle_cover
-from covcat.lincat import LinearCategory, category_from_algebra, validate_category
+    standard_bases, triangle_cover
+from covcat.lincat import LinearCategory, _sparse_sum, category_from_algebra, \
+    validate_category
 from covcat.linfun import LinearFunctor, _faithful, identity_functor, \
     validate_functor
 
@@ -226,3 +228,39 @@ def test_validators_compose_no_vectors(monkeypatch):
     assert validate_category(fun.source).ok
     assert validate_category(fun.target).ok
     assert validate_functor(fun).ok
+
+
+def _count_sums(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(linfun, "_sparse_sum", lambda k, terms:
+                        calls.append(terms) or _sparse_sum(k, terms))
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_single_term_pairs_are_compared_without_sums(monkeypatch, field):
+    """In a Z/3 cover of a standard base every g∘f of basis morphisms is one
+    basis morphism and F sends each to one: no pair is summed."""
+    calls = _count_sums(monkeypatch)
+    for base in standard_bases():
+        assert validate_functor(cyclic_cover(base, 3, field)).ok, base.name
+        assert calls == [], base.name
+
+
+def test_sums_are_made_only_for_pairs_of_more_terms(monkeypatch):
+    """F(g∘f) is summed for a pair whose g∘f has other than one term, and
+    F(g)∘F(f) for a pair whose F(f) or F(g) has other than one entry;
+    the twisted Kronecker cover's twisted arrow has two."""
+    fun = kronecker_cover_twisted()
+    src, column = fun.source, fun._columns
+    expected = 0
+    for (x, y), fs in src.hom_basis.items():
+        for _, z in src.out_of[y]:
+            for f in fs:
+                for g in src.hom_basis[(y, z)]:
+                    gf = src._after.get(f, {}).get(g, ())
+                    expected += (len(gf) != 1) \
+                        + (len(column[f]) != 1 or len(column[g]) != 1)
+    calls = _count_sums(monkeypatch)
+    assert validate_functor(fun).ok
+    assert len(calls) == expected > 0
